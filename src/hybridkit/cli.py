@@ -142,12 +142,6 @@ def _resolve_fixture(args, cfg: dict) -> tuple[Fixture | None, object]:
 def _solver_config(args, cfg: dict, fixture: Fixture | None) -> SolverConfig:
     base = dict(fixture.solver_overrides) if fixture is not None else {}
     base.update(cfg.get("solver", {}))
-    for key in ("t_max", "j_max", "rtol", "atol", "event_tol", "max_step",
-                "store_max_dt", "priority"):
-        v = getattr(args, key.replace("max_step", "max_step"), None) \
-            if hasattr(args, key) else None
-        if v is not None:
-            base[key] = v
     if getattr(args, "tmax", None) is not None:
         base["t_max"] = args.tmax
     if getattr(args, "jmax", None) is not None:
@@ -159,8 +153,14 @@ def _solver_config(args, cfg: dict, fixture: Fixture | None) -> SolverConfig:
 
 
 def _resolve_gamma(fixture: Fixture | None, token: str, dim: int) -> ClosedSet:
-    if fixture is not None and token in fixture.gammas:
-        return fixture.gamma(token)
+    """A fixture target by catalog key, else by set name (witnesses record
+    the latter), else ``origin``."""
+    if fixture is not None:
+        if token in fixture.gammas:
+            return fixture.gamma(token)
+        for gamma in fixture.gammas.values():
+            if gamma.name == token:
+                return gamma
     if token == "origin":
         return point_set(np.zeros(dim), name="origin")
     raise ConfigError(
@@ -445,12 +445,9 @@ def cmd_replay(args) -> int:
     clause = meta.get("clause")
     reproduced = None
     if clause:
-        gname = meta.get("gamma")
-        gamma = fixture.gammas.get(gname) if gname else None
-        if gamma is None:
-            # fall back: clause types that reference the fixture's first gamma
-            gamma = next(iter(fixture.gammas.values()))
-        g2 = fixture.gammas.get(meta.get("gamma2", ""), None)
+        gname, g2name = meta.get("gamma"), meta.get("gamma2")
+        gamma = _resolve_gamma(fixture, gname, system.dim) if gname else None
+        g2 = _resolve_gamma(fixture, g2name, system.dim) if g2name else None
         reproduced = replay_clause(arc, clause, gamma, g2, output=fixture.output)
         print(f"violation reproduced: {reproduced}")
         if not (ok_solution and reproduced):

@@ -264,13 +264,16 @@ class HybridArc:
         states: list[list[list[float]]] = []
         last_j = -1
         for row in payload["samples"]:
-            if row["j"] == last_j + 1:
+            j = row["j"]
+            if j == last_j + 1:
                 times.append([row["t"]])
                 states.append([row["x"]])
-                last_j = row["j"]
-            else:
+                last_j = j
+            elif j == last_j:
                 times[-1].append(row["t"])
                 states[-1].append(row["x"])
+            else:
+                raise MalformedArc(f"jump counter out of order at j={j}")
         return HybridArc(
             [np.asarray(t) for t in times],
             [np.asarray(x) for x in states],

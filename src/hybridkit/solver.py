@@ -1,11 +1,15 @@
 """Hybrid solver: event-located flow integration plus jump application.
 
-The continuous stages ride on scipy's adaptive RK45 (Dormand-Prince, dense
-output); everything hybrid -- flow-set exit location, jump application,
-flow/jump priority on C n D, horizons, and the Zeno guard -- is implemented
-here.  Exits are located by bisecting flow-set membership on the dense output,
-which subsumes sign bisection of a scalar guard and also copes with band sets
-and boundary starts.
+Flow intervals are integrated by the adaptive Dormand-Prince 5(4) pair with
+its quartic dense output (``_dopri5``).  Its tableau, initial step, RMS error
+norm and step controller are those of Hairer, Norsett & Wanner, *Solving ODEs
+I*, Sec. II.4-II.6, written operation for operation as scipy's ``RK45`` does
+them, so the two produce the same bits (``tests/test_stepper.py`` keeps scipy
+as the oracle).  Everything hybrid -- flow-set exit location, jump
+application, flow/jump priority on C n D, horizons, and the Zeno guard -- is
+implemented here too.  Exits are located by bisecting flow-set membership on
+the dense output, which subsumes sign bisection of a scalar guard and also
+copes with band sets and boundary starts.
 
 Determinism contract: identical (system, x0, config) produce bitwise-identical
 arcs; no randomness is involved anywhere in the solve path.
@@ -15,10 +19,11 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass, replace as _dc_replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .core import HybridArc, HybridSystem, Termination
 from .errors import (
@@ -99,6 +104,161 @@ class _FlowEnd:
     bracket_gap: float = 0.0
 
 
+# Dormand-Prince 5(4): stage matrix, 5th-order weights, error weights (5th minus
+# 4th order, last entry for the first-same-as-last stage) and Shampine's
+# quartic dense-output coefficients for the optimal c6.  The literals are
+# scipy's, so every coefficient rounds to the same double.
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY = 0.9      # multiplies the asymptotically optimal step factor
+_MIN_FACTOR = 0.2  # largest decrease of a rejected step
+_MAX_FACTOR = 10   # largest increase of an accepted step
+_ERROR_EXPONENT = -1 / 5
+_A_ROWS = [_A[s, :s] for s in range(1, 6)]
+_RTOL_MIN = 100 * float(np.finfo(float).eps)
+
+
+class _Step(NamedTuple):
+    """One accepted step from (t_old, y_old) to (t, y).
+
+    ``Q`` holds the dense-output coefficients; it is None for a step of zero
+    length, whose output is the constant ``y``.
+    """
+
+    t_old: float
+    t: float
+    y_old: np.ndarray
+    y: np.ndarray
+    Q: np.ndarray | None
+
+
+def _rms(v: np.ndarray):
+    return np.sqrt(v.dot(v)) / v.size ** 0.5
+
+
+def _initial_step(flow, y0, f0, interval, max_step, rtol, atol):
+    """Starting step size from one explicit Euler probe (HNW Sec. II.4)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((flow(y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval, max_step)
+
+
+def _dopri5(flow, t: float, y: np.ndarray, t_bound: float, rtol: float,
+            atol: float, max_step: float):
+    """Accepted Dormand-Prince 5(4) steps from (t, y) forward to t_bound >= t.
+
+    ``flow(y)`` returns the derivative of state ``y``.  Yields one _Step per
+    accepted step and stops after the step that reaches t_bound; yields None
+    and stops when the step size falls below ten ulps of t.
+    """
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state must be finite.")
+    if rtol < _RTOL_MIN:
+        warnings.warn(f"rtol {rtol!r} is below 100 eps; using {_RTOL_MIN!r}",
+                      stacklevel=4)
+        rtol = _RTOL_MIN
+    f = np.asarray(flow(y), dtype=float)
+    if t == t_bound:
+        yield _Step(t, t, y, y, None)
+        return
+    h_abs = _initial_step(flow, y, f, abs(t_bound - t), max_step, rtol, atol)
+    K = np.empty((7, y.size))
+    K[0] = f
+    stages = [(K[:s].T, a) for s, a in enumerate(_A_ROWS, start=1)]
+    K_lower, K_all = K[:-1].T, K.T
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                yield None
+                return
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            for s, (K_s, a) in enumerate(stages, start=1):
+                K[s] = flow(y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K_lower, _B)
+            K[-1] = flow(y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K_all, _E) * h / scale)
+            if error < 1:
+                if error == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        yield _Step(t, t_new, y, y_new, K_all.dot(_P))
+        if t_new >= t_bound:
+            return
+        t, y = t_new, y_new
+        K[0] = K[-1]  # first same as last
+
+
+def _dense(step: _Step, t):
+    """The step's interpolant at a scalar time, shape (n,), or at a 1-D array
+    of times, shape (n, len(t)).
+
+    The powers of the normalised time are built by the same sequential
+    products as ``np.cumprod``, so the values match scipy's dense output.
+    """
+    if step.Q is None:
+        return step.y if np.ndim(t) == 0 else np.repeat(step.y[:, None], len(t), axis=1)
+    h = step.t - step.t_old
+    x = (t - step.t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    y = h * np.dot(step.Q, np.array([x, x2, x3, x3 * x]))
+    y += step.y_old[:, None] if y.ndim == 2 else step.y_old
+    return y
+
+
+def _grid(a: float, b: float, m: int) -> np.ndarray:
+    """``np.linspace(a, b, m + 1)[1:]``, bit for bit, without its overhead."""
+    k = np.arange(1.0, m + 1)
+    step = (b - a) / m
+    ts = k / m * (b - a) if step == 0 else k * step
+    ts += a
+    ts[-1] = b
+    return ts
+
+
 def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfig):
     """Integrate the flow from (t0, x0) until flow-set exit, t_max, or failure.
 
@@ -117,29 +277,18 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
             f"flow map non-finite at segment start (t={t0:.6g})"
         )
 
-    rk = RK45(
-        lambda t, y: sys.flow_map(y),
-        t0,
-        x0,
-        t_bound=cfg.t_max,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        max_step=cfg.effective_max_step,
-    )
-
     times: list[float] = []
     states: list[np.ndarray] = []
 
-    def store(dense, a: float, b: float):
+    def store(step: _Step, a: float, b: float):
         if b <= a:
             return
         # spacing tracks the integrator's own step, so the finite-difference
         # residual floor of the solution checker scales with local dynamics
         m = max(_MIN_SUBDIV, math.ceil((b - a) / cfg.store_max_dt))
-        ts = np.linspace(a, b, m + 1)[1:]
-        xs = dense(ts).T
+        ts = _grid(a, b, m)
         times.extend(ts.tolist())
-        states.extend(np.asarray(xs, dtype=float))
+        states.extend(_dense(step, ts).T)
 
     def segment_end(reason: str, gap: float = 0.0) -> tuple[list, list, _FlowEnd]:
         if times:
@@ -147,36 +296,33 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
                                            np.asarray(states[-1], dtype=float), gap)
         return times, states, _FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
 
-    t_prev = t0
-    while True:
-        if rk.status == "finished":
-            return segment_end("horizon")
-        rk.step()
-        if rk.status == "failed" or not np.all(np.isfinite(rk.y)):
+    # _dopri5 evaluates F(x0) again for its first stage; handing it fx0 instead
+    # would change the RHS-evaluation counts that benchmark runs compare
+    for step in _dopri5(sys.flow_map, t0, x0, cfg.t_max, cfg.rtol, cfg.atol,
+                        cfg.effective_max_step):
+        if step is None or not np.all(np.isfinite(step.y)):
             return segment_end("failed")
-        dense = rk.dense_output()
-        probes = np.linspace(t_prev, rk.t, _INTERIOR_PROBES + 2)[1:]
-        probe_states = dense(probes).T
-        inside = member(probe_states)
+        probes = _grid(step.t_old, step.t, _INTERIOR_PROBES + 1)
+        inside = member(_dense(step, probes).T)
         if inside.all():
-            store(dense, t_prev, rk.t)
-            t_prev = rk.t
+            store(step, step.t_old, step.t)
             continue
         # bracket the first exit and bisect membership down to event_tol / 8,
         # leaving slack in the 2*event_tol budgets downstream
         k = int(np.argmin(inside))  # first False
-        lo = t_prev if k == 0 else float(probes[k - 1])
+        lo = step.t_old if k == 0 else float(probes[k - 1])
         hi = float(probes[k])
         tol_bis = cfg.event_tol / 8.0
         while hi - lo > tol_bis:
             mid = 0.5 * (lo + hi)
-            if member(dense(mid)):
+            if member(_dense(step, mid)):
                 lo = mid
             else:
                 hi = mid
-        if lo > t_prev:
-            store(dense, t_prev, lo)  # stored samples end exactly at lo
+        if lo > step.t_old:
+            store(step, step.t_old, lo)  # stored samples end exactly at lo
         return segment_end("exit", gap=hi - lo)
+    return segment_end("horizon")
 
 
 def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:

@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from hybridkit.cli import main
+from hybridkit.cli import _resolve_gamma, main
+from hybridkit.solver import SolverConfig, solve
+from hybridkit.systems import catalog
 
 
 def run(args):
@@ -105,6 +107,27 @@ def test_replay_corrupted_csv_fails_cleanly(tmp_path):
     assert run(["replay", "--arc", str(bad)]) == 2
     missing = tmp_path / "missing.csv"
     assert run(["replay", "--arc", str(missing)]) == 2
+
+
+def test_replay_resolves_witness_target_like_analyze(tmp_path, capsys):
+    arc = solve(catalog()["circles"].system, [1.0, 0.0, 1.0, 1.0],
+                SolverConfig(t_max=3.0))
+    (tmp_path / "w.csv").write_text(arc.to_csv())
+    meta = {"clause": {"type": "stability_escape", "eps": 1.6},
+            "termination": arc.termination.value, "system": "circles",
+            "check_tol": 1e-3}
+    # the arc leaves the 1.6-ball around the origin (sup distance sqrt 3) but
+    # not the one around circles' gamma1 (sqrt 2)
+    (tmp_path / "w.json").write_text(json.dumps({**meta, "gamma": "origin"}))
+    assert run(["replay", "--arc", str(tmp_path / "w.csv")]) == 0
+    assert "violation reproduced: True" in capsys.readouterr().out
+    (tmp_path / "w.json").write_text(json.dumps({**meta, "gamma": "nope"}))
+    assert run(["replay", "--arc", str(tmp_path / "w.csv")]) == 2
+    assert "unknown target set 'nope'" in capsys.readouterr().err
+    # witnesses record set names, which may differ from the catalog key
+    observer = catalog()["observer"]
+    shell = observer.gammas["w-shell"]
+    assert _resolve_gamma(observer, shell.name, 7) is shell
 
 
 def test_replay_regenerated_arc_matches_bitwise(tmp_path, capsys):

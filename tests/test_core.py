@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -162,6 +163,17 @@ def test_json_round_trip():
     back = HybridArc.from_json(arc.to_json())
     assert back.to_csv() == arc.to_csv()
     assert back.termination == arc.termination
+
+
+def test_json_jump_counter_skip_raises():
+    arc = HybridArc([np.array([0.0, 1.0]), np.array([1.0, 2.0])],
+                    [np.array([[1.0], [1.0]]), np.array([[0.5], [0.5]])],
+                    Termination.COMPLETE_T)
+    payload = json.loads(arc.to_json())
+    for row in payload["samples"]:
+        row["j"] *= 2  # j goes 0 -> 2
+    with pytest.raises(MalformedArc, match="j=2"):
+        HybridArc.from_json(json.dumps(payload))
 
 
 def test_csv_jump_rows_marked():
