@@ -7,6 +7,8 @@ exactly; ConsistentAtBudget records the budgets, grids, and seed under which
 no violation was found.  Per-sample generators are keyed (seed, context,
 index), so growing the budget replays the same early samples and can never
 flip Falsified back to consistent, and verdicts are independent of scheduling.
+No verdict rests on zero arcs: a campaign none of whose draws lands in C u D
+raises ConfigError.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .composition import OutputSystem, restrict
-from .core import HybridArc, HybridSystem, Termination, is_complete
-from .errors import ApproximateDistance, ChainNotNested
+from .core import HybridArc, HybridSystem, Termination, _jsonable, is_complete
+from .errors import ApproximateDistance, ChainNotNested, ConfigError
 from .geometry import ClosedSet, Window
-from .solver import SolverConfig, solve
+from .solver import Priority, SolverConfig, solve
 
 _MAX_DRAW_TRIES = 80
 
@@ -80,6 +82,10 @@ class PropertyQuery:
     def replace(self, **kw) -> "PropertyQuery":
         return _dc_replace(self, **kw)
 
+    def child(self, tag: str, **kw) -> "PropertyQuery":
+        """A sub-query whose seed is derived from this seed and ``tag``."""
+        return self.replace(seed=int(_rng(self.seed, tag).integers(2 ** 31)), **kw)
+
     def solver_config(self) -> SolverConfig:
         base = self.solver or SolverConfig()
         return base.replace(t_max=self.t_max, j_max=self.j_max)
@@ -131,25 +137,13 @@ class AnalysisReport:
     def to_json_dict(self) -> dict:
         return {
             "schema_version": 1,
-            "query": _plain(self.provenance),
+            "query": _jsonable(self.provenance),
             "verdict": self.verdict,
             "property": self.prop,
-            "measured": _plain(self.measured),
-            "witness_clause": _plain(self.witness_clause),
+            "measured": _jsonable(self.measured),
+            "witness_clause": _jsonable(self.witness_clause),
             "notes": list(self.notes),
         }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +218,85 @@ def _region_sampler(sys: HybridSystem, query: PropertyQuery):
 
 
 # ---------------------------------------------------------------------------
+# the sampling campaign
+# ---------------------------------------------------------------------------
+
+
+def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
+              judge: Callable, key: tuple = (), *,
+              alt: SolverConfig | None = None, **draw):
+    """The one sampling loop of every checker.
+
+    For each index ``i < sample_budget`` it draws an initial condition from
+    the generator keyed ``(seed, tag, *key, i)``, solves, hands the arc to
+    ``query.arc_hook`` and asks ``judge(arc)`` for None or a ``(witness,
+    clause)`` pair.  An arc the judge rejects is solved again under ``alt``
+    when given, and judged again.  Stops at the first violation and returns
+    ``(initial conditions solved, witness, clause)``; raises ConfigError when
+    no draw landed in C u D, so that no verdict rests on zero arcs.
+    """
+    cfg = query.solver_config()
+    n_solved = 0
+    for i in range(query.sample_budget):
+        x0 = _draw_initial(sys, _rng(query.seed, tag, *key, i),
+                           tol=cfg.tol_set, **draw)
+        if x0 is None:
+            continue
+        n_solved += 1
+        for c in (cfg, alt) if alt is not None else (cfg,):
+            arc = solve(sys, x0, c)
+            if query.arc_hook:
+                query.arc_hook(sys, arc)
+            bad = judge(arc)
+            if bad is None:
+                break
+        else:
+            return n_solved, *bad
+    if not n_solved:
+        raise ConfigError(
+            f"campaign {tag!r}{list(key) if key else ''} on '{sys.name}' drew "
+            f"no initial condition in C u D in {query.sample_budget} draws; "
+            "provide a sampler or a wider window")
+    return n_solved, None, None
+
+
+def _eps_delta(sys: HybridSystem, near: ClosedSet, query: PropertyQuery,
+               tag: str, escape: Callable, project: Callable | None = None):
+    """Shrinking-delta search: for each eps of the grid, the first delta in
+    eps * 2^-k (k = 0..delta_shrinks) from whose B_delta(near) no sampled arc
+    escapes (``escape(arc, eps, delta)`` is None).  Returns (delta for each
+    eps tried, witness, clause); the search stops at the first eps for which
+    every delta level had an escape, recording None for it."""
+    delta_for_eps: dict = {}
+    for ei, eps in enumerate(query.eps_grid):
+        for k in range(query.delta_shrinks + 1):
+            delta = eps * 2.0 ** (-k)
+            _, witness, clause = _campaign(
+                sys, query, tag, lambda arc: escape(arc, eps, delta), (ei, k),
+                near=near, delta=delta, window=query.window, project=project,
+                sampler=query.sampler)
+            if witness is None:
+                delta_for_eps[eps] = delta
+                break
+        else:
+            delta_for_eps[eps] = None
+            return delta_for_eps, witness, clause
+    return delta_for_eps, None, None
+
+
+def _report(prop: str, sys: HybridSystem, query: PropertyQuery, measured: dict,
+            witness: HybridArc | None, clause: dict | None, notes=(),
+            **sets: ClosedSet) -> AnalysisReport:
+    """The report of one campaign; ``sets`` names the target (and the outer
+    set) in the provenance."""
+    return AnalysisReport(FALSIFIED if witness is not None else CONSISTENT,
+                          prop, measured,
+                          {**query.provenance(), "system": sys.name,
+                           **{k: s.name for k, s in sets.items()}},
+                          witness, clause, list(notes))
+
+
+# ---------------------------------------------------------------------------
 # core checks
 # ---------------------------------------------------------------------------
 
@@ -233,82 +306,43 @@ def check_stability(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery,
     """epsilon-delta stability of ``gamma``: for each epsilon a shrinking-delta
     search over initial conditions in B_delta(gamma) n (C u D)."""
     _require_distance(gamma)
-    cfg = query.solver_config()
     notes = []
     if not gamma.bounded:
         notes.append("target not declared compact: the uniform notion is "
                      "tested inside the sampling window")
-    measured: dict = {"delta_for_eps": {}, "worst_amplification": {}}
-    witness = None
-    clause = None
-    n_solved = 0
-    for ei, eps in enumerate(query.eps_grid):
-        surviving = None
-        last_escape = None
-        for k in range(query.delta_shrinks + 1):
-            delta = eps * 2.0 ** (-k)
-            all_ok = True
-            for i in range(query.sample_budget):
-                rng = _rng(query.seed, "stab", ei, k, i)
-                x0 = _draw_initial(sys, rng, near=gamma, delta=delta,
-                                   window=query.window, project=project,
-                                   sampler=query.sampler, tol=cfg.tol_set)
-                if x0 is None:
-                    continue
-                n_solved += 1
-                arc = solve(sys, x0, cfg)
-                if query.arc_hook:
-                    query.arc_hook(sys, arc)
-                supd = arc.sup_distance(gamma)
-                if supd > eps:
-                    all_ok = False
-                    last_escape = (arc, eps, delta, supd)
-                    break
-            if all_ok:
-                surviving = delta
-                break
-        if surviving is None:
-            arc, eps_w, delta_w, supd = last_escape
-            witness = arc
-            clause = {
-                "type": "stability_escape",
-                "eps": eps_w,
-                "delta": delta_w,
-                "sup_distance": supd,
-                "x0": arc.meta["x0"],
-            }
-            measured["delta_for_eps"][eps] = None
-            break
-        measured["delta_for_eps"][eps] = surviving
-        measured["worst_amplification"][eps] = eps / surviving
-    if n_solved == 0:
-        raise RuntimeError(
-            f"stability check of '{gamma.name}' on '{sys.name}' drew no valid "
-            "initial conditions; provide a sampler or a wider window"
-        )
-    verdict = FALSIFIED if witness is not None else CONSISTENT
-    return AnalysisReport(verdict, "Stability", measured,
-                          {**query.provenance(), "system": sys.name,
-                           "target": gamma.name},
-                          witness, clause, notes)
+
+    def escape(arc, eps, delta):
+        supd = arc.sup_distance(gamma)
+        if supd > eps:
+            return arc, {"type": "stability_escape", "eps": eps, "delta": delta,
+                         "sup_distance": supd, "x0": arc.meta["x0"]}
+        return None
+
+    found, witness, clause = _eps_delta(sys, gamma, query, "stab", escape,
+                                        project)
+    measured = {"delta_for_eps": found,
+                "worst_amplification": {e: e / d for e, d in found.items()
+                                        if d is not None}}
+    return _report("Stability", sys, query, measured, witness, clause, notes,
+                   target=gamma)
 
 
 def _arc_converges(arc: HybridArc, gamma: ClosedSet, conv_tol: float,
-                   bound_radius: float) -> tuple[bool, dict | None]:
+                   bound_radius: float) -> dict | None:
     """Basin-membership test for one arc: bounded, and convergent when it is
     complete at horizon (Zeno-truncated arcs are held to the same terminal
-    test; maximal-but-incomplete arcs pass vacuously)."""
+    test; maximal-but-incomplete arcs pass vacuously).  None when it passes,
+    else the violated clause."""
     supn = arc.sup_norm()
     if supn > bound_radius:
-        return False, {"type": "unbounded", "sup_norm": supn,
-                       "bound_radius": bound_radius, "x0": arc.meta.get("x0")}
+        return {"type": "unbounded", "sup_norm": supn,
+                "bound_radius": bound_radius, "x0": arc.meta.get("x0")}
     if is_complete(arc) or arc.termination is Termination.ZENO:
         td = arc.terminal_distance(gamma)
         if td > conv_tol:
-            return False, {"type": "attractivity_terminal",
-                           "terminal_distance": td, "conv_tol": conv_tol,
-                           "x0": arc.meta.get("x0")}
-    return True, None
+            return {"type": "attractivity_terminal", "terminal_distance": td,
+                    "conv_tol": conv_tol, "x0": arc.meta.get("x0")}
+    return None
 
 
 def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery,
@@ -321,53 +355,35 @@ def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery
     'global at budget'.
     """
     _require_distance(gamma)
-    cfg = query.solver_config()
     bound_radius = query.effective_bound_radius()
     measured: dict = {"n_pass": 0, "n_vacuous": 0, "n_total": 0,
                       "max_terminal_distance": 0.0}
-    witness = None
-    clause = None
-    local = query.near is not None
-    for i in range(query.sample_budget):
-        rng = _rng(query.seed, "attr", i)
-        if local:
-            x0 = _draw_initial(sys, rng, near=query.near,
-                               delta=query.near_radius or max(query.eps_grid),
-                               window=query.window, project=project,
-                               sampler=query.sampler, tol=cfg.tol_set)
-        else:
-            x0 = _draw_initial(sys, rng, project=project, tol=cfg.tol_set,
-                               **_region_sampler(sys, query))
-        if x0 is None:
-            continue
-        arc = solve(sys, x0, cfg)
-        if query.arc_hook:
-            query.arc_hook(sys, arc)
-        measured["n_total"] += 1
-        ok, bad = _arc_converges(arc, gamma, query.conv_tol, bound_radius)
-        if not ok:
-            witness, clause = arc, bad
-            break
+
+    def judge(arc):
+        bad = _arc_converges(arc, gamma, query.conv_tol, bound_radius)
+        if bad is not None:
+            return arc, bad
         if is_complete(arc) or arc.termination is Termination.ZENO:
             measured["n_pass"] += 1
             measured["max_terminal_distance"] = max(
                 measured["max_terminal_distance"], arc.terminal_distance(gamma))
         else:
             measured["n_vacuous"] += 1
-    if measured["n_total"]:
-        measured["pass_fraction"] = (
-            (measured["n_pass"] + measured["n_vacuous"]) / measured["n_total"])
+        return None
+
+    local = query.near is not None
+    if local:
+        draw = dict(near=query.near,
+                    delta=query.near_radius or max(query.eps_grid),
+                    window=query.window, sampler=query.sampler)
     else:
-        raise RuntimeError(
-            f"attractivity check of '{gamma.name}' on '{sys.name}' drew no "
-            "valid initial conditions; provide a sampler or a wider window"
-        )
-    verdict = FALSIFIED if witness is not None else CONSISTENT
+        draw = _region_sampler(sys, query)
+    measured["n_total"], witness, clause = _campaign(
+        sys, query, "attr", judge, project=project, **draw)
+    measured["pass_fraction"] = (
+        (measured["n_pass"] + measured["n_vacuous"]) / measured["n_total"])
     prop = "LocalAttractivityNear" if local else "GlobalAttractivity"
-    return AnalysisReport(verdict, prop, measured,
-                          {**query.provenance(), "system": sys.name,
-                           "target": gamma.name},
-                          witness, clause)
+    return _report(prop, sys, query, measured, witness, clause, target=gamma)
 
 
 def _prefix_escape(arc: HybridArc, g1: ClosedSet, g2: ClosedSet,
@@ -395,47 +411,18 @@ def check_local_stability_near(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
     within B_eps(g2)."""
     _require_distance(g1)
     _require_distance(g2)
-    cfg = query.solver_config()
-    measured: dict = {"r": r, "delta_for_eps": {}}
-    witness = None
-    clause = None
-    for ei, eps in enumerate(query.eps_grid):
-        surviving = None
-        last_escape = None
-        for k in range(query.delta_shrinks + 1):
-            delta = eps * 2.0 ** (-k)
-            all_ok = True
-            for i in range(query.sample_budget):
-                rng = _rng(query.seed, "lsn", ei, k, i)
-                x0 = _draw_initial(sys, rng, near=g1, delta=delta,
-                                   window=query.window, project=project,
-                                   sampler=query.sampler, tol=cfg.tol_set)
-                if x0 is None:
-                    continue
-                arc = solve(sys, x0, cfg)
-                if query.arc_hook:
-                    query.arc_hook(sys, arc)
-                esc = _prefix_escape(arc, g1, g2, r, eps)
-                if esc is not None:
-                    all_ok = False
-                    last_escape = (arc, eps, delta, esc)
-                    break
-            if all_ok:
-                surviving = delta
-                break
-        if surviving is None:
-            arc, eps_w, delta_w, esc = last_escape
-            witness = arc
-            clause = {"type": "local_stability_escape", "eps": eps_w,
-                      "delta": delta_w, "r": r, "x0": arc.meta["x0"], **esc}
-            measured["delta_for_eps"][eps] = None
-            break
-        measured["delta_for_eps"][eps] = surviving
-    verdict = FALSIFIED if witness is not None else CONSISTENT
-    return AnalysisReport(verdict, "LocalStabilityNear", measured,
-                          {**query.provenance(), "system": sys.name,
-                           "target": g1.name, "relative_to": g2.name},
-                          witness, clause)
+
+    def escape(arc, eps, delta):
+        esc = _prefix_escape(arc, g1, g2, r, eps)
+        if esc is None:
+            return None
+        return arc, {"type": "local_stability_escape", "eps": eps,
+                     "delta": delta, "r": r, "x0": arc.meta["x0"], **esc}
+
+    found, witness, clause = _eps_delta(sys, g1, query, "lsn", escape, project)
+    return _report("LocalStabilityNear", sys, query,
+                   {"r": r, "delta_for_eps": found}, witness, clause,
+                   target=g1, relative_to=g2)
 
 
 def check_invariance(sys: HybridSystem, gamma: ClosedSet, mode: str,
@@ -450,111 +437,75 @@ def check_invariance(sys: HybridSystem, gamma: ClosedSet, mode: str,
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
     _require_distance(gamma)
-    cfg = query.solver_config()
-    from .solver import Priority  # local to avoid cycle noise
-
     measured: dict = {"n_total": 0, "max_excursion": 0.0}
     notes = []
+    alt = None
     if mode == "weak":
         notes.append("weak invariance is selection-wise: verified under the "
                      "available solver priorities only")
-    witness = None
-    clause = None
-    for i in range(query.sample_budget):
-        rng = _rng(query.seed, "inv", i)
-        x0 = _draw_initial(sys, rng, near=gamma, delta=0.0, window=query.window,
-                           sampler=query.sampler, tol=cfg.tol_set)
-        if x0 is None:
-            continue
-        measured["n_total"] += 1
-        arc = solve(sys, x0, cfg)
-        if query.arc_hook:
-            query.arc_hook(sys, arc)
+        cfg = query.solver_config()
+        alt = cfg.replace(priority=Priority.FLOW if cfg.priority is Priority.JUMP
+                          else Priority.JUMP)
+
+    def judge(arc):
         exc = arc.sup_distance(gamma)
-        if exc > query.inv_tol and mode == "weak":
-            alt = (Priority.FLOW if cfg.priority is Priority.JUMP
-                   else Priority.JUMP)
-            arc = solve(sys, x0, cfg.replace(priority=alt))
-            if query.arc_hook:
-                query.arc_hook(sys, arc)
-            exc = arc.sup_distance(gamma)
-        measured["max_excursion"] = max(measured["max_excursion"], exc)
         if exc > query.inv_tol:
-            witness = arc
-            clause = {"type": "invariance_exit", "mode": mode,
-                      "excursion": exc, "inv_tol": query.inv_tol,
-                      "x0": arc.meta["x0"]}
-            break
-    verdict = FALSIFIED if witness is not None else CONSISTENT
+            return arc, {"type": "invariance_exit", "mode": mode,
+                         "excursion": exc, "inv_tol": query.inv_tol,
+                         "x0": arc.meta["x0"]}
+        # a rejected arc may yet be replaced by its weak-mode retry
+        measured["max_excursion"] = max(measured["max_excursion"], exc)
+        return None
+
+    measured["n_total"], witness, clause = _campaign(
+        sys, query, "inv", judge, alt=alt, near=gamma, delta=0.0,
+        window=query.window, sampler=query.sampler)
+    if clause is not None:
+        measured["max_excursion"] = max(measured["max_excursion"],
+                                        clause["excursion"])
     prop = ("StrongForwardInvariance" if mode == "strong"
             else "WeakForwardInvariance")
-    return AnalysisReport(verdict, prop, measured,
-                          {**query.provenance(), "system": sys.name,
-                           "target": gamma.name},
-                          witness, clause, notes)
+    return _report(prop, sys, query, measured, witness, clause, notes,
+                   target=gamma)
 
 
 def check_boundedness(sys: HybridSystem, query: PropertyQuery) -> AnalysisReport:
     """All sampled solutions stay within the declared bound radius."""
-    cfg = query.solver_config()
     bound_radius = query.effective_bound_radius()
     measured: dict = {"n_total": 0, "max_sup_norm": 0.0,
                       "bound_radius": bound_radius}
-    witness = None
-    clause = None
-    for i in range(query.sample_budget):
-        rng = _rng(query.seed, "bnd", i)
-        x0 = _draw_initial(sys, rng, tol=cfg.tol_set,
-                           **_region_sampler(sys, query))
-        if x0 is None:
-            continue
-        measured["n_total"] += 1
-        arc = solve(sys, x0, cfg)
-        if query.arc_hook:
-            query.arc_hook(sys, arc)
+
+    def judge(arc):
         supn = arc.sup_norm()
         measured["max_sup_norm"] = max(measured["max_sup_norm"], supn)
         if supn > bound_radius:
-            witness = arc
-            clause = {"type": "unbounded", "sup_norm": supn,
-                      "bound_radius": bound_radius, "x0": arc.meta["x0"]}
-            break
-    verdict = FALSIFIED if witness is not None else CONSISTENT
-    return AnalysisReport(verdict, "Boundedness", measured,
-                          {**query.provenance(), "system": sys.name},
-                          witness, clause)
+            return arc, {"type": "unbounded", "sup_norm": supn,
+                         "bound_radius": bound_radius, "x0": arc.meta["x0"]}
+        return None
+
+    measured["n_total"], witness, clause = _campaign(
+        sys, query, "bnd", judge, **_region_sampler(sys, query))
+    return _report("Boundedness", sys, query, measured, witness, clause)
 
 
 def check_output_convergence(osys: OutputSystem, query: PropertyQuery) -> AnalysisReport:
     """Complete sampled arcs must end with |h(x)| <= conv_tol."""
     sys = osys.sys
-    cfg = query.solver_config()
     measured: dict = {"n_total": 0, "max_terminal_output": 0.0}
-    witness = None
-    clause = None
-    for i in range(query.sample_budget):
-        rng = _rng(query.seed, "out", i)
-        x0 = _draw_initial(sys, rng, tol=cfg.tol_set,
-                           **_region_sampler(sys, query))
-        if x0 is None:
-            continue
-        measured["n_total"] += 1
-        arc = solve(sys, x0, cfg)
-        if query.arc_hook:
-            query.arc_hook(sys, arc)
+
+    def judge(arc):
         if not (is_complete(arc) or arc.termination is Termination.ZENO):
-            continue
+            return None
         hval = float(np.linalg.norm(osys.output(arc.final_state())))
         measured["max_terminal_output"] = max(measured["max_terminal_output"], hval)
         if hval > query.conv_tol:
-            witness = arc
-            clause = {"type": "output_not_converged", "terminal_output": hval,
-                      "conv_tol": query.conv_tol, "x0": arc.meta["x0"]}
-            break
-    verdict = FALSIFIED if witness is not None else CONSISTENT
-    return AnalysisReport(verdict, "OutputConvergence", measured,
-                          {**query.provenance(), "system": sys.name},
-                          witness, clause)
+            return arc, {"type": "output_not_converged", "terminal_output": hval,
+                         "conv_tol": query.conv_tol, "x0": arc.meta["x0"]}
+        return None
+
+    measured["n_total"], witness, clause = _campaign(
+        sys, query, "out", judge, **_region_sampler(sys, query))
+    return _report("OutputConvergence", sys, query, measured, witness, clause)
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +529,14 @@ def _relative_reports(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
             and query.window is not None:
         w = query.window
         amb_sampler = lambda rng, n: np.atleast_2d(g2.project(w.uniform(rng, n)))
-    sub_seed = query.replace(seed=int(_rng(query.seed, tag).integers(2 ** 31)),
-                             near=None, sampler=None)
-    stab = check_stability(rsys, g1, sub_seed, project=project)
+    sub = query.child(tag, near=None, sampler=None)
+    stab = check_stability(rsys, g1, sub, project=project)
     if scope == "global":
-        attr_q = sub_seed.replace(sampler=amb_sampler)
-        attr = check_attractivity(rsys, g1, attr_q, project=project)
+        attr_q = sub.replace(sampler=amb_sampler)
     else:
-        attr_q = sub_seed.replace(
-            near=g1, near_radius=query.near_radius or max(query.eps_grid))
-        attr = check_attractivity(rsys, g1, attr_q, project=project)
+        attr_q = sub.replace(near=g1,
+                             near_radius=query.near_radius or max(query.eps_grid))
+    attr = check_attractivity(rsys, g1, attr_q, project=project)
     return {"stability": stab, "attractivity": attr}
 
 
@@ -641,7 +590,7 @@ class ReductionReport:
         return {
             "schema_version": 1,
             "scope": self.scope,
-            "query": _plain(self.provenance),
+            "query": _jsonable(self.provenance),
             "sub_reports": {k: v.to_json_dict() for k, v in self.sub_reports.items()},
             "conclusions": {k: v.to_json_dict() for k, v in self.conclusions.items()},
             "theorems": [t.to_json_dict() for t in self.theorems],
@@ -665,6 +614,17 @@ def _theorem(name: str, hyp_reports: dict[str, AnalysisReport],
     )
 
 
+def _conclusions(sys: HybridSystem, g1: ClosedSet, query: PropertyQuery,
+                 scope: str, r: float) -> dict[str, AnalysisReport]:
+    """The conclusion checks on the innermost target of a reduction."""
+    return {
+        "stability": check_stability(sys, g1, query.child("conc-s")),
+        "attractivity": check_attractivity(
+            sys, g1, query.child("conc-a", near=None if scope == "global" else g1,
+                                 near_radius=r)),
+    }
+
+
 def reduction_report(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
                      query: PropertyQuery, scope: str = "local",
                      r: float | None = None) -> ReductionReport:
@@ -679,27 +639,15 @@ def reduction_report(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
     sub["relative_stability"] = rel["stability"]
     sub["relative_attractivity"] = rel["attractivity"]
     sub["local_stability_near"] = check_local_stability_near(
-        sys, g1, g2, r, query.replace(seed=_rng(query.seed, "lsn-seed").integers(2 ** 31)))
+        sys, g1, g2, r, query.child("lsn-seed"))
     if scope == "local":
-        q_near = query.replace(near=g1, near_radius=r,
-                               seed=_rng(query.seed, "lan-seed").integers(2 ** 31))
-        sub["local_attractivity_near"] = check_attractivity(sys, g2, q_near)
+        sub["local_attractivity_near"] = check_attractivity(
+            sys, g2, query.child("lan-seed", near=g1, near_radius=r))
     else:
-        q_g2 = query.replace(near=None,
-                             seed=_rng(query.seed, "ga2-seed").integers(2 ** 31))
-        sub["global_attractivity_gamma2"] = check_attractivity(sys, g2, q_g2)
-        sub["boundedness"] = check_boundedness(
-            sys, query.replace(seed=_rng(query.seed, "bnd-seed").integers(2 ** 31)))
-
-    conclusions = {
-        "stability": check_stability(
-            sys, g1, query.replace(seed=_rng(query.seed, "conc-s").integers(2 ** 31))),
-        "attractivity": check_attractivity(
-            sys, g1,
-            query.replace(near=None if scope == "global" else g1,
-                          near_radius=r,
-                          seed=_rng(query.seed, "conc-a").integers(2 ** 31))),
-    }
+        sub["global_attractivity_gamma2"] = check_attractivity(
+            sys, g2, query.child("ga2-seed", near=None))
+        sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
+    conclusions = _conclusions(sys, g1, query, scope, r)
 
     if scope == "local":
         theorems = [
@@ -750,28 +698,16 @@ def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
             )
 
     sub: dict[str, AnalysisReport] = {}
-    links = []
     for i, g in enumerate(chain):
         amb = chain[i + 1] if i + 1 < len(chain) else None
         rel = _relative_reports(sys, g, amb, query, scope, tag=f"link{i}")
         label = amb.name if amb is not None else "statespace"
         sub[f"link{i + 1}_stability_rel_{label}"] = rel["stability"]
         sub[f"link{i + 1}_attractivity_rel_{label}"] = rel["attractivity"]
-        links.append(rel)
     if scope == "global":
-        sub["boundedness"] = check_boundedness(
-            sys, query.replace(seed=_rng(query.seed, "bnd-seed").integers(2 ** 31)))
-
-    g1 = chain[0]
-    conclusions = {
-        "stability": check_stability(
-            sys, g1, query.replace(seed=_rng(query.seed, "conc-s").integers(2 ** 31))),
-        "attractivity": check_attractivity(
-            sys, g1,
-            query.replace(near=None if scope == "global" else g1,
-                          near_radius=query.near_radius or max(query.eps_grid),
-                          seed=_rng(query.seed, "conc-a").integers(2 ** 31))),
-    }
+        sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
+    conclusions = _conclusions(sys, chain[0], query, scope,
+                               query.near_radius or max(query.eps_grid))
 
     as_hyps = dict(sub)
     attr_hyps = {k: v for k, v in sub.items()
@@ -793,17 +729,14 @@ def detectability_report(osys: OutputSystem, g1: ClosedSet,
     attractivity conclusion on g1."""
     sys = osys.sys
     sub: dict[str, AnalysisReport] = {}
-    sub["boundedness"] = check_boundedness(
-        sys, query.replace(seed=_rng(query.seed, "det-b").integers(2 ** 31)))
-    sub["output_convergence"] = check_output_convergence(
-        osys, query.replace(seed=_rng(query.seed, "det-o").integers(2 ** 31)))
+    sub["boundedness"] = check_boundedness(sys, query.child("det-b"))
+    sub["output_convergence"] = check_output_convergence(osys, query.child("det-o"))
     rel = _relative_reports(sys, g1, g2_declared, query, "global", tag="det")
     sub["relative_stability"] = rel["stability"]
     sub["relative_attractivity"] = rel["attractivity"]
     conclusions = {
         "global_attractivity": check_attractivity(
-            sys, g1, query.replace(near=None,
-                                   seed=_rng(query.seed, "det-c").integers(2 ** 31))),
+            sys, g1, query.child("det-c", near=None)),
     }
     theorems = [_theorem("detectability_attractivity", dict(sub), dict(conclusions))]
     return ReductionReport("global", sub, conclusions, theorems,

@@ -379,8 +379,6 @@ def cmd_analyze(args) -> int:
             for sub_name, sub in rep.reports().items():
                 wpath = _save_witness(sub, out, f"{name}_{sub_name}", meta_extra)
                 if wpath:
-                    key = sub_name if not sub_name.startswith("conclusion_") \
-                        else sub_name
                     section = ("conclusions" if sub_name.startswith("conclusion_")
                                else "sub_reports")
                     short = sub_name.removeprefix("conclusion_")
@@ -432,9 +430,9 @@ def cmd_replay(args) -> int:
             params = ObserverParams(**meta["params"])
         fixture = catalog(params)[meta["system"]]
     if fixture is None:
-        print("no fixture information in witness metadata; validated structure "
-              "only")
-        return EXIT_OK
+        print(f"metadata names no catalog fixture (system {meta.get('system')!r});"
+              " nothing to validate the arc against", file=sys.stderr)
+        return EXIT_CONFIG
 
     system = fixture.system
     tol = float(meta.get("check_tol", 1e-3))

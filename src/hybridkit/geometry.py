@@ -1,9 +1,9 @@
 """Closed subsets of R^n: membership, point-to-set distance, combinators.
 
 Every set carries a batched distance function (arrays of shape (..., n) map to
-(...,)), a membership predicate derived from it, and a scalar guard (positive
-inside, negative outside) that the solver bisects for event location.  Distances
-are tagged with a ``distance_kind``:
+(...,)) and a membership predicate derived from it; the solver locates flow
+exits by bisecting membership along the dense output.  Distances are tagged
+with a ``distance_kind``:
 
 * ``"exact"`` -- the Euclidean point-to-set distance,
 * ``"declared"`` -- a user-supplied surrogate (zero exactly on the set),
@@ -77,7 +77,6 @@ class ClosedSet:
         distance: Callable[[np.ndarray], np.ndarray],
         *,
         member: Callable[[np.ndarray, float], np.ndarray] | None = None,
-        guard: Callable[[np.ndarray], np.ndarray] | None = None,
         descriptor: dict | None = None,
         distance_kind: str = "exact",
         member_tol: float = DEFAULT_MEMBER_TOL,
@@ -93,7 +92,6 @@ class ClosedSet:
         self.dim = int(dim)
         self._distance = distance
         self._member = member
-        self._guard = guard
         self.descriptor = descriptor or {"type": "custom"}
         self.distance_kind = distance_kind
         self.member_tol = float(member_tol)
@@ -121,13 +119,6 @@ class ClosedSet:
         if self._member is not None:
             return self._member(x, tol)
         return np.asarray(self._distance(x)) <= tol
-
-    def guard(self, x) -> np.ndarray:
-        """Scalar slack: > 0 strictly inside, < 0 outside, 0 on the boundary."""
-        x = self._check_dim(x)
-        if self._guard is not None:
-            return np.asarray(self._guard(x))
-        return -np.asarray(self._distance(x))
 
     # -- sampling / projection ---------------------------------------------
 
@@ -188,12 +179,6 @@ def _interval_dist(x, lo, hi):
     return np.maximum(np.maximum(lo - x, x - hi), 0.0)
 
 
-def _interval_slack(x, lo, hi):
-    a = x - lo if np.isfinite(lo) else np.full_like(x, np.inf)
-    b = hi - x if np.isfinite(hi) else np.full_like(x, np.inf)
-    return np.minimum(a, b)
-
-
 def _values_dist(x, values):
     return np.min(np.abs(x[..., None] - values), axis=-1)
 
@@ -236,19 +221,6 @@ def coords_set(
             total = total + d * d
         return np.sqrt(total)
 
-    def guard(x):
-        slack = np.full(x.shape[:-1], np.inf)
-        for i, c in items:
-            xi = x[..., i]
-            if c[0] == _INTERVAL:
-                s = _interval_slack(xi, c[1], c[2])
-            elif c[0] == _VALUES:
-                s = -_values_dist(xi, np.asarray(c[1], dtype=float))
-            else:
-                s = -_angle_dist(xi, c[1], c[2])
-            slack = np.minimum(slack, s)
-        return slack
-
     def sample(rng, n, window):
         if window is None:
             window = Window.cube(dim, 1.0)
@@ -285,7 +257,7 @@ def coords_set(
     )
     desc = {"type": "coords", "dim": dim, "constraints": {str(i): list(c) for i, c in items}}
     return ClosedSet(
-        dim, dist, guard=guard, descriptor=desc, member_tol=member_tol,
+        dim, dist, descriptor=desc, member_tol=member_tol,
         sample=sample, project=project, bounded=bounded, name=name or "coords",
     )
 
@@ -326,8 +298,7 @@ def full_space(dim: int) -> ClosedSet:
         return np.zeros(x.shape[:-1])
 
     return ClosedSet(
-        dim, dist, guard=lambda x: np.full(x.shape[:-1], np.inf),
-        descriptor={"type": "full", "dim": dim}, name="R^n",
+        dim, dist, descriptor={"type": "full", "dim": dim}, name="R^n",
         sample=lambda rng, n, window: (window or Window.cube(dim, 1.0)).uniform(rng, n),
         project=lambda x: np.array(x, dtype=float, copy=True),
     )
@@ -338,8 +309,7 @@ def empty_set(dim: int) -> ClosedSet:
         return np.full(x.shape[:-1], np.inf)
 
     return ClosedSet(
-        dim, dist, guard=lambda x: np.full(x.shape[:-1], -np.inf),
-        descriptor={"type": "empty", "dim": dim}, name="empty", bounded=True,
+        dim, dist, descriptor={"type": "empty", "dim": dim}, name="empty", bounded=True,
     )
 
 
@@ -356,10 +326,6 @@ def shell_set(dim: int, coords, r_min: float, r_max: float, *, name: str = "") -
 
     def dist(x):
         return _interval_dist(block_norm(x), r_min, r_max)
-
-    def guard(x):
-        r = block_norm(x)
-        return np.minimum(r - r_min, r_max - r)
 
     def sample(rng, n, window):
         if window is None:
@@ -388,7 +354,7 @@ def shell_set(dim: int, coords, r_min: float, r_max: float, *, name: str = "") -
 
     desc = {"type": "shell", "dim": dim, "coords": list(coords),
             "r_min": r_min, "r_max": r_max}
-    return ClosedSet(dim, dist, guard=guard, descriptor=desc, sample=sample,
+    return ClosedSet(dim, dist, descriptor=desc, sample=sample,
                      project=project, name=name or "shell")
 
 
@@ -487,9 +453,6 @@ def intersect(a: ClosedSet, b: ClosedSet) -> ClosedSet:
     def member(x, tol):
         return np.logical_and(a.member(x, tol), b.member(x, tol))
 
-    def guard(x):
-        return np.minimum(a.guard(x), b.guard(x))
-
     def sample(rng, n, window):
         # rejection through a's sampler; workable only for fat intersections
         out, tries = [], 0
@@ -505,7 +468,7 @@ def intersect(a: ClosedSet, b: ClosedSet) -> ClosedSet:
 
     desc = {"type": "intersection", "parts": [a.to_config(), b.to_config()]}
     return ClosedSet(
-        a.dim, dist, member=member, guard=guard, descriptor=desc,
+        a.dim, dist, member=member, descriptor=desc,
         distance_kind=_combined_kind(a, b, "lower_bound"),
         member_tol=max(a.member_tol, b.member_tol),
         sample=sample if a.can_sample else None,
@@ -523,9 +486,6 @@ def union(a: ClosedSet, b: ClosedSet) -> ClosedSet:
 
     def member(x, tol):
         return np.logical_or(a.member(x, tol), b.member(x, tol))
-
-    def guard(x):
-        return np.maximum(a.guard(x), b.guard(x))
 
     sample = None
     if a.can_sample and b.can_sample:
@@ -547,7 +507,7 @@ def union(a: ClosedSet, b: ClosedSet) -> ClosedSet:
 
     desc = {"type": "union", "parts": [a.to_config(), b.to_config()]}
     return ClosedSet(
-        a.dim, dist, member=member, guard=guard, descriptor=desc,
+        a.dim, dist, member=member, descriptor=desc,
         distance_kind=_combined_kind(a, b, "exact"),
         member_tol=max(a.member_tol, b.member_tol),
         sample=sample, project=project,
@@ -565,9 +525,6 @@ def product(a: ClosedSet, b: ClosedSet) -> ClosedSet:
 
     def member(x, tol):
         return np.logical_and(a.member(x[..., :na], tol), b.member(x[..., na:], tol))
-
-    def guard(x):
-        return np.minimum(a.guard(x[..., :na]), b.guard(x[..., na:]))
 
     sample = None
     if a.can_sample and b.can_sample:
@@ -587,7 +544,7 @@ def product(a: ClosedSet, b: ClosedSet) -> ClosedSet:
 
     desc = {"type": "product", "parts": [a.to_config(), b.to_config()]}
     return ClosedSet(
-        na + nb, dist, member=member, guard=guard, descriptor=desc,
+        na + nb, dist, member=member, descriptor=desc,
         distance_kind=_combined_kind(a, b, "exact"),
         member_tol=max(a.member_tol, b.member_tol),
         sample=sample, project=project,
@@ -608,9 +565,6 @@ def inflate(s: ClosedSet, c: float, closed: bool = True) -> ClosedSet:
 
     def dist(x):
         return np.maximum(s.distance(x) - c, 0.0)
-
-    def guard(x):
-        return c - s.distance(x)
 
     sample = None
     if s.can_sample:
@@ -633,7 +587,7 @@ def inflate(s: ClosedSet, c: float, closed: bool = True) -> ClosedSet:
 
     desc = {"type": "inflation", "of": s.to_config(), "c": c, "closed": bool(closed)}
     return ClosedSet(
-        s.dim, dist, guard=guard, descriptor=desc,
+        s.dim, dist, descriptor=desc,
         distance_kind=s.distance_kind, member_tol=s.member_tol,
         sample=sample, project=project, bounded=s.bounded,
         name=f"B[{c}]({s.name})",

@@ -219,7 +219,6 @@ def _threshold_sets(p: ObserverParams) -> tuple[ClosedSet, ClosedSet]:
     flow_half = ClosedSet(
         7,
         lambda x: np.maximum(-flow_guard(x), 0.0),
-        guard=flow_guard,
         descriptor={"type": "custom", "name": "qy >= -sigma"},
         distance_kind="declared",
         name="qy>=-sigma",
@@ -227,7 +226,6 @@ def _threshold_sets(p: ObserverParams) -> tuple[ClosedSet, ClosedSet]:
     jump_half = ClosedSet(
         7,
         lambda x: np.maximum(-jump_guard(x), 0.0),
-        guard=jump_guard,
         descriptor={"type": "custom", "name": "|y| >= sigma, qy <= -sigma"},
         distance_kind="declared",
         name="qy<=-sigma",

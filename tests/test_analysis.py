@@ -23,8 +23,9 @@ from hybridkit.analysis import (
 )
 from hybridkit.composition import with_output
 from hybridkit.core import check_is_solution
-from hybridkit.errors import ApproximateDistance, ChainNotNested
-from hybridkit.geometry import Window, inflate, intersect, point_set
+from hybridkit.core import HybridSystem
+from hybridkit.errors import ApproximateDistance, ChainNotNested, ConfigError
+from hybridkit.geometry import Window, box_set, empty_set, inflate, intersect, point_set
 from hybridkit.solver import SolverConfig
 from hybridkit.systems import Q_IDX
 
@@ -403,3 +404,31 @@ def test_detectability_limit_circles_needs_relative_gas(cat):
     assert rep.sub_reports["relative_stability"].verdict == FALSIFIED
     assert rep.conclusions["global_attractivity"].verdict == FALSIFIED
     assert rep.sound
+
+
+# -- campaigns that solve no arc ---------------------------------------------
+
+_UNIT_BOX = box_set([[-1.0, 1.0], [-1.0, 1.0]], name="unit-box")
+_MISSES_C = Window.from_bounds([[3.0, 4.0], [3.0, 4.0]])
+_VACUOUS = {
+    # every draw near a target outside C u D is rejected
+    "local_stability_near": lambda sys, q: check_local_stability_near(
+        sys, point_set([5.0, 5.0]), _UNIT_BOX, 0.5, q),
+    "strong_invariance": lambda sys, q: check_invariance(
+        sys, point_set([5.0, 5.0]), "strong", q),
+    "boundedness": lambda sys, q: check_boundedness(sys, q.replace(window=_MISSES_C)),
+    "output_convergence": lambda sys, q: check_output_convergence(
+        with_output(sys, lambda x: x), q.replace(window=_MISSES_C)),
+    # B_0.1((1.2, 0)) misses C, B_0.5 does not: the eps = 0.1 levels are empty
+    "stability_empty_delta_level": lambda sys, q: check_stability(
+        sys, point_set([1.2, 0.0]), q.replace(eps_grid=(0.1, 0.5))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VACUOUS))
+def test_campaign_that_solves_no_arc_raises(case):
+    sys = HybridSystem(2, _UNIT_BOX, lambda x: -x, empty_set(2), lambda x: x,
+                       name="unit-box-decay")
+    q = PropertyQuery(t_max=2.0, sample_budget=4, seed=3, window=Window.cube(2, 1.0))
+    with pytest.raises(ConfigError, match="no initial condition in C u D"):
+        _VACUOUS[case](sys, q)

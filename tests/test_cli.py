@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hybridkit
 from hybridkit.cli import _resolve_gamma, main
 from hybridkit.solver import SolverConfig, solve
 from hybridkit.systems import catalog
@@ -219,3 +225,97 @@ def test_observer_param_override(tmp_path, capsys):
     text = capsys.readouterr().out
     t1 = math.acos(-0.125 / 1.0) / 2.0  # 2 cos(2 t) = -0.25
     assert f"jump 1 at t={t1:.6f}"[:18] in text
+
+
+def _inline_config(tmp_path, system: dict) -> str:
+    path = tmp_path / f"{system['name']}.json"
+    path.write_text(json.dumps({"system": system}))
+    return str(path)
+
+
+UNIT_BOX_DECAY = {"name": "unit-box-decay", "dim": 2,
+                  "flow": {"affine": {"A": [[-1.0, 0.0], [0.0, -1.0]]}},
+                  "flow_set": {"type": "box", "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}}
+DRIFT = {"name": "drift", "dim": 1, "flow": {"affine": {"A": [[0.0]], "b": [1.0]}}}
+
+
+def test_analyze_with_no_draw_in_cd_exits_config(tmp_path):
+    out = tmp_path / "rep"
+    src = str(Path(hybridkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybridkit.cli", "analyze",
+         "--config", _inline_config(tmp_path, UNIT_BOX_DECAY),
+         "--check", "attractivity", "--gamma", "origin", "--box", "3:4,3:4",
+         "--budget", "5", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert "no initial condition in C u D" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "report.json").exists()
+
+
+def test_replay_of_inline_witness_exits_config(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert run(["analyze", "--config", _inline_config(tmp_path, DRIFT),
+                "--check", "strong-invariance", "--gamma", "origin",
+                "--budget", "2", "--tmax", "1", "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert run(["replay", "--arc", str(out / "witness_invariance.csv")]) == 2
+    assert "names no catalog fixture" in capsys.readouterr().err
+
+
+def _dir_digest(path: Path) -> str:
+    h = hashlib.sha256()
+    for f in sorted(p for p in path.rglob("*") if p.is_file()):
+        h.update(f.relative_to(path).as_posix().encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
+# SHA-256 of each run's whole output directory.  A change that moves one of
+# these changes seed-pinned report bytes and must say so when it updates them.
+PINNED_RUNS = {
+    "stability": (
+        ["--system", "circles", "--check", "stability", "--gamma", "gamma1",
+         "--budget", "6", "--tmax", "20", "--seed", "9"],
+        "bc3293f1c3147977af385f3adcf59e7a8e5c55c0ebe15ba62d25951b4fec3832"),
+    "attractivity": (
+        ["--system", "limit-circles", "--check", "attractivity",
+         "--gamma", "x2x3-axis", "--budget", "4", "--tmax", "30", "--seed", "3"],
+        "da70a0e4e8734fb29d39124f5bf4caf779c313955ad09a6fc002ff9b519085d2"),
+    "local-stability-near": (
+        ["--system", "sigma-bump", "--check", "local-stability-near",
+         "--gamma", "gamma1", "--gamma2", "gamma2", "--budget", "4",
+         "--tmax", "10", "--seed", "5"],
+        "6c67ce1feee5b7b95b2e05ed846ca40dd00683177f6b7948cc61f8240a5abe91"),
+    "strong-invariance": (
+        ["--system", "drift-line", "--check", "strong-invariance",
+         "--gamma", "gamma2", "--budget", "4", "--tmax", "5", "--seed", "7"],
+        "246590c0f346043a00a021527ea9ef76c916dc0870aa33890b8d17a2f393ff0f"),
+    "weak-invariance": (  # falsified under both priorities
+        ["--config", "DRIFT", "--check", "weak-invariance", "--gamma", "origin",
+         "--budget", "4", "--tmax", "2", "--seed", "11"],
+        "da489bd36b22c6605cb90dc63d8bf3f439deb81abd2841e5e8faacfe7273e65a"),
+    "reduction": (
+        ["--system", "settle-line", "--check", "reduction", "--gamma", "origin",
+         "--gamma2", "gamma2", "--budget", "3", "--tmax", "10", "--eps", "0.5",
+         "--delta-shrinks", "2", "--seed", "13"],
+        "1693718985f7932d8ef26c14d2d790a4b8c670df15333fec18f046b3faf344b2"),
+    "reduction-global": (
+        ["--system", "sigma-bump", "--check", "reduction", "--scope", "global",
+         "--budget", "4", "--tmax", "10", "--eps", "0.25,0.5",
+         "--delta-shrinks", "2", "--seed", "13"],
+        "d11fabdebabcccf34c88f451f804c517e4b26ef93fe2d95d70cce2f88e4393c1"),
+    "detectability": (
+        ["--system", "limit-circles", "--check", "detectability", "--budget", "4",
+         "--tmax", "20", "--eps", "0.5", "--delta-shrinks", "2", "--seed", "17"],
+        "09f7f8807a6b2c1be47f3584499e1eaaa1aac032f1c4255edd46eba4b4c1b275"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_seed_pinned_report_bytes(name, tmp_path):
+    args, digest = PINNED_RUNS[name]
+    cfg = _inline_config(tmp_path, DRIFT)
+    out = tmp_path / "rep"
+    run(["analyze", *[cfg if a == "DRIFT" else a for a in args], "--out", str(out)])
+    assert _dir_digest(out) == digest
