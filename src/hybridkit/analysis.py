@@ -78,6 +78,8 @@ class PropertyQuery:
         object.__setattr__(self, "seed", int(self.seed))
         if self.sample_budget < 1:
             raise ValueError("sample_budget must be >= 1")
+        if self.delta_shrinks < 0:
+            raise ValueError("delta_shrinks must be >= 0")
 
     def replace(self, **kw) -> "PropertyQuery":
         return _dc_replace(self, **kw)

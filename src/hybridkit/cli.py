@@ -117,21 +117,27 @@ def _resolve_fixture(args, cfg: dict) -> tuple[Fixture | None, object]:
         name = sys_spec["fixture"]
     if name is not None:
         params = None
-        overrides = {}
-        if isinstance(sys_spec, dict):
-            overrides = sys_spec.get("params", {})
-        if getattr(args, "param", None):
-            for kv in args.param:
-                k, _, v = kv.partition("=")
-                if not _:
-                    raise ConfigError(f"--param needs key=value, got {kv!r}")
+        overrides = dict(sys_spec.get("params", {})) if isinstance(sys_spec, dict) else {}
+        for kv in getattr(args, "param", None) or ():
+            k, eq, v = kv.partition("=")
+            if not eq:
+                raise ConfigError(f"--param needs key=value, got {kv!r}")
+            try:
                 overrides[k] = float(v)
+            except ValueError:
+                raise ConfigError(f"--param {kv!r}: value is not a number") from None
         if name == "observer" and overrides:
-            params = ObserverParams(**{**ObserverParams().to_config(), **overrides})
+            try:
+                params = ObserverParams(**{**ObserverParams().to_config(), **overrides})
+            except (TypeError, HybridkitError) as exc:
+                raise ConfigError(f"bad observer parameters: {exc}") from exc
         cat = catalog(params)
         if name not in cat:
             raise ConfigError(
                 f"unknown system {name!r}; try: {', '.join(sorted(cat))}")
+        if overrides and name != "observer":
+            raise ConfigError(
+                f"system {name!r} takes no parameters, got {sorted(overrides)}")
         fx = cat[name]
         return fx, fx.system
     if isinstance(sys_spec, dict):
@@ -317,20 +323,23 @@ def cmd_analyze(args) -> int:
     if fixture is not None:
         meta_extra["params"] = fixture.params
 
-    query = PropertyQuery(
-        prop="Stability",
-        eps_grid=tuple(float(e) for e in args.eps.split(",")) if args.eps
-        else (0.25, 0.5, 1.0),
-        sample_budget=args.budget,
-        t_max=scfg.t_max,
-        j_max=scfg.j_max,
-        conv_tol=args.conv_tol,
-        seed=args.seed,
-        window=window,
-        delta_shrinks=args.delta_shrinks,
-        solver=scfg,
-        near_radius=args.r,
-    )
+    try:
+        query = PropertyQuery(
+            prop="Stability",
+            eps_grid=tuple(float(e) for e in args.eps.split(",")) if args.eps
+            else (0.25, 0.5, 1.0),
+            sample_budget=args.budget,
+            t_max=scfg.t_max,
+            j_max=scfg.j_max,
+            conv_tol=args.conv_tol,
+            seed=args.seed,
+            window=window,
+            delta_shrinks=args.delta_shrinks,
+            solver=scfg,
+            near_radius=args.r,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad analysis query: {exc}") from exc
 
     reports: dict[str, AnalysisReport | ReductionReport] = {}
     try:

@@ -105,10 +105,6 @@ class HybridTimeDomain:
     def t_end(self) -> float:
         return self.intervals[-1][1]
 
-    @property
-    def j_end(self) -> int:
-        return self.intervals[-1][2]
-
     def total_flow_time(self) -> float:
         return sum(t1 - t0 for t0, t1, _ in self.intervals)
 
@@ -322,9 +318,6 @@ class Violation:
     j: int
     magnitude: float
     detail: str = ""
-
-
-ViolationList = list
 
 
 def check_is_solution(

@@ -56,10 +56,6 @@ class Window:
     def uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
-
     def to_config(self) -> list:
         return [[float(a), float(b)] for a, b in zip(self.lo, self.hi)]
 
@@ -183,8 +179,9 @@ def _values_dist(x, values):
     return np.min(np.abs(x[..., None] - values), axis=-1)
 
 
-def _angle_dist(x, theta0, period):
-    d = np.mod(x - theta0, period)
+def circle_distance(theta, theta0: float, period: float = 2 * math.pi):
+    """Arc distance between angles, the metric for wrapped coordinates."""
+    d = np.mod(np.asarray(theta) - theta0, period)
     return np.minimum(d, period - d)
 
 
@@ -217,7 +214,7 @@ def coords_set(
             elif c[0] == _VALUES:
                 d = _values_dist(xi, np.asarray(c[1], dtype=float))
             else:
-                d = _angle_dist(xi, c[1], c[2])
+                d = circle_distance(xi, c[1], c[2])
             total = total + d * d
         return np.sqrt(total)
 
@@ -407,18 +404,6 @@ def level_set(
                      name=name or "level_set")
 
 
-def custom_set(
-    dim: int,
-    distance: Callable,
-    *,
-    distance_kind: str = "declared",
-    name: str = "",
-    **kwargs,
-) -> ClosedSet:
-    return ClosedSet(dim, distance, descriptor={"type": "custom", "name": name},
-                     distance_kind=distance_kind, name=name or "custom", **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # combinators
 # ---------------------------------------------------------------------------
@@ -553,12 +538,8 @@ def product(a: ClosedSet, b: ClosedSet) -> ClosedSet:
     )
 
 
-def inflate(s: ClosedSet, c: float, closed: bool = True) -> ClosedSet:
-    """Closed c-neighborhood: distance'(x) = max(0, distance(x) - c).
-
-    The open variant exists only as a sampling region; the closed
-    representative is what gets stored either way.
-    """
+def inflate(s: ClosedSet, c: float) -> ClosedSet:
+    """Closed c-neighborhood: distance'(x) = max(0, distance(x) - c)."""
     c = float(c)
     if c <= 0:
         raise ValueError("inflation radius must be positive")
@@ -585,7 +566,7 @@ def inflate(s: ClosedSet, c: float, closed: bool = True) -> ClosedSet:
                 frac = np.where(d > c, (d - c) / np.where(d > 0, d, 1.0), 0.0)
             return x - (x - p) * frac[..., None]
 
-    desc = {"type": "inflation", "of": s.to_config(), "c": c, "closed": bool(closed)}
+    desc = {"type": "inflation", "of": s.to_config(), "c": c}
     return ClosedSet(
         s.dim, dist, descriptor=desc,
         distance_kind=s.distance_kind, member_tol=s.member_tol,
@@ -627,11 +608,6 @@ def set_from_config(cfg: dict) -> ClosedSet:
         a, b = (set_from_config(p) for p in cfg["parts"])
         return product(a, b)
     if kind == "inflation":
-        return inflate(set_from_config(cfg["of"]), cfg["c"], cfg.get("closed", True))
+        return inflate(set_from_config(cfg["of"]), cfg["c"])
     raise ValueError(f"cannot rebuild set of type {kind!r} from config")
 
-
-def circle_distance(theta, theta0: float, period: float = 2 * math.pi):
-    """Arc distance between angles, the metric for wrapped coordinates."""
-    d = np.mod(np.asarray(theta) - theta0, period)
-    return np.minimum(d, period - d)

@@ -7,9 +7,11 @@ I*, Sec. II.4-II.6, written operation for operation as scipy's ``RK45`` does
 them, so the two produce the same bits (``tests/test_stepper.py`` keeps scipy
 as the oracle).  Everything hybrid -- flow-set exit location, jump
 application, flow/jump priority on C n D, horizons, and the Zeno guard -- is
-implemented here too.  Exits are located by bisecting flow-set membership on
-the dense output, which subsumes sign bisection of a scalar guard and also
-copes with band sets and boundary starts.
+implemented here too.  Each accepted step's stored samples are also its exit
+probes (one batched flow-set membership call per step); an exit is located
+by bisecting membership on the dense output after the first sample outside C,
+which subsumes sign bisection of a scalar guard and also copes with band sets
+and boundary starts.
 
 Determinism contract: identical (system, x0, config) produce bitwise-identical
 arcs; no randomness is involved anywhere in the solve path.
@@ -32,8 +34,7 @@ from .errors import (
     InitialConditionOutsideCD,
 )
 
-_INTERIOR_PROBES = 3  # dense-output membership probes per accepted step
-_MIN_SUBDIV = 6       # stored samples per accepted step, besides the dt cap
+_MIN_SUBDIV = 6  # stored samples (the exit probes) per step, besides the dt cap
 
 
 class Priority(enum.Enum):
@@ -48,7 +49,8 @@ class SolverConfig:
     ``zeno_k`` consecutive flow intervals shorter than ``zeno_dt_min`` trip the
     Zeno guard.  Stored sample spacing is at most ``store_max_dt`` and at most
     one sixth of each accepted integrator step, which bounds the
-    finite-difference residual floor seen by the independent solution checker.
+    finite-difference residual floor seen by the independent solution checker;
+    the stored samples are also the exit probes, so it is the exit-detection grid.
     """
 
     t_max: float = 50.0
@@ -170,13 +172,14 @@ def _initial_step(flow, y0, f0, interval, max_step, rtol, atol):
     return min(100 * h0, h1, interval, max_step)
 
 
-def _dopri5(flow, t: float, y: np.ndarray, t_bound: float, rtol: float,
-            atol: float, max_step: float):
+def _dopri5(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
+            rtol: float, atol: float, max_step: float):
     """Accepted Dormand-Prince 5(4) steps from (t, y) forward to t_bound >= t.
 
-    ``flow(y)`` returns the derivative of state ``y``.  Yields one _Step per
-    accepted step and stops after the step that reaches t_bound; yields None
-    and stops when the step size falls below ten ulps of t.
+    ``flow(y)`` returns the derivative of state ``y``; ``f`` is ``flow(y)``,
+    the first stage.  Yields one _Step per accepted step and stops after the
+    step that reaches t_bound; yields None and stops when the step size falls
+    below ten ulps of t.
     """
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state must be finite.")
@@ -184,7 +187,6 @@ def _dopri5(flow, t: float, y: np.ndarray, t_bound: float, rtol: float,
         warnings.warn(f"rtol {rtol!r} is below 100 eps; using {_RTOL_MIN!r}",
                       stacklevel=4)
         rtol = _RTOL_MIN
-    f = np.asarray(flow(y), dtype=float)
     if t == t_bound:
         yield _Step(t, t, y, y, None)
         return
@@ -260,7 +262,7 @@ def _grid(a: float, b: float, m: int) -> np.ndarray:
 
 
 def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfig):
-    """Integrate the flow from (t0, x0) until flow-set exit, t_max, or failure.
+    """Integrate the flow from (t0, x0 in C) until flow-set exit, t_max, or failure.
 
     Returns (stored_times, stored_states, _FlowEnd); the stored samples exclude
     (t0, x0) itself and end exactly at the segment end point.
@@ -280,15 +282,12 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
     times: list[float] = []
     states: list[np.ndarray] = []
 
-    def store(step: _Step, a: float, b: float):
-        if b <= a:
-            return
+    def samples(step: _Step, b: float) -> tuple[np.ndarray, np.ndarray]:
         # spacing tracks the integrator's own step, so the finite-difference
         # residual floor of the solution checker scales with local dynamics
-        m = max(_MIN_SUBDIV, math.ceil((b - a) / cfg.store_max_dt))
-        ts = _grid(a, b, m)
-        times.extend(ts.tolist())
-        states.extend(_dense(step, ts).T)
+        m = max(_MIN_SUBDIV, math.ceil((b - step.t_old) / cfg.store_max_dt))
+        ts = _grid(step.t_old, b, m)
+        return ts, _dense(step, ts).T
 
     def segment_end(reason: str, gap: float = 0.0) -> tuple[list, list, _FlowEnd]:
         if times:
@@ -296,22 +295,23 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
                                            np.asarray(states[-1], dtype=float), gap)
         return times, states, _FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
 
-    # _dopri5 evaluates F(x0) again for its first stage; handing it fx0 instead
-    # would change the RHS-evaluation counts that benchmark runs compare
-    for step in _dopri5(sys.flow_map, t0, x0, cfg.t_max, cfg.rtol, cfg.atol,
+    for step in _dopri5(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
                         cfg.effective_max_step):
         if step is None or not np.all(np.isfinite(step.y)):
             return segment_end("failed")
-        probes = _grid(step.t_old, step.t, _INTERIOR_PROBES + 1)
-        inside = member(_dense(step, probes).T)
+        if step.t == step.t_old:  # a start at t_max: nothing to store
+            continue
+        ts, xs = samples(step, step.t)  # the stored samples are the exit probes
+        inside = member(xs)
         if inside.all():
-            store(step, step.t_old, step.t)
+            times.extend(ts.tolist())
+            states.extend(xs)
             continue
         # bracket the first exit and bisect membership down to event_tol / 8,
         # leaving slack in the 2*event_tol budgets downstream
         k = int(np.argmin(inside))  # first False
-        lo = step.t_old if k == 0 else float(probes[k - 1])
-        hi = float(probes[k])
+        lo = step.t_old if k == 0 else float(ts[k - 1])
+        hi = float(ts[k])
         tol_bis = cfg.event_tol / 8.0
         while hi - lo > tol_bis:
             mid = 0.5 * (lo + hi)
@@ -320,7 +320,9 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
             else:
                 hi = mid
         if lo > step.t_old:
-            store(step, step.t_old, lo)  # stored samples end exactly at lo
+            ts, xs = samples(step, lo)  # stored samples end exactly at lo
+            times.extend(ts.tolist())
+            states.extend(xs)
         return segment_end("exit", gap=hi - lo)
     return segment_end("horizon")
 
@@ -355,8 +357,6 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
     termination: Termination | None = None
 
     while termination is None:
-        in_c = bool(sys.flow_set.member(x, cfg.tol_set))
-        in_d = bool(sys.jump_set.member(x, cfg.tol_set))
         take_jump = in_d and (cfg.priority is Priority.JUMP or not in_c)
 
         if not take_jump:
@@ -411,9 +411,9 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
             if j >= cfg.j_max:
                 termination = Termination.COMPLETE_J
                 break
-            if not bool(sys.in_cd(x, cfg.tol_set)):
-                termination = Termination.ESCAPED
-                break
+            # a state outside C u D ends ESCAPED at the loop top
+            in_c = bool(sys.flow_set.member(x, cfg.tol_set))
+            in_d = bool(sys.jump_set.member(x, cfg.tol_set))
 
     return HybridArc(
         [np.asarray(ts) for ts in interval_times],

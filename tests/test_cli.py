@@ -73,6 +73,22 @@ def test_simulate_rejects_bad_input(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--system", "circles", "--x0", "1,0,1,1", "--param", "foo=1"],
+    ["simulate", "--system", "observer", "--preset", "fig3", "--param", "foo=1"],
+    ["simulate", "--system", "observer", "--preset", "fig3", "--param", "sigma=5"],
+    ["simulate", "--system", "observer", "--preset", "fig3", "--param", "omega=abc"],
+    ["analyze", "--system", "sigma-bump", "--eps", "abc"],
+    ["analyze", "--system", "sigma-bump", "--eps", "1.0,0.5"],
+    ["analyze", "--system", "sigma-bump", "--budget", "0"],
+    ["analyze", "--system", "sigma-bump", "--delta-shrinks", "-1"],
+])
+def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
+    assert run([*args, "--tmax", "1", "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_consistent_exit_zero(tmp_path):
     out = tmp_path / "rep"
     code = run(["analyze", "--system", "sigma-bump", "--check", "stability",
@@ -277,7 +293,7 @@ PINNED_RUNS = {
     "stability": (
         ["--system", "circles", "--check", "stability", "--gamma", "gamma1",
          "--budget", "6", "--tmax", "20", "--seed", "9"],
-        "bc3293f1c3147977af385f3adcf59e7a8e5c55c0ebe15ba62d25951b4fec3832"),
+        "e431abc3b4755382aa270c25715fd14a21691d6c3cd28004a7e9288b5b4f22a5"),
     "attractivity": (
         ["--system", "limit-circles", "--check", "attractivity",
          "--gamma", "x2x3-axis", "--budget", "4", "--tmax", "30", "--seed", "3"],

@@ -208,3 +208,55 @@ def test_escape_when_jump_lands_outside(cat):
     assert arc.termination is Termination.ESCAPED
     assert arc.final_state()[0] == pytest.approx(6.0, abs=1e-6)
     assert arc.n_jumps == 1
+
+
+def _record_member(s, log: list):
+    """Make the set instance log every point array its ``member`` receives."""
+    member = s.member
+
+    def recording(x, tol=None):
+        log.append(np.array(x, dtype=float))
+        return member(x, tol)
+
+    s.member = recording
+    return s
+
+
+def test_exit_probes_are_the_stored_samples():
+    # one batched membership call per step, on exactly the samples it stores
+    seen: list = []
+    flow_set = _record_member(box_set([[-2.0, 2.0], [-2.0, 2.0]]), seen)
+    sys = HybridSystem(2, flow_set, lambda x: np.array([-x[1], x[0]]), empty_set(2),
+                       lambda x: x, name="rotation")
+    arc = solve(sys, [1.0, 0.0], SolverConfig(t_max=3.0))
+    assert arc.termination is Termination.COMPLETE_T and len(seen) > 2
+    received = np.vstack([np.atleast_2d(x) for x in seen])
+    assert received.tobytes() == np.vstack(arc.states).tobytes()
+
+
+def test_each_hybrid_state_is_tested_against_c_and_d_once():
+    c_calls: list = []
+    d_calls: list = []
+    sys = HybridSystem(1, _record_member(empty_set(1), c_calls), lambda x: 0 * x,
+                       _record_member(full_space(1), d_calls), lambda x: x / 2,
+                       name="halving")
+    arc = solve(sys, [1.0], SolverConfig(t_max=1.0, j_max=5))
+    assert arc.termination is Termination.COMPLETE_J and arc.n_jumps == 5
+    # x0 and the states after jumps 1..4; the fifth jump ends the arc
+    assert len(c_calls) == len(d_calls) == 5
+
+
+def test_flow_map_is_evaluated_once_at_each_segment_start():
+    args: list = []
+
+    def ramp(x):
+        args.append(x.copy())
+        return np.ones(1)
+
+    sys = HybridSystem(1, box_set([[0.0, 1.0]]), ramp,
+                       coords_set(1, {0: ("interval", 1.0, 1.0)}), lambda x: 0 * x,
+                       name="ramp-reset")
+    arc = solve(sys, [0.0], SolverConfig(t_max=3.5))
+    flowed = [xs[0] for ts, xs in zip(arc.times, arc.states) if ts[-1] > ts[0]]
+    assert len(flowed) == 4 and all(x[0] == 0.0 for x in flowed)
+    assert sum(a[0] == 0.0 for a in args) == len(flowed)
