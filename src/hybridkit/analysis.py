@@ -80,6 +80,11 @@ class PropertyQuery:
             raise ValueError("sample_budget must be >= 1")
         if self.delta_shrinks < 0:
             raise ValueError("delta_shrinks must be >= 0")
+        if not (np.isfinite(self.conv_tol) and self.conv_tol > 0):
+            raise ValueError("conv_tol must be finite and > 0")
+        if self.near_radius is not None and not (
+                np.isfinite(self.near_radius) and self.near_radius > 0):
+            raise ValueError("near_radius must be finite and > 0")
 
     def replace(self, **kw) -> "PropertyQuery":
         return _dc_replace(self, **kw)

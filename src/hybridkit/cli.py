@@ -182,9 +182,12 @@ def _resolve_window(args, fixture: Fixture | None, dim: int) -> Window:
         return Window.cube(dim, 2.0)
     try:
         bounds = [[float(v) for v in part.split(":")] for part in box.split(",")]
-        return Window.from_bounds(bounds)
+        window = Window.from_bounds(bounds)
     except ValueError as exc:
-        raise ConfigError(f"bad --box {box!r} (want lo:hi,lo:hi,...)") from exc
+        raise ConfigError(f"bad --box {box!r} (want lo:hi,lo:hi,...): {exc}") from exc
+    if window.dim != dim:
+        raise ConfigError(f"--box has {window.dim} bounds, system dim is {dim}")
+    return window
 
 
 def _write(path: Path, text: str):

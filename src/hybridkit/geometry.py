@@ -47,6 +47,10 @@ class Window:
     @staticmethod
     def from_bounds(bounds) -> "Window":
         arr = np.asarray(bounds, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"bounds must have shape (k, 2), not {arr.shape}")
+        if not (np.isfinite(arr).all() and (arr[:, 0] <= arr[:, 1]).all()):
+            raise ValueError("bounds must be finite with lo <= hi")
         return Window(arr[:, 0].copy(), arr[:, 1].copy())
 
     @property

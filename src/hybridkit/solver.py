@@ -8,10 +8,10 @@ them, so the two produce the same bits (``tests/test_stepper.py`` keeps scipy
 as the oracle).  Everything hybrid -- flow-set exit location, jump
 application, flow/jump priority on C n D, horizons, and the Zeno guard -- is
 implemented here too.  Each accepted step's stored samples are also its exit
-probes (one batched flow-set membership call per step); an exit is located
-by bisecting membership on the dense output after the first sample outside C,
-which subsumes sign bisection of a scalar guard and also copes with band sets
-and boundary starts.
+probes (one batched flow-set membership call per run of up to 16 steps); an
+exit is located by bisecting membership on the dense output after the first
+sample outside C, which subsumes sign bisection of a scalar guard and also
+copes with band sets and boundary starts.
 
 Determinism contract: identical (system, x0, config) produce bitwise-identical
 arcs; no randomness is involved anywhere in the solve path.
@@ -35,6 +35,7 @@ from .errors import (
 )
 
 _MIN_SUBDIV = 6  # stored samples (the exit probes) per step, besides the dt cap
+_LOOKAHEAD = 16  # most accepted steps whose probes share one membership call
 
 
 class Priority(enum.Enum):
@@ -50,7 +51,8 @@ class SolverConfig:
     Zeno guard.  Stored sample spacing is at most ``store_max_dt`` and at most
     one sixth of each accepted integrator step, which bounds the
     finite-difference residual floor seen by the independent solution checker;
-    the stored samples are also the exit probes, so it is the exit-detection grid.
+    the stored samples are also the exit probes, so it is the exit-detection grid,
+    tested by one batched membership call per run of up to 16 steps.
     """
 
     t_max: float = 50.0
@@ -295,36 +297,63 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
                                            np.asarray(states[-1], dtype=float), gap)
         return times, states, _FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
 
-    for step in _dopri5(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
-                        cfg.effective_max_step):
-        if step is None or not np.all(np.isfinite(step.y)):
-            return segment_end("failed")
-        if step.t == step.t_old:  # a start at t_max: nothing to store
-            continue
-        ts, xs = samples(step, step.t)  # the stored samples are the exit probes
-        inside = member(xs)
-        if inside.all():
-            times.extend(ts.tolist())
-            states.extend(xs)
-            continue
-        # bracket the first exit and bisect membership down to event_tol / 8,
-        # leaving slack in the 2*event_tol budgets downstream
-        k = int(np.argmin(inside))  # first False
-        lo = step.t_old if k == 0 else float(ts[k - 1])
-        hi = float(ts[k])
-        tol_bis = cfg.event_tol / 8.0
-        while hi - lo > tol_bis:
-            mid = 0.5 * (lo + hi)
-            if member(_dense(step, mid)):
-                lo = mid
-            else:
-                hi = mid
-        if lo > step.t_old:
-            ts, xs = samples(step, lo)  # stored samples end exactly at lo
-            times.extend(ts.tolist())
-            states.extend(xs)
-        return segment_end("exit", gap=hi - lo)
-    return segment_end("horizon")
+    def store(ts: np.ndarray, xs: np.ndarray):
+        times.extend(ts.tolist())
+        states.extend(xs)
+
+    steps = _dopri5(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
+                    cfg.effective_max_step)
+    run_len = 1
+    while True:
+        # a run of accepted steps shares one membership call; runs double from
+        # 1 up to _LOOKAHEAD, so a short segment computes few steps past its exit
+        run: list[_Step] = []
+        stop: str | Exception | None = None
+        for _ in range(run_len):
+            try:
+                step = next(steps)
+            except StopIteration:
+                stop = "horizon"
+                break
+            except Exception as exc:  # re-raised unless an earlier step exits C
+                stop = exc
+                break
+            if step is None or not np.all(np.isfinite(step.y)):
+                stop = "failed"
+                break
+            if step.t > step.t_old:  # a start at t_max has nothing to store
+                run.append(step)
+        if run:
+            grids = [samples(step, step.t) for step in run]  # the exit probes
+            inside = member(np.concatenate([xs for _, xs in grids]))
+            k = int(np.argmin(inside))  # first False, if any
+            if not inside[k]:
+                for step, (ts, xs) in zip(run, grids):
+                    if k < len(ts):
+                        break
+                    k -= len(ts)
+                    store(ts, xs)
+                # bracket the first exit and bisect membership down to
+                # event_tol / 8, leaving slack in the 2*event_tol budgets downstream
+                lo = step.t_old if k == 0 else float(ts[k - 1])
+                hi = float(ts[k])
+                tol_bis = cfg.event_tol / 8.0
+                while hi - lo > tol_bis:
+                    mid = 0.5 * (lo + hi)
+                    if member(_dense(step, mid)):
+                        lo = mid
+                    else:
+                        hi = mid
+                if lo > step.t_old:
+                    store(*samples(step, lo))  # stored samples end exactly at lo
+                return segment_end("exit", gap=hi - lo)
+            for ts, xs in grids:
+                store(ts, xs)
+        if isinstance(stop, Exception):
+            raise stop
+        if stop is not None:
+            return segment_end(stop)
+        run_len = min(2 * run_len, _LOOKAHEAD)
 
 
 def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:

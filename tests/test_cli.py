@@ -82,6 +82,14 @@ def test_simulate_rejects_bad_input(tmp_path):
     ["analyze", "--system", "sigma-bump", "--eps", "1.0,0.5"],
     ["analyze", "--system", "sigma-bump", "--budget", "0"],
     ["analyze", "--system", "sigma-bump", "--delta-shrinks", "-1"],
+    ["analyze", "--system", "sigma-bump", "--budget", "1", "--check", "attractivity",
+     "--conv-tol", "-1"],
+    ["analyze", "--system", "sigma-bump", "--budget", "1", "--conv-tol", "nan"],
+    ["analyze", "--system", "sigma-bump", "--budget", "1", "--check",
+     "local-stability-near", "--r", "-1"],
+    ["analyze", "--system", "sigma-bump", "--budget", "1", "--box", "1:0,1:0"],
+    ["analyze", "--system", "sigma-bump", "--budget", "1", "--box", "0:1"],
+    ["analyze", "--system", "sigma-bump", "--budget", "1", "--box", "1,2"],
 ])
 def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     assert run([*args, "--tmax", "1", "--out", str(tmp_path / "out")]) == 2

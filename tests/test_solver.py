@@ -10,6 +10,7 @@ import pytest
 from hybridkit.core import HybridSystem, Termination, check_is_solution
 from hybridkit.errors import InitialConditionOutsideCD
 from hybridkit.geometry import box_set, coords_set, empty_set, full_space
+from hybridkit import solver
 from hybridkit.solver import Priority, SolverConfig, SolveError, solve, solve_batch
 from hybridkit.systems import estimator_diagnostics
 
@@ -223,7 +224,8 @@ def _record_member(s, log: list):
 
 
 def test_exit_probes_are_the_stored_samples():
-    # one batched membership call per step, on exactly the samples it stores
+    # one batched membership call per run of up to 16 steps, on exactly the
+    # samples those steps store
     seen: list = []
     flow_set = _record_member(box_set([[-2.0, 2.0], [-2.0, 2.0]]), seen)
     sys = HybridSystem(2, flow_set, lambda x: np.array([-x[1], x[0]]), empty_set(2),
@@ -260,3 +262,64 @@ def test_flow_map_is_evaluated_once_at_each_segment_start():
     flowed = [xs[0] for ts, xs in zip(arc.times, arc.states) if ts[-1] > ts[0]]
     assert len(flowed) == 4 and all(x[0] == 0.0 for x in flowed)
     assert sum(a[0] == 0.0 for a in args) == len(flowed)
+
+
+def _raising_beyond(log: list):
+    def flow(x):
+        if x[0] > 1.2:
+            log.append(x[0])
+            raise ValueError("flow map undefined beyond x = 1.2")
+        return np.ones(1)
+    return flow
+
+
+def _breaking_beyond(log: list):
+    def flow(x):
+        # non-finite from its first evaluation beyond x = 1.2 on, so the
+        # stepper rejects every later step down to its minimum and gives up
+        if x[0] > 1.2:
+            log.append(x[0])
+        return np.full(1, np.nan) if log else np.ones(1)
+    return flow
+
+
+@pytest.mark.parametrize("make_flow", [_raising_beyond, _breaking_beyond])
+def test_failure_beyond_an_exit_does_not_replace_it(make_flow):
+    # C = [0, 1] and no jump set: x0 = 0 flows with x' = 1 and exits C at t = 1
+    def ramp(flow_map):
+        return HybridSystem(1, box_set([[0.0, 1.0]]), flow_map, empty_set(1),
+                            lambda x: x, name="ramp")
+
+    beyond: list = []
+    cfg = SolverConfig(t_max=5.0)
+    with np.errstate(invalid="ignore"):
+        arc = solve(ramp(make_flow(beyond)), [0.0], cfg)
+    ref = solve(ramp(lambda x: np.ones(1)), [0.0], cfg)
+    assert beyond  # the steps computed past the exit reached the failing region
+    assert arc.termination is Termination.NOT_EXTENDABLE
+    assert arc.to_csv() == ref.to_csv() and arc.to_json() == ref.to_json()
+
+
+def test_membership_is_tested_per_run_of_steps(cat, monkeypatch):
+    fx = cat["observer"]
+    steps: list = []
+    dopri5 = solver._dopri5
+
+    def counting(*args):
+        for step in dopri5(*args):
+            steps.append(step)
+            yield step
+
+    calls: list = []
+    member = fx.system.flow_set.member
+
+    def recording(x, tol=None):
+        calls.append(1)
+        return member(x, tol)
+
+    monkeypatch.setattr(solver, "_dopri5", counting)
+    monkeypatch.setattr(fx.system.flow_set, "member", recording)
+    arc = solve(fx.system, fx.presets["fig3"], SolverConfig(**fx.solver_overrides))
+    assert arc.n_jumps == 14
+    # besides the runs: C/D checks of each hybrid state and exit bisections
+    assert 4 * len(calls) < len(steps)
