@@ -30,7 +30,7 @@ from .analysis import (
     summarize,
 )
 from .composition import with_output
-from .core import HybridArc, Termination, check_is_solution
+from .core import HybridArc, Termination, _csv_text, check_is_solution
 from .errors import ConfigError, HybridkitError
 from .geometry import ClosedSet, Window, box_set, full_space, point_set, set_from_config
 from .solver import SolverConfig, solve
@@ -223,21 +223,12 @@ def _parse_x0(fixture: Fixture | None, args, dim: int) -> np.ndarray:
 def _fig3_panels(arc: HybridArc) -> dict[str, str]:
     """Three plot-data CSVs in hybrid-time order: (y, q), (T), and the
     estimate-vs-plant states."""
-    rows = list(arc.samples())
-    out = {}
-    buf = ["t,j,y,q"]
-    for t, j, x in rows:
-        buf.append(f"{t:.17g},{j},{x[0]:.17g},{x[4]:.17g}")
-    out["panel_y_q.csv"] = "\n".join(buf) + "\n"
-    buf = ["t,j,T"]
-    for t, j, x in rows:
-        buf.append(f"{t:.17g},{j},{x[5]:.17g}")
-    out["panel_T.csv"] = "\n".join(buf) + "\n"
-    buf = ["t,j,chihat_1,chihat_2,chi_1,chi_2"]
-    for t, j, x in rows:
-        buf.append(f"{t:.17g},{j},{x[2]:.17g},{x[3]:.17g},{x[0]:.17g},{x[1]:.17g}")
-    out["panel_states.csv"] = "\n".join(buf) + "\n"
-    return out
+    t, j, x = arc.table()
+    panels = (("panel_y_q.csv", "t,j,y,q", [0, 4]),
+              ("panel_T.csv", "t,j,T", [5]),
+              ("panel_states.csv", "t,j,chihat_1,chihat_2,chi_1,chi_2", [2, 3, 0, 1]))
+    return {name: _csv_text(header, [t, j, *x[:, cols].T])
+            for name, header, cols in panels}
 
 
 def cmd_simulate(args) -> int:
@@ -467,7 +458,7 @@ def cmd_replay(args) -> int:
     # plain arc: optionally regenerate and compare bitwise
     bitwise = None
     if meta.get("x0") is not None and meta.get("solver") is not None:
-        scfg = SolverConfig.from_config(meta["solver"])
+        scfg = _solver_config(args, {"solver": meta["solver"]}, None)
         arc2 = solve(system, np.asarray(meta["x0"], dtype=float), scfg)
         bitwise = arc2.to_csv() == arc_text
         print(f"bitwise match after regeneration: {bitwise}")

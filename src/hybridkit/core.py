@@ -124,7 +124,10 @@ class HybridArc:
         if not self.times:
             raise MalformedArc("arc has no intervals")
         self.times = [np.atleast_1d(np.asarray(t, dtype=float)) for t in self.times]
-        self.states = [np.atleast_2d(np.asarray(x, dtype=float)) for x in self.states]
+        # C order keeps row-wise reductions bitwise independent of how the
+        # states were built
+        self.states = [np.atleast_2d(np.ascontiguousarray(x, dtype=float))
+                       for x in self.states]
         for t, x in zip(self.times, self.states):
             if t.shape[0] != x.shape[0]:
                 raise MalformedArc("sample count mismatch within an interval")
@@ -147,13 +150,18 @@ class HybridArc:
     def n_jumps(self) -> int:
         return len(self.times) - 1
 
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All samples as one (t, j, x) table of shapes (N,), (N,), (N, n),
+        in hybrid-time order."""
+        j = np.repeat(np.arange(len(self.times)), [t.shape[0] for t in self.times])
+        return np.concatenate(self.times), j, np.concatenate(self.states)
+
     def samples(self) -> Iterator[tuple[float, int, np.ndarray]]:
-        for j, (t, x) in enumerate(zip(self.times, self.states)):
-            for k in range(t.shape[0]):
-                yield float(t[k]), j, x[k]
+        t, j, x = self.table()
+        return zip(t.tolist(), j.tolist(), x)
 
     def all_states(self) -> np.ndarray:
-        return np.vstack(self.states)
+        return self.table()[2]
 
     def final_state(self) -> np.ndarray:
         return self.states[-1][-1]
@@ -167,10 +175,10 @@ class HybridArc:
             yield float(self.times[j][-1]), j, self.states[j][-1], self.states[j + 1][0]
 
     def sup_distance(self, target: ClosedSet) -> float:
-        return float(max(np.max(target.distance(x)) for x in self.states))
+        return float(np.max(target.distance(self.table()[2])))
 
     def sup_norm(self) -> float:
-        return float(max(np.max(np.linalg.norm(x, axis=1)) for x in self.states))
+        return float(np.max(np.linalg.norm(self.table()[2], axis=1)))
 
     def terminal_distance(self, target: ClosedSet) -> float:
         return float(target.distance(self.final_state()))
@@ -180,18 +188,9 @@ class HybridArc:
     def to_csv(self) -> str:
         """Columns (t, j, x_1..x_n, event); first sample of interval j>0 is the
         jump event.  Column order is part of the golden-file contract."""
-        buf = io.StringIO()
-        n = self.dim
-        header = ["t", "j"] + [f"x_{i + 1}" for i in range(n)] + ["event"]
-        buf.write(",".join(header) + "\n")
-        for j, (t, x) in enumerate(zip(self.times, self.states)):
-            for k in range(t.shape[0]):
-                event = "jump" if (j > 0 and k == 0) else "flow"
-                cols = [f"{t[k]:.17g}", str(j)]
-                cols += [f"{v:.17g}" for v in x[k]]
-                cols.append(event)
-                buf.write(",".join(cols) + "\n")
-        return buf.getvalue()
+        t, j, x = self.table()
+        header = ",".join(["t", "j", *(f"x_{i + 1}" for i in range(self.dim)), "event"])
+        return _csv_text(header, [t, j, *x.T, _events(j)])
 
     @staticmethod
     def from_csv(text: str, termination: Termination | str | None = None,
@@ -202,48 +201,26 @@ class HybridArc:
         header = lines[0].split(",")
         if header[:2] != ["t", "j"] or header[-1] != "event":
             raise MalformedArc(f"unexpected arc header: {header}")
-        n = len(header) - 3
-        times: list[list[float]] = []
-        states: list[list[list[float]]] = []
-        last_j = -1
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != n + 3:
-                raise MalformedArc(f"row has {len(parts)} columns, expected {n + 3}")
-            t = float(parts[0])
-            j = int(parts[1])
-            x = [float(v) for v in parts[2:-1]]
-            if j == last_j + 1:
-                times.append([t])
-                states.append([x])
-                last_j = j
-            elif j == last_j:
-                times[-1].append(t)
-                states[-1].append(x)
-            else:
-                raise MalformedArc(f"jump counter out of order at j={j}")
-        term = termination if termination is not None else (meta or {}).get("termination")
-        if isinstance(term, str):
-            term = Termination(term)
-        if term is None:
-            term = Termination.NOT_EXTENDABLE
-        return HybridArc(
-            [np.asarray(t) for t in times],
-            [np.asarray(x) for x in states],
-            term,
-            meta=dict(meta or {}),
-        )
+        n, rows = len(header), lines[1:]
+        for ln in rows:
+            if ln.count(",") != n - 1:
+                raise MalformedArc(f"row has {ln.count(',') + 1} columns, expected {n}")
+        # row-major cells: column k is cells[k::n]; no rows leave no intervals
+        cells = ",".join(rows).split(",") if rows else []
+        try:
+            t = np.array([float(v) for v in cells[0::n]])
+            j = np.array([int(v) for v in cells[1::n]])
+            x = np.array([[float(v) for v in cells[k::n]] for k in range(2, n - 1)])
+        except ValueError as exc:
+            raise MalformedArc(f"non-numeric arc cell: {exc}") from None
+        if termination is None:
+            termination = (meta or {}).get("termination")
+        return HybridArc._from_table(t, j, x.T.reshape(len(rows), n - 3), termination, meta)
 
     def to_json(self) -> str:
-        rows = []
-        for j, (t, x) in enumerate(zip(self.times, self.states)):
-            for k in range(t.shape[0]):
-                rows.append({
-                    "t": float(t[k]),
-                    "j": j,
-                    "x": [float(v) for v in x[k]],
-                    "event": "jump" if (j > 0 and k == 0) else "flow",
-                })
+        t, j, x = self.table()
+        columns = (t.tolist(), j.tolist(), x.tolist(), _events(j).tolist())
+        rows = [{"t": tk, "j": jk, "x": xk, "event": ek} for tk, jk, xk, ek in zip(*columns)]
         payload = {
             "schema_version": ARC_SCHEMA_VERSION,
             "n": self.dim,
@@ -251,31 +228,59 @@ class HybridArc:
             "samples": rows,
             "meta": _jsonable(self.meta),
         }
-        return json.dumps(payload, indent=1)
+        # json.dumps(payload, indent=1), streamed: dumps would hold every
+        # encoder chunk in one list before joining them
+        buf = io.StringIO()
+        buf.writelines(json.JSONEncoder(indent=1).iterencode(payload))
+        return buf.getvalue()
 
     @staticmethod
     def from_json(text: str) -> "HybridArc":
         payload = json.loads(text)
-        times: list[list[float]] = []
-        states: list[list[list[float]]] = []
-        last_j = -1
-        for row in payload["samples"]:
-            j = row["j"]
-            if j == last_j + 1:
-                times.append([row["t"]])
-                states.append([row["x"]])
-                last_j = j
-            elif j == last_j:
-                times[-1].append(row["t"])
-                states[-1].append(row["x"])
-            else:
-                raise MalformedArc(f"jump counter out of order at j={j}")
-        return HybridArc(
-            [np.asarray(t) for t in times],
-            [np.asarray(x) for x in states],
-            Termination(payload["termination"]),
-            meta=payload.get("meta", {}),
+        rows = payload["samples"]
+        return HybridArc._from_table(
+            np.array([row["t"] for row in rows], dtype=float),
+            np.array([row["j"] for row in rows]),
+            np.array([row["x"] for row in rows], dtype=float),
+            payload["termination"], payload.get("meta", {}),
         )
+
+    @staticmethod
+    def _from_table(t: np.ndarray, j: np.ndarray, x: np.ndarray,
+                    termination: Termination | str | None,
+                    meta: dict | None) -> "HybridArc":
+        """The arc whose samples are the (t, j, x) table: the jump counter
+        starts at 0 and steps by 0 or 1, and each step opens an interval."""
+        if not len(j):
+            raise MalformedArc("arc has no intervals")
+        step = np.diff(j, prepend=-1)
+        ok = (step == 0) | (step == 1)
+        ok[0] = step[0] == 1
+        if not ok.all():
+            raise MalformedArc(f"jump counter out of order at j={j[np.argmin(ok)]}")
+        try:
+            term = Termination(Termination.NOT_EXTENDABLE if termination is None
+                               else termination)
+        except ValueError:
+            raise MalformedArc(f"unknown termination {termination!r}") from None
+        cuts = np.flatnonzero(step[1:]) + 1
+        return HybridArc(np.split(t, cuts), np.split(x, cuts), term, meta=dict(meta or {}))
+
+
+def _events(j: np.ndarray) -> np.ndarray:
+    """"jump" where the jump counter steps up, "flow" elsewhere."""
+    return np.where(np.diff(j, prepend=0) > 0, "jump", "flow")
+
+
+def _csv_text(header: str, columns: list[np.ndarray]) -> str:
+    """CSV text: ``header``, then one line per row of the equal-length
+    ``columns``, written by one ``%``-format per row.  Integer columns print
+    as ``%d``, float columns as ``%.17g`` (the bytes of ``f"{v:.17g}"``, nan
+    and inf included) and any other column as ``%s``."""
+    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" if c.dtype.kind == "f"
+                   else "%s" for c in columns) + "\n"
+    rows = zip(*(c.tolist() for c in columns))
+    return header + "\n" + "".join([fmt % row for row in rows])
 
 
 def _jsonable(obj):

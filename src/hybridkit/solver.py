@@ -8,7 +8,8 @@ them, so the two produce the same bits (``tests/test_stepper.py`` keeps scipy
 as the oracle).  Everything hybrid -- flow-set exit location, jump
 application, flow/jump priority on C n D, horizons, and the Zeno guard -- is
 implemented here too.  Each accepted step's stored samples are also its exit
-probes (one batched flow-set membership call per run of up to 16 steps); an
+probes (one batched flow-set membership call per run of up to 16 steps) and
+are kept as one block per step, concatenated once per flow interval; an
 exit is located by bisecting membership on the dense output after the first
 sample outside C, which subsumes sign bisection of a scalar guard and also
 copes with band sets and boundary starts.
@@ -68,15 +69,16 @@ class SolverConfig:
     store_max_dt: float = 0.05
 
     def __post_init__(self):
-        for field_name in ("t_max", "rtol", "atol", "event_tol", "tol_set", "store_max_dt"):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be strictly positive")
+        # the comparisons are False for NaN, and the upper bound rejects inf
+        for field_name in ("t_max", "rtol", "atol", "event_tol", "tol_set",
+                           "store_max_dt", "max_step"):
+            value = getattr(self, field_name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{field_name} must be finite and strictly positive")
         if self.j_max < 1:
             raise ValueError("j_max must be >= 1")
-        if self.zeno_k < 1 or self.zeno_dt_min < 0:
+        if self.zeno_k < 1 or not 0 <= self.zeno_dt_min < math.inf:
             raise ValueError("invalid zeno window")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive")
         if isinstance(self.priority, str):
             object.__setattr__(self, "priority", Priority(self.priority))
 
@@ -266,8 +268,9 @@ def _grid(a: float, b: float, m: int) -> np.ndarray:
 def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfig):
     """Integrate the flow from (t0, x0 in C) until flow-set exit, t_max, or failure.
 
-    Returns (stored_times, stored_states, _FlowEnd); the stored samples exclude
-    (t0, x0) itself and end exactly at the segment end point.
+    Returns (stored_times, stored_states, _FlowEnd): arrays of shapes (m,) and
+    (m, n), or two empty lists when nothing is stored.  The stored samples
+    exclude (t0, x0) itself and end exactly at the segment end point.
     """
     member = lambda pts: np.asarray(sys.flow_set.member(pts, cfg.tol_set), dtype=bool)
 
@@ -281,8 +284,7 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
             f"flow map non-finite at segment start (t={t0:.6g})"
         )
 
-    times: list[float] = []
-    states: list[np.ndarray] = []
+    stored: list[tuple[np.ndarray, np.ndarray]] = []  # one (ts, xs) block per step
 
     def samples(step: _Step, b: float) -> tuple[np.ndarray, np.ndarray]:
         # spacing tracks the integrator's own step, so the finite-difference
@@ -291,15 +293,11 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
         ts = _grid(step.t_old, b, m)
         return ts, _dense(step, ts).T
 
-    def segment_end(reason: str, gap: float = 0.0) -> tuple[list, list, _FlowEnd]:
-        if times:
-            return times, states, _FlowEnd(reason, times[-1],
-                                           np.asarray(states[-1], dtype=float), gap)
-        return times, states, _FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
-
-    def store(ts: np.ndarray, xs: np.ndarray):
-        times.extend(ts.tolist())
-        states.extend(xs)
+    def segment_end(reason: str, gap: float = 0.0):
+        if not stored:  # a start at t_max, or an exit before the first sample
+            return [], [], _FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
+        ts, xs = (np.concatenate(blocks) for blocks in zip(*stored))
+        return ts, xs, _FlowEnd(reason, float(ts[-1]), xs[-1], gap)
 
     steps = _dopri5(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
                     cfg.effective_max_step)
@@ -332,7 +330,7 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
                     if k < len(ts):
                         break
                     k -= len(ts)
-                    store(ts, xs)
+                    stored.append((ts, xs))
                 # bracket the first exit and bisect membership down to
                 # event_tol / 8, leaving slack in the 2*event_tol budgets downstream
                 lo = step.t_old if k == 0 else float(ts[k - 1])
@@ -345,10 +343,9 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
                     else:
                         hi = mid
                 if lo > step.t_old:
-                    store(*samples(step, lo))  # stored samples end exactly at lo
+                    stored.append(samples(step, lo))  # stored samples end exactly at lo
                 return segment_end("exit", gap=hi - lo)
-            for ts, xs in grids:
-                store(ts, xs)
+            stored += grids
         if isinstance(stop, Exception):
             raise stop
         if stop is not None:
@@ -377,8 +374,9 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
             f"{float(sys.jump_set.distance(x)):.3e})"
         )
 
-    interval_times: list[list[float]] = [[0.0]]
-    interval_states: list[list[np.ndarray]] = [[x.copy()]]
+    # the sample blocks of each flow interval, concatenated once at the end
+    interval_times: list[list[np.ndarray]] = [[np.zeros(1)]]
+    interval_states: list[list[np.ndarray]] = [[np.array([x])]]
     events: list[dict] = []
     t = 0.0
     j = 0
@@ -397,8 +395,9 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
                 termination = Termination.COMPLETE_T
                 break
             seg_t, seg_x, end = _flow_segment(sys, t, x, cfg)
-            interval_times[-1].extend(seg_t)
-            interval_states[-1].extend(seg_x)
+            if len(seg_t):
+                interval_times[-1].append(np.asarray(seg_t))
+                interval_states[-1].append(np.asarray(seg_x))
             t, x = end.t, end.x
             if end.reason == "horizon":
                 termination = Termination.COMPLETE_T
@@ -419,7 +418,7 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
 
         if take_jump:
             # close the current flow interval, applying the Zeno accounting
-            duration = interval_times[-1][-1] - interval_times[-1][0]
+            duration = interval_times[-1][-1][-1] - interval_times[-1][0][0]
             zeno_run = zeno_run + 1 if duration < cfg.zeno_dt_min else 0
             if zeno_run >= cfg.zeno_k:
                 termination = Termination.ZENO
@@ -431,8 +430,8 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
                 )
             events.append({"kind": "jump", "t": t, "j": j})
             j += 1
-            interval_times.append([t])
-            interval_states.append([x_new.copy()])
+            interval_times.append([np.array([t])])
+            interval_states.append([np.array([x_new])])
             x = x_new
             if not np.all(np.isfinite(x)):
                 termination = Termination.NUMERICAL_FAILURE
@@ -445,12 +444,12 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
             in_d = bool(sys.jump_set.member(x, cfg.tol_set))
 
     return HybridArc(
-        [np.asarray(ts) for ts in interval_times],
-        [np.vstack(xs) for xs in interval_states],
+        [np.concatenate(ts) for ts in interval_times],
+        [np.concatenate(xs) for xs in interval_states],
         termination,
         meta={
             "system": sys.name,
-            "x0": interval_states[0][0].tolist(),
+            "x0": interval_states[0][0][0].tolist(),
             "events": events,
             "termination": termination.value,
             "config": cfg.to_config(),

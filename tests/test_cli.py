@@ -97,6 +97,18 @@ def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_solver_values_are_configuration_errors(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"system": "circles", "solver": {"rtol": NaN}}')
+    for args in (["--system", "circles", "--tmax", "nan"],
+                 ["--system", "circles", "--tmax", "inf"],
+                 ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run(["simulate", *args, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_analyze_consistent_exit_zero(tmp_path):
     out = tmp_path / "rep"
     code = run(["analyze", "--system", "sigma-bump", "--check", "stability",
@@ -137,6 +149,16 @@ def test_replay_corrupted_csv_fails_cleanly(tmp_path):
     assert run(["replay", "--arc", str(bad)]) == 2
     missing = tmp_path / "missing.csv"
     assert run(["replay", "--arc", str(missing)]) == 2
+    bad.write_text("t,j,x_1,event\nabc,0,1,flow\n")
+    assert run(["replay", "--arc", str(bad)]) == 2
+    x0 = [1.0, 0.0, 1.0, 1.0]
+    good = tmp_path / "good.csv"
+    good.write_text(solve(catalog()["circles"].system, x0, SolverConfig(t_max=1.0)).to_csv())
+    meta = tmp_path / "meta.json"
+    for bad_meta in ({"system": "circles", "termination": "bogus"},
+                     {"system": "circles", "x0": x0, "solver": {"t_max": -1}}):
+        meta.write_text(json.dumps(bad_meta))
+        assert run(["replay", "--arc", str(good), "--meta", str(meta)]) == 2
 
 
 def test_replay_resolves_witness_target_like_analyze(tmp_path, capsys):
@@ -334,6 +356,27 @@ PINNED_RUNS = {
          "--tmax", "20", "--eps", "0.5", "--delta-shrinks", "2", "--seed", "17"],
         "09f7f8807a6b2c1be47f3584499e1eaaa1aac032f1c4255edd46eba4b4c1b275"),
 }
+
+
+# SHA-256 of each simulate run's whole output directory (arc.csv, arc.json,
+# run.json and, for the observer, the three plot panels).
+PINNED_SIMULATE = {
+    "observer-fig3": (
+        ["--system", "observer", "--preset", "fig3", "--tmax", "3",
+         "--tracks", "y,q,T,chihat"],
+        "3faa1ed6f842f884886bd82310a6116d9bd1bba97f5b156b166ea4324007c276"),
+    "circles": (
+        ["--system", "circles"],
+        "c9215fae689c76c087f596f1dc17578ce7c356661a39618ffed2fc46429f75ee"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SIMULATE))
+def test_simulate_output_bytes(name, tmp_path):
+    args, digest = PINNED_SIMULATE[name]
+    out = tmp_path / "sim"
+    assert run(["simulate", *args, "--out", str(out)]) == 0
+    assert _dir_digest(out) == digest
 
 
 @pytest.mark.parametrize("name", list(PINNED_RUNS))

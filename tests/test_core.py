@@ -22,6 +22,9 @@ from hybridkit.core import (
 from hybridkit.errors import MalformedArc
 from hybridkit.geometry import empty_set, full_space
 from hybridkit.solver import SolverConfig, solve
+from hybridkit.systems import catalog
+
+PRESETS = [(name, preset) for name, fx in catalog().items() for preset in fx.presets]
 
 
 def _rotation_system(omega=1.5):
@@ -185,8 +188,42 @@ def test_csv_jump_rows_marked():
     assert events == ["flow", "flow", "jump", "flow"]
 
 
+@pytest.mark.parametrize("name,preset", PRESETS)
+def test_preset_arc_files_round_trip_byte_for_byte(cat, name, preset):
+    fx = cat[name]
+    arc = solve(fx.system, fx.presets[preset], SolverConfig(**fx.solver_overrides))
+    text, payload = arc.to_csv(), arc.to_json()
+    assert HybridArc.from_csv(text, termination=arc.termination).to_csv() == text
+    back = HybridArc.from_json(payload)
+    assert back.to_csv() == text and back.to_json() == payload
+
+
+def test_arc_wide_reductions_take_one_call(cat, monkeypatch):
+    fx = cat["circles"]
+    arc = solve(fx.system, fx.presets["default"], SolverConfig(**fx.solver_overrides))
+    assert arc.n_jumps >= 50
+    gamma = fx.gamma("gamma1")
+    per_interval = max(np.max(gamma.distance(x)) for x in arc.states)
+    norm_per_interval = max(np.max(np.linalg.norm(x, axis=1)) for x in arc.states)
+    calls = []
+    distance = gamma.distance
+    monkeypatch.setattr(gamma, "distance", lambda x: calls.append(len(x)) or distance(x))
+    assert arc.sup_distance(gamma) == per_interval  # bit for bit
+    assert calls == [sum(len(t) for t in arc.times)]
+    assert arc.sup_norm() == norm_per_interval
+
+
 def test_malformed_csv_raises():
     with pytest.raises(MalformedArc):
         HybridArc.from_csv("t,j,x_1,event\n0,0,1,flow\n0,2,1,jump\n")
     with pytest.raises(MalformedArc):
         HybridArc.from_csv("nonsense,header\n1,2\n")
+    for text in ("t,j,x_1,event\nabc,0,1,flow\n",    # non-numeric cell
+                 "t,j,x_1,event\n0,0.5,1,flow\n",    # j is not an integer
+                 "t,j,x_1,event\n0,0,1,2,flow\n",    # one column too many
+                 "t,j,x_1,event\n0,1,1,jump\n",      # j does not start at 0
+                 "t,j,x_1,event\n"):                  # no samples
+        with pytest.raises(MalformedArc):
+            HybridArc.from_csv(text)
+    with pytest.raises(MalformedArc, match="bogus"):
+        HybridArc.from_csv("t,j,x_1,event\n0,0,1,flow\n", termination="bogus")
