@@ -27,50 +27,34 @@ from .solver import Priority, SolverConfig, solve
 
 _MAX_DRAW_TRIES = 80
 
+#: how far an arc started on a set may stray from it and still count as
+#: staying (forward invariance)
+_INV_TOL = 1e-6
+
 FALSIFIED = "Falsified"
 CONSISTENT = "ConsistentAtBudget"
-
-PROPERTIES = (
-    "Stability",
-    "Attractivity",
-    "GlobalAttractivity",
-    "AsymptoticStability",
-    "GlobalAsymptoticStability",
-    "LocalStabilityNear",
-    "LocalAttractivityNear",
-    "WeakForwardInvariance",
-    "StrongForwardInvariance",
-    "Boundedness",
-    "OutputConvergence",
-)
 
 
 @dataclass(frozen=True)
 class PropertyQuery:
-    """What to check, where to sample, and at which budgets."""
+    """Where to sample, at which budgets, and how to solve.  The horizon is
+    ``solver.t_max`` and ``solver.j_max``; which property is checked, and
+    of which sets, is the checker's to say."""
 
-    prop: str = "Stability"
-    target: ClosedSet | None = None
-    relative_to: ClosedSet | None = None
     near: ClosedSet | None = None
     near_radius: float | None = None
     eps_grid: tuple[float, ...] = (0.25, 0.5, 1.0)
     sample_budget: int = 50
-    t_max: float = 50.0
-    j_max: int = 200
     conv_tol: float = 1e-3
-    inv_tol: float = 1e-6
     seed: int = 0
     window: Window | None = None
     bound_radius: float | None = None
     delta_shrinks: int = 5
-    solver: SolverConfig | None = None
+    solver: SolverConfig = SolverConfig()
     sampler: Callable | None = None
     arc_hook: Callable | None = None  # called (system, arc) for every solve
 
     def __post_init__(self):
-        if self.prop not in PROPERTIES:
-            raise ValueError(f"unknown property {self.prop!r}")
         eps = tuple(float(e) for e in self.eps_grid)
         if not eps or any(e <= 0 for e in eps) or list(eps) != sorted(eps):
             raise ValueError("eps_grid must be strictly positive and sorted")
@@ -93,9 +77,11 @@ class PropertyQuery:
         """A sub-query whose seed is derived from this seed and ``tag``."""
         return self.replace(seed=int(_rng(self.seed, tag).integers(2 ** 31)), **kw)
 
-    def solver_config(self) -> SolverConfig:
-        base = self.solver or SolverConfig()
-        return base.replace(t_max=self.t_max, j_max=self.j_max)
+    @property
+    def radius(self) -> float:
+        """The near radius of the local notions: ``near_radius``, else the
+        largest epsilon of the grid."""
+        return self.near_radius or max(self.eps_grid)
 
     def effective_bound_radius(self) -> float:
         if self.bound_radius is not None:
@@ -107,16 +93,13 @@ class PropertyQuery:
 
     def provenance(self) -> dict:
         return {
-            "property": self.prop,
-            "target": self.target.name if self.target is not None else None,
-            "relative_to": self.relative_to.name if self.relative_to is not None else None,
             "eps_grid": list(self.eps_grid),
             "sample_budget": self.sample_budget,
-            "horizon": {"t_max": self.t_max, "j_max": self.j_max},
+            "horizon": {"t_max": self.solver.t_max, "j_max": self.solver.j_max},
             "conv_tol": self.conv_tol,
             "seed": self.seed,
             "delta_shrinks": self.delta_shrinks,
-            "near_radius": self.near_radius,
+            "near_radius": self.radius,
             "window": self.window.to_config() if self.window is not None else None,
         }
 
@@ -242,7 +225,7 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
     ``(initial conditions solved, witness, clause)``; raises ConfigError when
     no draw landed in C u D, so that no verdict rests on zero arcs.
     """
-    cfg = query.solver_config()
+    cfg = query.solver
     n_solved = 0
     for i in range(query.sample_budget):
         x0 = _draw_initial(sys, _rng(query.seed, tag, *key, i),
@@ -295,7 +278,7 @@ def _report(prop: str, sys: HybridSystem, query: PropertyQuery, measured: dict,
             witness: HybridArc | None, clause: dict | None, notes=(),
             **sets: ClosedSet) -> AnalysisReport:
     """The report of one campaign; ``sets`` names the target (and the outer
-    set) in the provenance."""
+    set) in the provenance, next to the query's settings and the system."""
     return AnalysisReport(FALSIFIED if witness is not None else CONSISTENT,
                           prop, measured,
                           {**query.provenance(), "system": sys.name,
@@ -334,17 +317,22 @@ def check_stability(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery,
                    target=gamma)
 
 
+def _judged_at_horizon(arc: HybridArc) -> bool:
+    """Whether an arc's end state is held to a terminal test: it is complete
+    at the horizon, or Zeno-truncated; maximal-but-incomplete arcs are not."""
+    return is_complete(arc) or arc.termination is Termination.ZENO
+
+
 def _arc_converges(arc: HybridArc, gamma: ClosedSet, conv_tol: float,
                    bound_radius: float) -> dict | None:
-    """Basin-membership test for one arc: bounded, and convergent when it is
-    complete at horizon (Zeno-truncated arcs are held to the same terminal
-    test; maximal-but-incomplete arcs pass vacuously).  None when it passes,
-    else the violated clause."""
+    """Basin-membership test for one arc: bounded, and convergent when judged
+    at the horizon (other arcs pass vacuously).  None when it passes, else
+    the violated clause."""
     supn = arc.sup_norm()
     if supn > bound_radius:
         return {"type": "unbounded", "sup_norm": supn,
                 "bound_radius": bound_radius, "x0": arc.meta.get("x0")}
-    if is_complete(arc) or arc.termination is Termination.ZENO:
+    if _judged_at_horizon(arc):
         td = arc.terminal_distance(gamma)
         if td > conv_tol:
             return {"type": "attractivity_terminal", "terminal_distance": td,
@@ -355,10 +343,10 @@ def _arc_converges(arc: HybridArc, gamma: ClosedSet, conv_tol: float,
 def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery,
                        project: Callable | None = None) -> AnalysisReport:
     """Attractivity at budget: every sampled arc must be bounded and, when
-    complete at horizon, end within conv_tol of the target.
+    judged at the horizon, end within conv_tol of the target.
 
-    The sampling region decides the flavor: query.near (+ near_radius) tests
-    the local notion, otherwise the window/state sampler stands in for
+    The sampling region decides the flavor: query.near (within query.radius)
+    tests the local notion, otherwise the window/state sampler stands in for
     'global at budget'.
     """
     _require_distance(gamma)
@@ -370,7 +358,7 @@ def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery
         bad = _arc_converges(arc, gamma, query.conv_tol, bound_radius)
         if bad is not None:
             return arc, bad
-        if is_complete(arc) or arc.termination is Termination.ZENO:
+        if _judged_at_horizon(arc):
             measured["n_pass"] += 1
             measured["max_terminal_distance"] = max(
                 measured["max_terminal_distance"], arc.terminal_distance(gamma))
@@ -380,8 +368,7 @@ def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery
 
     local = query.near is not None
     if local:
-        draw = dict(near=query.near,
-                    delta=query.near_radius or max(query.eps_grid),
+        draw = dict(near=query.near, delta=query.radius,
                     window=query.window, sampler=query.sampler)
     else:
         draw = _region_sampler(sys, query)
@@ -436,7 +423,7 @@ def check_invariance(sys: HybridSystem, gamma: ClosedSet, mode: str,
                      query: PropertyQuery) -> AnalysisReport:
     """Forward invariance from on-set samples.
 
-    strong: every produced arc stays within inv_tol of the set.  weak: the
+    strong: every produced arc stays within _INV_TOL of the set.  weak: the
     produced arc may be retried under the other jump/flow priority; verdicts
     are therefore only 'under available selections' of this single-valued
     solver.
@@ -450,15 +437,15 @@ def check_invariance(sys: HybridSystem, gamma: ClosedSet, mode: str,
     if mode == "weak":
         notes.append("weak invariance is selection-wise: verified under the "
                      "available solver priorities only")
-        cfg = query.solver_config()
-        alt = cfg.replace(priority=Priority.FLOW if cfg.priority is Priority.JUMP
-                          else Priority.JUMP)
+        alt = query.solver.replace(
+            priority=Priority.FLOW if query.solver.priority is Priority.JUMP
+            else Priority.JUMP)
 
     def judge(arc):
         exc = arc.sup_distance(gamma)
-        if exc > query.inv_tol:
+        if exc > _INV_TOL:
             return arc, {"type": "invariance_exit", "mode": mode,
-                         "excursion": exc, "inv_tol": query.inv_tol,
+                         "excursion": exc, "inv_tol": _INV_TOL,
                          "x0": arc.meta["x0"]}
         # a rejected arc may yet be replaced by its weak-mode retry
         measured["max_excursion"] = max(measured["max_excursion"], exc)
@@ -501,7 +488,7 @@ def check_output_convergence(osys: OutputSystem, query: PropertyQuery) -> Analys
     measured: dict = {"n_total": 0, "max_terminal_output": 0.0}
 
     def judge(arc):
-        if not (is_complete(arc) or arc.termination is Termination.ZENO):
+        if not _judged_at_horizon(arc):
             return None
         hval = float(np.linalg.norm(osys.output(arc.final_state())))
         measured["max_terminal_output"] = max(measured["max_terminal_output"], hval)
@@ -541,8 +528,7 @@ def _relative_reports(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
     if scope == "global":
         attr_q = sub.replace(sampler=amb_sampler)
     else:
-        attr_q = sub.replace(near=g1,
-                             near_radius=query.near_radius or max(query.eps_grid))
+        attr_q = sub.replace(near=g1)
     attr = check_attractivity(rsys, g1, attr_q, project=project)
     return {"stability": stab, "attractivity": attr}
 
@@ -622,39 +608,37 @@ def _theorem(name: str, hyp_reports: dict[str, AnalysisReport],
 
 
 def _conclusions(sys: HybridSystem, g1: ClosedSet, query: PropertyQuery,
-                 scope: str, r: float) -> dict[str, AnalysisReport]:
+                 scope: str) -> dict[str, AnalysisReport]:
     """The conclusion checks on the innermost target of a reduction."""
     return {
         "stability": check_stability(sys, g1, query.child("conc-s")),
         "attractivity": check_attractivity(
-            sys, g1, query.child("conc-a", near=None if scope == "global" else g1,
-                                 near_radius=r)),
+            sys, g1, query.child("conc-a", near=None if scope == "global" else g1)),
     }
 
 
 def reduction_report(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
-                     query: PropertyQuery, scope: str = "local",
-                     r: float | None = None) -> ReductionReport:
+                     query: PropertyQuery, scope: str = "local") -> ReductionReport:
     """Two-set reduction: relative asymptotic stability on g2, the local
-    stability/attractivity conditions near g1, and the conclusion checks on
-    g1, with the implication directions evaluated for soundness."""
+    stability/attractivity conditions within ``query.radius`` of g1, and the
+    conclusion checks on g1, with the implication directions evaluated for
+    soundness."""
     if scope not in ("local", "global"):
         raise ValueError("scope must be 'local' or 'global'")
-    r = r if r is not None else (query.near_radius or max(query.eps_grid))
     sub: dict[str, AnalysisReport] = {}
     rel = _relative_reports(sys, g1, g2, query, scope)
     sub["relative_stability"] = rel["stability"]
     sub["relative_attractivity"] = rel["attractivity"]
     sub["local_stability_near"] = check_local_stability_near(
-        sys, g1, g2, r, query.child("lsn-seed"))
+        sys, g1, g2, query.radius, query.child("lsn-seed"))
     if scope == "local":
         sub["local_attractivity_near"] = check_attractivity(
-            sys, g2, query.child("lan-seed", near=g1, near_radius=r))
+            sys, g2, query.child("lan-seed", near=g1))
     else:
         sub["global_attractivity_gamma2"] = check_attractivity(
             sys, g2, query.child("ga2-seed", near=None))
         sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
-    conclusions = _conclusions(sys, g1, query, scope, r)
+    conclusions = _conclusions(sys, g1, query, scope)
 
     if scope == "local":
         theorems = [
@@ -678,7 +662,7 @@ def reduction_report(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
 
     return ReductionReport(scope, sub, conclusions, theorems,
                            {**query.provenance(), "system": sys.name,
-                            "gamma1": g1.name, "gamma2": g2.name, "r": r})
+                            "gamma1": g1.name, "gamma2": g2.name})
 
 
 def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
@@ -713,8 +697,7 @@ def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
         sub[f"link{i + 1}_attractivity_rel_{label}"] = rel["attractivity"]
     if scope == "global":
         sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
-    conclusions = _conclusions(sys, chain[0], query, scope,
-                               query.near_radius or max(query.eps_grid))
+    conclusions = _conclusions(sys, chain[0], query, scope)
 
     as_hyps = dict(sub)
     attr_hyps = {k: v for k, v in sub.items()

@@ -43,6 +43,9 @@ EXIT_FALSIFIED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+#: the independent checker's tolerance a witness is replayed at
+WITNESS_CHECK_TOL = 1e-3
+
 
 # ---------------------------------------------------------------------------
 # config resolution
@@ -109,6 +112,14 @@ def _system_from_inline(spec: dict):
                         name=spec.get("name", "inline"))
 
 
+def _observer_params(overrides: dict) -> ObserverParams:
+    """The observer's default parameters with ``overrides`` applied."""
+    try:
+        return ObserverParams(**{**ObserverParams().to_config(), **overrides})
+    except (TypeError, HybridkitError) as exc:
+        raise ConfigError(f"bad observer parameters: {exc}") from exc
+
+
 def _resolve_fixture(args, cfg: dict) -> tuple[Fixture | None, object]:
     """Returns (fixture | None, system); inline configs have no fixture."""
     sys_spec = cfg.get("system")
@@ -127,10 +138,7 @@ def _resolve_fixture(args, cfg: dict) -> tuple[Fixture | None, object]:
             except ValueError:
                 raise ConfigError(f"--param {kv!r}: value is not a number") from None
         if name == "observer" and overrides:
-            try:
-                params = ObserverParams(**{**ObserverParams().to_config(), **overrides})
-            except (TypeError, HybridkitError) as exc:
-                raise ConfigError(f"bad observer parameters: {exc}") from exc
+            params = _observer_params(overrides)
         cat = catalog(params)
         if name not in cat:
             raise ConfigError(
@@ -299,7 +307,7 @@ def _save_witness(report: AnalysisReport, out: Path, tag: str,
         "x0": report.witness.meta.get("x0"),
         "gamma": report.provenance.get("target"),
         "gamma2": report.provenance.get("relative_to"),
-        "check_tol": 1e-3,
+        "check_tol": WITNESS_CHECK_TOL,
         **meta_extra,
     }
     _write(out / f"witness_{tag}.json", json.dumps(meta, indent=1))
@@ -319,12 +327,9 @@ def cmd_analyze(args) -> int:
 
     try:
         query = PropertyQuery(
-            prop="Stability",
             eps_grid=tuple(float(e) for e in args.eps.split(",")) if args.eps
             else (0.25, 0.5, 1.0),
             sample_budget=args.budget,
-            t_max=scfg.t_max,
-            j_max=scfg.j_max,
             conv_tol=args.conv_tol,
             seed=args.seed,
             window=window,
@@ -336,42 +341,38 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"bad analysis query: {exc}") from exc
 
     reports: dict[str, AnalysisReport | ReductionReport] = {}
-    try:
-        if args.reduce_chain:
-            names = args.reduce_chain.split(",")
-            chain = [_resolve_gamma(fixture, n, system.dim) for n in names]
-            reports["reduction"] = recursive_reduction_report(
-                system, chain, query, scope=args.scope)
-        elif args.check == "reduction":
-            g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
+    if args.reduce_chain:
+        names = args.reduce_chain.split(",")
+        chain = [_resolve_gamma(fixture, n, system.dim) for n in names]
+        reports["reduction"] = recursive_reduction_report(
+            system, chain, query, scope=args.scope)
+    elif args.check == "reduction":
+        g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
+        g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
+        reports["reduction"] = reduction_report(system, g1, g2, query,
+                                                scope=args.scope)
+    elif args.check == "detectability":
+        if fixture is None or fixture.output is None:
+            raise ConfigError("detectability needs a fixture with an output map")
+        g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
+        g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
+        reports["detectability"] = detectability_report(
+            with_output(system, fixture.output), g1, g2, query)
+    else:
+        gamma = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
+        if args.check == "stability":
+            reports["stability"] = check_stability(system, gamma, query)
+        elif args.check == "attractivity":
+            reports["attractivity"] = check_attractivity(system, gamma, query)
+        elif args.check == "local-stability-near":
             g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-            reports["reduction"] = reduction_report(
-                system, g1, g2, query, scope=args.scope, r=args.r)
-        elif args.check == "detectability":
-            if fixture is None or fixture.output is None:
-                raise ConfigError("detectability needs a fixture with an output map")
-            g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
-            g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-            reports["detectability"] = detectability_report(
-                with_output(system, fixture.output), g1, g2, query)
+            reports["local_stability_near"] = check_local_stability_near(
+                system, gamma, g2, query.radius, query)
+        elif args.check in ("strong-invariance", "weak-invariance"):
+            mode = "strong" if args.check.startswith("strong") else "weak"
+            reports["invariance"] = check_invariance(system, gamma, mode, query)
         else:
-            gamma = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
-            if args.check == "stability":
-                reports["stability"] = check_stability(system, gamma, query)
-            elif args.check == "attractivity":
-                reports["attractivity"] = check_attractivity(system, gamma, query)
-            elif args.check == "local-stability-near":
-                g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-                reports["local_stability_near"] = check_local_stability_near(
-                    system, gamma, g2, args.r or max(query.eps_grid), query)
-            elif args.check in ("strong-invariance", "weak-invariance"):
-                mode = "strong" if args.check.startswith("strong") else "weak"
-                reports["invariance"] = check_invariance(system, gamma, mode, query)
-            else:
-                raise ConfigError(f"unknown check {args.check!r}")
-    except HybridkitError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            raise ConfigError(f"unknown check {args.check!r}")
 
     any_falsified = False
     summary_lines = []
@@ -426,20 +427,22 @@ def cmd_replay(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    fixture = None
-    if meta.get("system") in catalog():
-        params = None
-        if meta.get("system") == "observer" and meta.get("params"):
-            params = ObserverParams(**meta["params"])
-        fixture = catalog(params)[meta["system"]]
-    if fixture is None:
-        print(f"metadata names no catalog fixture (system {meta.get('system')!r});"
+    name = meta.get("system")
+    if name not in catalog():
+        print(f"metadata names no catalog fixture (system {name!r});"
               " nothing to validate the arc against", file=sys.stderr)
         return EXIT_CONFIG
+    params = _observer_params(meta["params"]) \
+        if name == "observer" and meta.get("params") else None
+    fixture = catalog(params)[name]
 
     system = fixture.system
-    tol = float(meta.get("check_tol", 1e-3))
-    violations = check_is_solution(system, arc, tol)
+    tol = meta.get("check_tol", WITNESS_CHECK_TOL)
+    try:
+        violations = check_is_solution(system, arc, float(tol))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"cannot check the arc at check_tol {tol!r}: {exc}") from exc
     ok_solution = not violations
     print(f"check_is_solution: {'clean' if ok_solution else violations[:3]}")
 
@@ -551,11 +554,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Runs one command.  A toolkit error the command does not handle itself
+    (bad configuration, a stored arc that does not fit its system) exits 2."""
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except HybridkitError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

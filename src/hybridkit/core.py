@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -339,8 +340,8 @@ def check_is_solution(
     C within ``tol_set`` (the final sample before a jump may sit just past the
     located boundary and is exempt).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # False for NaN
+        raise ValueError("tol must be finite and strictly positive")
     arc.domain  # raises MalformedArc on bad structure
     if arc.dim != sys.dim:
         raise DimensionMismatch(f"arc dim {arc.dim} != system dim {sys.dim}")

@@ -123,16 +123,14 @@ def test_criterion_3_toggle_system_dichotomy(cat):
     start = time.time()
     fx = cat["circles"]
     g1 = fx.gammas["gamma1"]
-    scfg = SolverConfig(store_max_dt=0.01)
+    scfg = SolverConfig(t_max=25.0, store_max_dt=0.01)
     attract = check_attractivity(
         fx.system, g1,
-        PropertyQuery(prop="GlobalAttractivity", target=g1, sample_budget=500,
-                      t_max=25.0, window=fx.window, seed=31, solver=scfg,
+        PropertyQuery(sample_budget=500, window=fx.window, seed=31, solver=scfg,
                       arc_hook=_hook("criterion3-attract")))
     stab = check_stability(
         fx.system, g1,
-        PropertyQuery(target=g1, sample_budget=25, t_max=25.0,
-                      window=fx.window, seed=31, solver=scfg,
+        PropertyQuery(sample_budget=25, window=fx.window, seed=31, solver=scfg,
                       arc_hook=_hook("criterion3-stab")))
     assert attract.verdict == CONSISTENT, "attractivity should hold at budget"
     assert stab.verdict == FALSIFIED, "stability should be falsified"
@@ -152,9 +150,8 @@ def test_criterion_4_attractivity_counterexample(cat):
     g1, g2 = fx.gammas["gamma1"], fx.gammas["gamma2"]
     full = check_attractivity(
         fx.system, g1,
-        PropertyQuery(prop="GlobalAttractivity", target=g1, sample_budget=25,
-                      t_max=60.0, window=fx.window, seed=11,
-                      solver=SolverConfig(store_max_dt=0.004),
+        PropertyQuery(sample_budget=25, window=fx.window, seed=11,
+                      solver=SolverConfig(t_max=60.0, store_max_dt=0.004),
                       arc_hook=_hook("criterion4-full")))
     assert full.verdict == FALSIFIED
     td = full.witness_clause["terminal_distance"]
@@ -165,9 +162,9 @@ def test_criterion_4_attractivity_counterexample(cat):
     rsys = restrict(fx.system, g2)
     rel = check_attractivity(
         rsys, g1,
-        PropertyQuery(prop="GlobalAttractivity", target=g1, sample_budget=30,
-                      t_max=3000.0, conv_tol=0.05, window=fx.window, seed=5,
-                      solver=SolverConfig(store_max_dt=0.05, max_step=5.0),
+        PropertyQuery(sample_budget=30, conv_tol=0.05, window=fx.window, seed=5,
+                      solver=SolverConfig(t_max=3000.0, store_max_dt=0.05,
+                                          max_step=5.0),
                       sampler=lambda rng, n: g2.project(
                           fx.window.uniform(rng, n)),
                       arc_hook=_hook("criterion4-rel")))
@@ -184,64 +181,63 @@ def test_criterion_5_theorem_soundness_guard(cat, obs_params):
     fx = cat["settle-line"]
     reports.append(reduction_report(
         fx.system, fx.gammas["origin"], fx.gammas["gamma2"],
-        PropertyQuery(target=fx.gammas["origin"], sample_budget=8, t_max=40.0,
+        PropertyQuery(sample_budget=8, near_radius=1.0,
+                      solver=SolverConfig(t_max=40.0),
                       window=fx.window, seed=71, arc_hook=_hook("c5-settle")),
-        scope="local", r=1.0))
+        scope="local"))
 
     fx = cat["drift-line"]
     reports.append(reduction_report(
         fx.system, fx.gammas["origin"], fx.gammas["gamma2"],
-        PropertyQuery(target=fx.gammas["origin"], sample_budget=8, t_max=50.0,
+        PropertyQuery(sample_budget=8, near_radius=1.0,
+                      solver=SolverConfig(t_max=50.0),
                       window=fx.window, seed=72, arc_hook=_hook("c5-drift")),
-        scope="local", r=1.0))
+        scope="local"))
 
     fx = cat["sigma-bump"]
     reports.append(reduction_report(
         fx.system, fx.gammas["origin"], fx.gammas["gamma2"],
-        PropertyQuery(target=fx.gammas["origin"], sample_budget=8, t_max=50.0,
+        PropertyQuery(sample_budget=8, near_radius=1.0,
+                      solver=SolverConfig(t_max=50.0),
                       window=fx.window, seed=73, arc_hook=_hook("c5-bump")),
-        scope="local", r=1.0))
+        scope="local"))
 
     fx = cat["circles"]
     reports.append(recursive_reduction_report(
         fx.system, [fx.gammas["gamma1"], fx.gammas["gamma2"]],
-        PropertyQuery(target=fx.gammas["gamma1"], sample_budget=8, t_max=25.0,
-                      window=fx.window, seed=74,
-                      solver=SolverConfig(store_max_dt=0.01),
+        PropertyQuery(sample_budget=8, window=fx.window, seed=74,
+                      solver=SolverConfig(t_max=25.0, store_max_dt=0.01),
                       arc_hook=_hook("c5-circles")),
         scope="global"))
     reports.append(detectability_report(
         with_output(fx.system, lambda x: np.array([x[0]])),
         fx.gammas["gamma1"], fx.gammas["gamma2"],
-        PropertyQuery(target=fx.gammas["gamma1"], sample_budget=8, t_max=25.0,
-                      window=fx.window, seed=75,
-                      solver=SolverConfig(store_max_dt=0.01),
+        PropertyQuery(sample_budget=8, window=fx.window, seed=75,
+                      solver=SolverConfig(t_max=25.0, store_max_dt=0.01),
                       arc_hook=_hook("c5-circles-det"))))
 
     fx = cat["limit-circles"]
     reports.append(reduction_report(
         fx.system, fx.gammas["gamma1"], fx.gammas["gamma2"],
-        PropertyQuery(target=fx.gammas["gamma1"], sample_budget=10,
-                      t_max=600.0, conv_tol=0.05, window=fx.window, seed=76,
-                      solver=SolverConfig(store_max_dt=0.05),
+        PropertyQuery(sample_budget=10, conv_tol=0.05, window=fx.window, seed=76,
+                      solver=SolverConfig(t_max=600.0, store_max_dt=0.05),
                       arc_hook=_hook("c5-limit")),
         scope="global"))
     reports.append(detectability_report(
         with_output(fx.system, lambda x: np.array([x[2]])),
         fx.gammas["gamma1"], fx.gammas["gamma2"],
-        PropertyQuery(target=fx.gammas["gamma1"], sample_budget=10,
-                      t_max=600.0, conv_tol=0.05, window=fx.window, seed=77,
-                      solver=SolverConfig(store_max_dt=0.05),
+        PropertyQuery(sample_budget=10, conv_tol=0.05, window=fx.window, seed=77,
+                      solver=SolverConfig(t_max=600.0, store_max_dt=0.05),
                       arc_hook=_hook("c5-limit-det"))))
 
     fx = cat["observer"]
     reports.append(recursive_reduction_report(
         fx.system,
         [fx.gammas["gamma1"], fx.gammas["gamma2"], fx.gammas["gamma3"]],
-        PropertyQuery(target=fx.gammas["gamma1"], eps_grid=(0.25, 1.0),
-                      sample_budget=6, t_max=35.0, conv_tol=1e-3,
+        PropertyQuery(eps_grid=(0.25, 1.0),
+                      sample_budget=6, conv_tol=1e-3,
                       delta_shrinks=3, window=fx.window, seed=78,
-                      solver=SolverConfig(store_max_dt=0.02),
+                      solver=SolverConfig(t_max=35.0, store_max_dt=0.02),
                       arc_hook=_hook("c5-observer")),
         scope="global"))
 
@@ -259,10 +255,10 @@ def test_criterion_5b_observer_chain_conclusions(cat):
     rep = recursive_reduction_report(
         fx.system,
         [fx.gammas["gamma1"], fx.gammas["gamma2"], fx.gammas["gamma3"]],
-        PropertyQuery(target=fx.gammas["gamma1"], eps_grid=(0.25, 1.0),
-                      sample_budget=6, t_max=35.0, conv_tol=1e-3,
+        PropertyQuery(eps_grid=(0.25, 1.0),
+                      sample_budget=6, conv_tol=1e-3,
                       delta_shrinks=3, window=fx.window, seed=42,
-                      solver=SolverConfig(store_max_dt=0.02),
+                      solver=SolverConfig(t_max=35.0, store_max_dt=0.02),
                       arc_hook=_hook("c5b-observer")),
         scope="global")
     assert rep.all_consistent and rep.sound
@@ -331,7 +327,7 @@ def test_criterion_8_restriction_agreement(cat):
     fx = cat["sigma-bump"]
     g1 = fx.gammas["origin"]
     g2 = fx.gammas["gamma2"]
-    q = PropertyQuery(target=g1, sample_budget=12, t_max=50.0,
+    q = PropertyQuery(sample_budget=12, solver=SolverConfig(t_max=50.0),
                       window=fx.window, seed=88, arc_hook=_hook("c8"))
     full = check_stability(fx.system, g1, q)
     restricted = check_stability(restrict(fx.system, g2), g1, q,

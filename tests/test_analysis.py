@@ -31,8 +31,7 @@ from hybridkit.systems import Q_IDX
 
 
 def q_for(fx, **kw):
-    base = dict(target=next(iter(fx.gammas.values())), window=fx.window,
-                sample_budget=12, seed=2024)
+    base = dict(window=fx.window, sample_budget=12, seed=2024)
     base.update(kw)
     return PropertyQuery(**base)
 
@@ -43,7 +42,7 @@ def q_for(fx, **kw):
 def test_contraction_stability_delta_equals_eps(cat):
     fx = cat["contraction"]
     rep = check_stability(fx.system, fx.gammas["origin"],
-                          q_for(fx, target=fx.gammas["origin"], t_max=20.0))
+                          q_for(fx, solver=SolverConfig(t_max=20.0)))
     assert rep.verdict == CONSISTENT
     for eps, delta in rep.measured["delta_for_eps"].items():
         assert delta == eps
@@ -52,7 +51,7 @@ def test_contraction_stability_delta_equals_eps(cat):
 def test_drift_line_stability_falsified(cat):
     fx = cat["drift-line"]
     rep = check_stability(fx.system, fx.gammas["origin"],
-                          q_for(fx, target=fx.gammas["origin"], t_max=50.0))
+                          q_for(fx, solver=SolverConfig(t_max=50.0)))
     assert rep.verdict == FALSIFIED
     assert rep.witness is not None
     assert rep.witness_clause["sup_distance"] > rep.witness_clause["eps"]
@@ -61,7 +60,7 @@ def test_drift_line_stability_falsified(cat):
 def test_settling_nonlinearity_origin_stable(cat):
     fx = cat["sigma-bump"]
     rep = check_stability(fx.system, fx.gammas["origin"],
-                          q_for(fx, target=fx.gammas["origin"], t_max=50.0))
+                          q_for(fx, solver=SolverConfig(t_max=50.0)))
     assert rep.verdict == CONSISTENT
 
 
@@ -70,17 +69,17 @@ def test_stability_refuses_lower_bound_distance(cat):
                      inflate(point_set([0.5, 0.0]), 1.0))
     fx = cat["sigma-bump"]
     with pytest.raises(ApproximateDistance):
-        check_stability(fx.system, lens, q_for(fx, target=lens))
+        check_stability(fx.system, lens, q_for(fx))
 
 
 def test_budget_monotonicity_of_falsification(cat):
     fx = cat["drift-line"]
     small = check_stability(fx.system, fx.gammas["origin"],
-                            q_for(fx, target=fx.gammas["origin"],
-                                  sample_budget=4, t_max=50.0))
+                            q_for(fx, sample_budget=4,
+                                  solver=SolverConfig(t_max=50.0)))
     big = check_stability(fx.system, fx.gammas["origin"],
-                          q_for(fx, target=fx.gammas["origin"],
-                                sample_budget=16, t_max=50.0))
+                          q_for(fx, sample_budget=16,
+                                solver=SolverConfig(t_max=50.0)))
     assert small.verdict == FALSIFIED
     assert big.verdict == FALSIFIED
 
@@ -88,12 +87,24 @@ def test_budget_monotonicity_of_falsification(cat):
 def test_reports_are_seed_deterministic(cat):
     fx = cat["circles"]
     g1 = fx.gammas["gamma1"]
-    q = q_for(fx, target=g1, t_max=20.0, sample_budget=6,
-              solver=SolverConfig(store_max_dt=0.01))
+    q = q_for(fx, sample_budget=6,
+              solver=SolverConfig(t_max=20.0, store_max_dt=0.01))
     r1 = check_stability(fx.system, g1, q)
     r2 = check_stability(fx.system, g1, q)
     assert r1.to_json_dict() == r2.to_json_dict()
     assert r1.witness.to_csv() == r2.witness.to_csv()
+
+
+def test_campaign_solves_to_the_solver_horizon(cat):
+    # the horizon is the solver config's; the query has no copy to override it
+    fx = cat["contraction"]
+    configs = []
+    q = q_for(fx, sample_budget=2, solver=SolverConfig(t_max=10.0, j_max=3),
+              arc_hook=lambda sys, arc: configs.append(arc.meta["config"]))
+    rep = check_attractivity(fx.system, fx.gammas["origin"], q)
+    assert configs
+    assert all((c["t_max"], c["j_max"]) == (10.0, 3) for c in configs)
+    assert rep.provenance["horizon"] == {"t_max": 10.0, "j_max": 3}
 
 
 # -- attractivity ------------------------------------------------------------
@@ -102,7 +113,7 @@ def test_reports_are_seed_deterministic(cat):
 def test_contraction_globally_attractive(cat):
     fx = cat["contraction"]
     rep = check_attractivity(fx.system, fx.gammas["origin"],
-                             q_for(fx, target=fx.gammas["origin"], t_max=30.0))
+                             q_for(fx, solver=SolverConfig(t_max=30.0)))
     assert rep.verdict == CONSISTENT
     assert rep.measured["pass_fraction"] == 1.0
 
@@ -111,9 +122,9 @@ def test_circles_dichotomy(cat):
     # globally attractive at budget while stability is falsified
     fx = cat["circles"]
     g1 = fx.gammas["gamma1"]
-    cfgkw = dict(t_max=25.0, solver=SolverConfig(store_max_dt=0.01))
-    attract = check_attractivity(fx.system, g1, q_for(fx, target=g1, **cfgkw))
-    stab = check_stability(fx.system, g1, q_for(fx, target=g1, **cfgkw))
+    cfgkw = dict(solver=SolverConfig(t_max=25.0, store_max_dt=0.01))
+    attract = check_attractivity(fx.system, g1, q_for(fx, **cfgkw))
+    stab = check_stability(fx.system, g1, q_for(fx, **cfgkw))
     assert attract.verdict == CONSISTENT
     assert stab.verdict == FALSIFIED
 
@@ -123,8 +134,8 @@ def test_limit_circles_attractivity_falsified(cat):
     g1 = fx.gammas["gamma1"]
     rep = check_attractivity(
         fx.system, g1,
-        q_for(fx, target=g1, t_max=60.0, sample_budget=10,
-              solver=SolverConfig(store_max_dt=0.004)))
+        q_for(fx, sample_budget=10,
+              solver=SolverConfig(t_max=60.0, store_max_dt=0.004)))
     assert rep.verdict == FALSIFIED
     assert rep.witness_clause["type"] == "attractivity_terminal"
 
@@ -135,7 +146,8 @@ def test_unbounded_solutions_falsify_attractivity(cat):
     g1 = fx.gammas["origin"]
     window = Window.from_bounds([[2.0, 3.0], [0.5, 1.0]])
     rep = check_attractivity(fx.system, g1,
-                             q_for(fx, target=g1, window=window, t_max=15.0,
+                             q_for(fx, window=window,
+                                   solver=SolverConfig(t_max=15.0),
                                    bound_radius=100.0))
     assert rep.verdict == FALSIFIED
     assert rep.witness_clause["type"] == "unbounded"
@@ -148,7 +160,7 @@ def test_local_stability_near_on_settling_nonlinearity(cat):
     fx = cat["sigma-bump"]
     rep = check_local_stability_near(
         fx.system, fx.gammas["origin"], fx.gammas["gamma2"], 1.0,
-        q_for(fx, target=fx.gammas["origin"], t_max=50.0))
+        q_for(fx, solver=SolverConfig(t_max=50.0)))
     assert rep.verdict == CONSISTENT
 
 
@@ -159,12 +171,12 @@ def test_outer_set_unstable_far_away_but_locally_fine(cat):
     g2 = fx.gammas["gamma2"]
     far_window = Window.from_bounds([[2.0, 3.0], [-0.5, 0.5]])
     unstable = check_stability(fx.system, g2,
-                               q_for(fx, target=g2, window=far_window,
-                                     t_max=15.0))
+                               q_for(fx, window=far_window,
+                                     solver=SolverConfig(t_max=15.0)))
     assert unstable.verdict == FALSIFIED
     near = check_local_stability_near(
         fx.system, fx.gammas["origin"], g2, 1.0,
-        q_for(fx, target=fx.gammas["origin"], t_max=50.0))
+        q_for(fx, solver=SolverConfig(t_max=50.0)))
     assert near.verdict == CONSISTENT
 
 
@@ -174,7 +186,7 @@ def test_containment_makes_near_check_trivial(cat):
     g2 = inflate(g1, 2.0)
     rep = check_local_stability_near(
         fx.system, g1, g2, 1.0,
-        q_for(fx, target=g1, eps_grid=(1.5, 2.0), t_max=20.0))
+        q_for(fx, eps_grid=(1.5, 2.0), solver=SolverConfig(t_max=20.0)))
     assert rep.verdict == CONSISTENT
 
 
@@ -186,7 +198,7 @@ def test_amplitude_shell_strongly_invariant(cat):
     w = fx.gammas["w-shell"]
     rep = check_invariance(
         fx.system, w, "strong",
-        q_for(fx, target=w, t_max=20.0, sample_budget=8,
+        q_for(fx, solver=SolverConfig(t_max=20.0), sample_budget=8,
               sampler=fx.system.state_sampler))
     assert rep.verdict == CONSISTENT
     assert rep.measured["max_excursion"] < 1e-6
@@ -200,7 +212,7 @@ def test_noninvariant_slab_falsified_immediately():
                        lambda x: x, name="drift")
     slab = box_set([[-1.0, 1.0]])
     rep = check_invariance(sys, slab, "strong",
-                           PropertyQuery(target=slab, t_max=5.0,
+                           PropertyQuery(solver=SolverConfig(t_max=5.0),
                                          sample_budget=5, seed=1,
                                          window=Window.cube(1, 1.0)))
     assert rep.verdict == FALSIFIED
@@ -211,8 +223,8 @@ def test_synchronized_set_invariant_along_runs(cat):
     fx = cat["observer"]
     g3 = fx.gammas["gamma3"]
     rep = check_invariance(fx.system, g3, "strong",
-                           q_for(fx, target=g3, t_max=15.0, sample_budget=6,
-                                 inv_tol=1e-6))
+                           q_for(fx, solver=SolverConfig(t_max=15.0),
+                                 sample_budget=6))
     assert rep.verdict == CONSISTENT
 
 
@@ -222,7 +234,8 @@ def test_weak_invariance_retries_other_priority(cat):
     fx = cat["circles"]
     g2 = fx.gammas["gamma2"]
     rep = check_invariance(fx.system, g2, "weak",
-                           q_for(fx, target=g2, t_max=10.0, sample_budget=8))
+                           q_for(fx, solver=SolverConfig(t_max=10.0),
+                                 sample_budget=8))
     assert rep.verdict == CONSISTENT
     assert any("selection" in n for n in rep.notes)
 
@@ -234,7 +247,7 @@ def test_output_convergence_on_circles(cat):
     fx = cat["circles"]
     osys = with_output(fx.system, lambda x: np.array([x[0]]))
     rep = check_output_convergence(
-        osys, q_for(fx, target=fx.gammas["gamma1"], t_max=25.0))
+        osys, q_for(fx, solver=SolverConfig(t_max=25.0)))
     assert rep.verdict == CONSISTENT
 
 
@@ -242,8 +255,8 @@ def test_boundedness_flags_growth(cat):
     fx = cat["sigma-bump"]
     window = Window.from_bounds([[2.0, 3.0], [0.5, 1.0]])
     rep = check_boundedness(fx.system,
-                            q_for(fx, target=fx.gammas["origin"],
-                                  window=window, t_max=15.0,
+                            q_for(fx, window=window,
+                                  solver=SolverConfig(t_max=15.0),
                                   bound_radius=100.0))
     assert rep.verdict == FALSIFIED
 
@@ -256,17 +269,16 @@ def test_falsification_witnesses_replay(cat):
     fx = cat["drift-line"]
     cases.append((fx, fx.gammas["origin"], check_stability(
         fx.system, fx.gammas["origin"],
-        q_for(fx, target=fx.gammas["origin"], t_max=50.0))))
+        q_for(fx, solver=SolverConfig(t_max=50.0)))))
     fx = cat["limit-circles"]
     cases.append((fx, fx.gammas["gamma1"], check_attractivity(
         fx.system, fx.gammas["gamma1"],
-        q_for(fx, target=fx.gammas["gamma1"], t_max=60.0, sample_budget=10,
-              solver=SolverConfig(store_max_dt=0.004)))))
+        q_for(fx, sample_budget=10,
+              solver=SolverConfig(t_max=60.0, store_max_dt=0.004)))))
     fx = cat["circles"]
     cases.append((fx, fx.gammas["gamma1"], check_stability(
         fx.system, fx.gammas["gamma1"],
-        q_for(fx, target=fx.gammas["gamma1"], t_max=25.0,
-              solver=SolverConfig(store_max_dt=0.01)))))
+        q_for(fx, solver=SolverConfig(t_max=25.0, store_max_dt=0.01)))))
     for fx, gamma, rep in cases:
         assert rep.verdict == FALSIFIED
         assert check_is_solution(fx.system, rep.witness, 1e-3) == []
@@ -279,7 +291,7 @@ def test_restriction_agreement_with_interior_outer_set(cat):
     fx = cat["settle-line"]
     g1 = fx.gammas["origin"]
     ball = inflate(g1, 2.0)
-    q = q_for(fx, target=g1, t_max=40.0, sample_budget=10)
+    q = q_for(fx, solver=SolverConfig(t_max=40.0), sample_budget=10)
     full = check_stability(fx.system, g1, q)
     from hybridkit.composition import restrict
 
@@ -297,9 +309,9 @@ def test_reduction_report_settling_line_stability_bundle(cat):
     # stability bundle correctly reports failed hypotheses
     fx = cat["settle-line"]
     rep = reduction_report(fx.system, fx.gammas["origin"], fx.gammas["gamma2"],
-                           q_for(fx, target=fx.gammas["origin"], t_max=40.0,
-                                 sample_budget=8),
-                           scope="local", r=1.0)
+                           q_for(fx, solver=SolverConfig(t_max=40.0),
+                                 sample_budget=8, near_radius=1.0),
+                           scope="local")
     thm = {t.name: t for t in rep.theorems}
     assert thm["stability"].hypotheses_consistent
     assert thm["stability"].conclusion_consistent
@@ -316,8 +328,8 @@ def test_reduction_report_limit_circles_counterexample(cat):
     # escape crawls at speed ~ delta^2, so the horizon must scale like the
     # reciprocal of the smallest probed delta.
     fx = cat["limit-circles"]
-    q = q_for(fx, target=fx.gammas["gamma1"], t_max=600.0, sample_budget=10,
-              conv_tol=0.05, solver=SolverConfig(store_max_dt=0.05))
+    q = q_for(fx, sample_budget=10, conv_tol=0.05,
+              solver=SolverConfig(t_max=600.0, store_max_dt=0.05))
     rep = reduction_report(fx.system, fx.gammas["gamma1"], fx.gammas["gamma2"],
                            q, scope="global")
     assert rep.sub_reports["relative_stability"].verdict == FALSIFIED
@@ -332,7 +344,7 @@ def test_reduction_report_limit_circles_counterexample(cat):
 def test_recursive_chain_of_one_matches_plain_checks(cat):
     fx = cat["contraction"]
     g = fx.gammas["origin"]
-    q = q_for(fx, target=g, t_max=30.0, sample_budget=8)
+    q = q_for(fx, solver=SolverConfig(t_max=30.0), sample_budget=8)
     rep = recursive_reduction_report(fx.system, [g], q, scope="global")
     assert rep.all_consistent
     plain_s = check_stability(fx.system, g, q)
@@ -344,8 +356,8 @@ def test_recursive_chain_of_one_matches_plain_checks(cat):
 def test_recursive_chain_circles_distinguishes_attractivity_from_as(cat):
     fx = cat["circles"]
     g1, g2 = fx.gammas["gamma1"], fx.gammas["gamma2"]
-    q = q_for(fx, target=g1, t_max=25.0, sample_budget=8,
-              solver=SolverConfig(store_max_dt=0.01))
+    q = q_for(fx, sample_budget=8,
+              solver=SolverConfig(t_max=25.0, store_max_dt=0.01))
     rep = recursive_reduction_report(fx.system, [g1, g2], q, scope="global")
     assert rep.sub_reports["link1_stability_rel_gamma2"].verdict == CONSISTENT
     assert rep.sub_reports["link1_attractivity_rel_gamma2"].verdict == CONSISTENT
@@ -360,7 +372,7 @@ def test_recursive_chain_circles_distinguishes_attractivity_from_as(cat):
 
 def test_chain_nesting_enforced(cat):
     fx = cat["circles"]
-    q = q_for(fx, target=fx.gammas["gamma2"], sample_budget=4)
+    q = q_for(fx, sample_budget=4)
     with pytest.raises(ChainNotNested):
         recursive_reduction_report(fx.system,
                                    [fx.gammas["gamma2"], fx.gammas["gamma1"]],
@@ -375,8 +387,8 @@ def test_detectability_circles_consistent(cat):
     osys = with_output(fx.system, lambda x: np.array([x[0]]))
     rep = detectability_report(
         osys, fx.gammas["gamma1"], fx.gammas["gamma2"],
-        q_for(fx, target=fx.gammas["gamma1"], t_max=25.0, sample_budget=8,
-              solver=SolverConfig(store_max_dt=0.01)))
+        q_for(fx, sample_budget=8,
+              solver=SolverConfig(t_max=25.0, store_max_dt=0.01)))
     assert rep.all_consistent
     assert rep.sound
 
@@ -388,7 +400,7 @@ def test_detectability_trivial_zero_output(cat):
     osys = with_output(fx.system, lambda x: np.array([0.0]))
     rep = detectability_report(
         osys, fx.gammas["origin"], full_space(1),
-        q_for(fx, target=fx.gammas["origin"], t_max=30.0, sample_budget=8))
+        q_for(fx, solver=SolverConfig(t_max=30.0), sample_budget=8))
     assert rep.all_consistent
 
 
@@ -397,8 +409,8 @@ def test_detectability_limit_circles_needs_relative_gas(cat):
     osys = with_output(fx.system, lambda x: np.array([x[2]]))
     rep = detectability_report(
         osys, fx.gammas["gamma1"], fx.gammas["gamma2"],
-        q_for(fx, target=fx.gammas["gamma1"], t_max=600.0, sample_budget=10,
-              conv_tol=0.05, solver=SolverConfig(store_max_dt=0.05)))
+        q_for(fx, sample_budget=10, conv_tol=0.05,
+              solver=SolverConfig(t_max=600.0, store_max_dt=0.05)))
     assert rep.sub_reports["boundedness"].verdict == CONSISTENT
     assert rep.sub_reports["output_convergence"].verdict == CONSISTENT
     assert rep.sub_reports["relative_stability"].verdict == FALSIFIED
@@ -429,6 +441,7 @@ _VACUOUS = {
 def test_campaign_that_solves_no_arc_raises(case):
     sys = HybridSystem(2, _UNIT_BOX, lambda x: -x, empty_set(2), lambda x: x,
                        name="unit-box-decay")
-    q = PropertyQuery(t_max=2.0, sample_budget=4, seed=3, window=Window.cube(2, 1.0))
+    q = PropertyQuery(solver=SolverConfig(t_max=2.0), sample_budget=4, seed=3,
+                      window=Window.cube(2, 1.0))
     with pytest.raises(ConfigError, match="no initial condition in C u D"):
         _VACUOUS[case](sys, q)

@@ -156,7 +156,13 @@ def test_replay_corrupted_csv_fails_cleanly(tmp_path):
     good.write_text(solve(catalog()["circles"].system, x0, SolverConfig(t_max=1.0)).to_csv())
     meta = tmp_path / "meta.json"
     for bad_meta in ({"system": "circles", "termination": "bogus"},
-                     {"system": "circles", "x0": x0, "solver": {"t_max": -1}}):
+                     {"system": "circles", "x0": x0, "solver": {"t_max": -1}},
+                     {"system": "observer", "params": {"foo": 1}},
+                     {"system": "observer"},  # a 4-column arc, dim 7
+                     {"system": "circles", "x0": [1, 2], "solver": {}},
+                     {"system": "circles", "check_tol": math.nan},
+                     {"system": "circles", "check_tol": -1},
+                     {"system": "circles", "check_tol": "abc"}):
         meta.write_text(json.dumps(bad_meta))
         assert run(["replay", "--arc", str(good), "--meta", str(meta)]) == 2
 
@@ -323,38 +329,38 @@ PINNED_RUNS = {
     "stability": (
         ["--system", "circles", "--check", "stability", "--gamma", "gamma1",
          "--budget", "6", "--tmax", "20", "--seed", "9"],
-        "e431abc3b4755382aa270c25715fd14a21691d6c3cd28004a7e9288b5b4f22a5"),
+        "5cef5364dc30b75d43253868c283d80d681c86d61cde4b8e15bf88a7a6c85d20"),
     "attractivity": (
         ["--system", "limit-circles", "--check", "attractivity",
          "--gamma", "x2x3-axis", "--budget", "4", "--tmax", "30", "--seed", "3"],
-        "da70a0e4e8734fb29d39124f5bf4caf779c313955ad09a6fc002ff9b519085d2"),
+        "c28382e05726c7937aae134534d3cd617dbc27ffc735410006fc9989a8568dc8"),
     "local-stability-near": (
         ["--system", "sigma-bump", "--check", "local-stability-near",
          "--gamma", "gamma1", "--gamma2", "gamma2", "--budget", "4",
          "--tmax", "10", "--seed", "5"],
-        "6c67ce1feee5b7b95b2e05ed846ca40dd00683177f6b7948cc61f8240a5abe91"),
+        "884d0bc3d6c94ebd73ccf3496399ff02ba184ed58db5ae2ac2e77925bf64c1b1"),
     "strong-invariance": (
         ["--system", "drift-line", "--check", "strong-invariance",
          "--gamma", "gamma2", "--budget", "4", "--tmax", "5", "--seed", "7"],
-        "246590c0f346043a00a021527ea9ef76c916dc0870aa33890b8d17a2f393ff0f"),
+        "5ac0ba9597afbaa059018283954b4b06f2252d35918e9693ee691e20fb2e961d"),
     "weak-invariance": (  # falsified under both priorities
         ["--config", "DRIFT", "--check", "weak-invariance", "--gamma", "origin",
          "--budget", "4", "--tmax", "2", "--seed", "11"],
-        "da489bd36b22c6605cb90dc63d8bf3f439deb81abd2841e5e8faacfe7273e65a"),
+        "edcbb436b47c7da6ffa991ff4f1051f34cdcd69fc5e9f1ef2d6e4f41b31a638e"),
     "reduction": (
         ["--system", "settle-line", "--check", "reduction", "--gamma", "origin",
          "--gamma2", "gamma2", "--budget", "3", "--tmax", "10", "--eps", "0.5",
          "--delta-shrinks", "2", "--seed", "13"],
-        "1693718985f7932d8ef26c14d2d790a4b8c670df15333fec18f046b3faf344b2"),
+        "ce34d1182ecdffecbcd21c27f32f8ac513759cb63ee3d9cf8527b612eb9981ca"),
     "reduction-global": (
         ["--system", "sigma-bump", "--check", "reduction", "--scope", "global",
          "--budget", "4", "--tmax", "10", "--eps", "0.25,0.5",
          "--delta-shrinks", "2", "--seed", "13"],
-        "d11fabdebabcccf34c88f451f804c517e4b26ef93fe2d95d70cce2f88e4393c1"),
+        "2c1ba89733cdcbb9be845b9d36e5c050450de3c364ce9699d61ae1a389a6b177"),
     "detectability": (
         ["--system", "limit-circles", "--check", "detectability", "--budget", "4",
          "--tmax", "20", "--eps", "0.5", "--delta-shrinks", "2", "--seed", "17"],
-        "09f7f8807a6b2c1be47f3584499e1eaaa1aac032f1c4255edd46eba4b4c1b275"),
+        "99671ab5e87b0fa07710c5ac3d101eca9530c879c2a99b60671142d18b59fac7"),
 }
 
 
@@ -379,10 +385,33 @@ def test_simulate_output_bytes(name, tmp_path):
     assert _dir_digest(out) == digest
 
 
+def _query_blocks(node, queries: list, radii: list):
+    """Collects every ``query`` block of a report, and the near radius of each
+    local-stability-near check in it."""
+    if isinstance(node, dict):
+        if "query" in node:
+            queries.append(node["query"])
+        if node.get("property") == "LocalStabilityNear":
+            radii.append(node["measured"]["r"])
+        for value in node.values():
+            _query_blocks(value, queries, radii)
+    elif isinstance(node, list):
+        for value in node:
+            _query_blocks(value, queries, radii)
+
+
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
 def test_seed_pinned_report_bytes(name, tmp_path):
     args, digest = PINNED_RUNS[name]
     cfg = _inline_config(tmp_path, DRIFT)
     out = tmp_path / "rep"
     run(["analyze", *[cfg if a == "DRIFT" else a for a in args], "--out", str(out)])
+    # a query block holds the campaign's settings, not the property checked,
+    # and the near radius it records is the one the checks used
+    queries, radii = [], []
+    _query_blocks(json.loads((out / "report.json").read_text()), queries, radii)
+    assert queries and len(set(radii)) <= 1
+    for q in queries:
+        assert "property" not in q
+        assert q["near_radius"] == (radii[0] if radii else max(q["eps_grid"]))
     assert _dir_digest(out) == digest
