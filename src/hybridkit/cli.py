@@ -418,9 +418,11 @@ def cmd_replay(args) -> int:
         arc_text = arc_path.read_text(encoding="utf-8")
         meta = json.loads(meta_path.read_text(encoding="utf-8")) \
             if meta_path.exists() else {}
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         print(f"cannot read arc/meta: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not isinstance(meta, dict):
+        raise ConfigError(f"metadata {meta_path} is not a JSON object")
     try:
         arc = HybridArc.from_csv(arc_text, termination=meta.get("termination"))
     except HybridkitError as exc:
@@ -428,7 +430,7 @@ def cmd_replay(args) -> int:
         return EXIT_CONFIG
 
     name = meta.get("system")
-    if name not in catalog():
+    if not isinstance(name, str) or name not in catalog():
         print(f"metadata names no catalog fixture (system {name!r});"
               " nothing to validate the arc against", file=sys.stderr)
         return EXIT_CONFIG
@@ -452,7 +454,10 @@ def cmd_replay(args) -> int:
         gname, g2name = meta.get("gamma"), meta.get("gamma2")
         gamma = _resolve_gamma(fixture, gname, system.dim) if gname else None
         g2 = _resolve_gamma(fixture, g2name, system.dim) if g2name else None
-        reproduced = replay_clause(arc, clause, gamma, g2, output=fixture.output)
+        try:
+            reproduced = replay_clause(arc, clause, gamma, g2, output=fixture.output)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot replay witness clause {clause!r}: {exc}") from exc
         print(f"violation reproduced: {reproduced}")
         if not (ok_solution and reproduced):
             return EXIT_FALSIFIED if ok_solution else EXIT_CONFIG
@@ -462,7 +467,11 @@ def cmd_replay(args) -> int:
     bitwise = None
     if meta.get("x0") is not None and meta.get("solver") is not None:
         scfg = _solver_config(args, {"solver": meta["solver"]}, None)
-        arc2 = solve(system, np.asarray(meta["x0"], dtype=float), scfg)
+        try:
+            x0 = np.asarray(meta["x0"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad x0 {meta['x0']!r} in metadata: {exc}") from exc
+        arc2 = solve(system, x0, scfg)
         bitwise = arc2.to_csv() == arc_text
         print(f"bitwise match after regeneration: {bitwise}")
     if not ok_solution:

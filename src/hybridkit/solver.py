@@ -1,13 +1,15 @@
 """Hybrid solver: event-located flow integration plus jump application.
 
-Flow intervals are integrated by the adaptive Dormand-Prince 5(4) pair with
-its quartic dense output (``_dopri5``).  Its tableau, initial step, RMS error
-norm and step controller are those of Hairer, Norsett & Wanner, *Solving ODEs
-I*, Sec. II.4-II.6, written operation for operation as scipy's ``RK45`` does
-them, so the two produce the same bits (``tests/test_stepper.py`` keeps scipy
-as the oracle).  Everything hybrid -- flow-set exit location, jump
-application, flow/jump priority on C n D, horizons, and the Zeno guard -- is
-implemented here too.  Each accepted step's stored samples are also its exit
+Flow intervals are integrated by Dormand & Prince's explicit 8(5,3) pair with
+its 7th-order dense output (``_dop853``).  Its tableau, initial step, combined
+5th/3rd-order error norm and step controller are those of Hairer, Norsett &
+Wanner, *Solving ODEs I*, Sec. II.4-II.6 and their DOP853 code, written
+operation for operation as scipy's ``DOP853`` does them, so the two produce
+the same bits (``tests/test_stepper.py`` keeps scipy as the oracle).
+Everything hybrid -- flow-set exit location, jump application, flow/jump
+priority on C n D, horizons, and the Zeno guard -- is implemented here too.
+Each step's stored samples are sized by the solution checker's residual
+floor, not by the long 8th-order step (``_sample_times``); they are also its exit
 probes (one batched flow-set membership call per run of up to 16 steps) and
 are kept as one block per step, concatenated once per flow interval; an
 exit is located by bisecting membership on the dense output after the first
@@ -35,7 +37,9 @@ from .errors import (
     InitialConditionOutsideCD,
 )
 
-_MIN_SUBDIV = 6  # stored samples (the exit probes) per step, besides the dt cap
+_MIN_SUBDIV = 6  # fewest stored samples (the exit probes) per step
+_MAX_SUBDIV = 256  # most samples per step that the residual floor may ask for
+_RESIDUAL_FLOOR = 1e-4  # a tenth of the checker's 1e-3 tolerance
 _LOOKAHEAD = 16  # most accepted steps whose probes share one membership call
 
 
@@ -49,11 +53,11 @@ class SolverConfig:
     """Step control, event tolerance, horizons, priority, and Zeno guards.
 
     ``zeno_k`` consecutive flow intervals shorter than ``zeno_dt_min`` trip the
-    Zeno guard.  Stored sample spacing is at most ``store_max_dt`` and at most
-    one sixth of each accepted integrator step, which bounds the
-    finite-difference residual floor seen by the independent solution checker;
-    the stored samples are also the exit probes, so it is the exit-detection grid,
-    tested by one batched membership call per run of up to 16 steps.
+    Zeno guard.  Stored sample spacing is at most ``store_max_dt``, one sixth
+    of each accepted step, and what keeps the independent solution checker's
+    residual, as the step's dense output estimates it, under a tenth of its
+    1e-3 tolerance; the stored samples are the exit-detection grid, tested by
+    one batched membership call per run of up to 16 steps.
     """
 
     t_max: float = 50.0
@@ -110,55 +114,130 @@ class _FlowEnd:
     bracket_gap: float = 0.0
 
 
-# Dormand-Prince 5(4): stage matrix, 5th-order weights, error weights (5th minus
-# 4th order, last entry for the first-same-as-last stage) and Shampine's
-# quartic dense-output coefficients for the optimal c6.  The literals are
-# scipy's, so every coefficient rounds to the same double.
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608,
-     -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933,
-     87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304,
-     -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+def _sparse(shape, rows: dict) -> np.ndarray:
+    out = np.zeros(shape)
+    for i, row in rows.items():
+        out[i, list(row)] = list(row.values())
+    return out
+
+
+# Dormand-Prince 8(5,3) as in Hairer's DOP853: rows 1-11 of the stage matrix
+# give the stages, row 12 the 8th-order weights, rows 13-15 the three extra
+# stages of the 7th-order dense output; _E5/_E3 are the 5th- and 3rd-order
+# error weights and _D the dense-output coefficients of the last 4 powers.
+# The literals are scipy's, so every coefficient rounds to the same double.
+_A = _sparse((16, 16), {
+    1: {0: 5.26001519587677318785587544488e-2},
+    2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    4: {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+        3: 9.24834003261792003115737966543e-1},
+    5: {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+        4: 1.25467687566822425016691814123e-1},
+    6: {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+        4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    7: {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+        4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+        6: 8.27378916381402288758473766002e-3},
+    8: {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+        4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+        6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    9: {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2},
+    10: {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+         4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+         6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+         8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    11: {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+         4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+         6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+         8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+         10: 6.43392746015763530355970484046e-1},
+    12: {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+         6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+         8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+         10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    13: {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+         7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+         9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+         11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    14: {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+         6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+         10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+         12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    15: {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+         6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+         8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+         13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+})
+_B = _A[12, :12]
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1]
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0])
+_D = _sparse((4, 16), {
+    0: {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+        6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+        8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+        10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+        12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+        14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    1: {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+        6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+        8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+        10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+        12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+        14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    2: {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+        6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+        8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+        10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+        12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+        14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    3: {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+        6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+        8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+        10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+        12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+        14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+})
+# third derivatives, at x = 0, 1/4, 1/2, 3/4, 1 (rows), of the 7 polynomials
+# x^ceil((k+1)/2) (1-x)^floor((k+1)/2) that _dense weights by the rows of F
+_D3 = np.array([[0, 0, -6, -12, 6, 6, 0],
+                [0, 0, -6, -6, -2.25, -2.625, -0.4453125],
+                [0, 0, -6, 0, -3, 0, -1.125],
+                [0, 0, -6, 6, 3.75, 2.625, 2.1796875],
+                [0, 0, -6, 12, 18, -6, -6]])
 _SAFETY = 0.9      # multiplies the asymptotically optimal step factor
 _MIN_FACTOR = 0.2  # largest decrease of a rejected step
 _MAX_FACTOR = 10   # largest increase of an accepted step
-_ERROR_EXPONENT = -1 / 5
-_A_ROWS = [_A[s, :s] for s in range(1, 6)]
+_ERROR_EXPONENT = -1 / 8
 _RTOL_MIN = 100 * float(np.finfo(float).eps)
 
 
 class _Step(NamedTuple):
-    """One accepted step from (t_old, y_old) to (t, y).
-
-    ``Q`` holds the dense-output coefficients; it is None for a step of zero
-    length, whose output is the constant ``y``.
-    """
+    """One accepted step from (t_old, y_old) to (t, y), with the 7 rows ``F``
+    of its dense output (None for a step of zero length, whose output is y)."""
 
     t_old: float
     t: float
     y_old: np.ndarray
     y: np.ndarray
-    Q: np.ndarray | None
+    F: np.ndarray | None
+
+
+def _norm(v: np.ndarray):
+    return np.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
 
 
 def _rms(v: np.ndarray):
-    return np.sqrt(v.dot(v)) / v.size ** 0.5
+    return _norm(v) / v.size ** 0.5
 
 
 def _initial_step(flow, y0, f0, interval, max_step, rtol, atol):
@@ -172,13 +251,13 @@ def _initial_step(flow, y0, f0, interval, max_step, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, interval, max_step)
 
 
-def _dopri5(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
+def _dop853(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
             rtol: float, atol: float, max_step: float):
-    """Accepted Dormand-Prince 5(4) steps from (t, y) forward to t_bound >= t.
+    """Accepted DOP853 steps from (t, y) forward to t_bound >= t.
 
     ``flow(y)`` returns the derivative of state ``y``; ``f`` is ``flow(y)``,
     the first stage.  Yields one _Step per accepted step and stops after the
@@ -195,10 +274,11 @@ def _dopri5(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
         yield _Step(t, t, y, y, None)
         return
     h_abs = _initial_step(flow, y, f, abs(t_bound - t), max_step, rtol, atol)
-    K = np.empty((7, y.size))
+    K = np.empty((16, y.size))
     K[0] = f
-    stages = [(K[:s].T, a) for s, a in enumerate(_A_ROWS, start=1)]
-    K_lower, K_all = K[:-1].T, K.T
+    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, 12)]
+    extra = [(s, K[:s].T, _A[s, :s]) for s in range(13, 16)]
+    K_lower, K_all = K[:12].T, K[:13].T
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
@@ -213,12 +293,16 @@ def _dopri5(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            for s, (K_s, a) in enumerate(stages, start=1):
+            for s, K_s, a in stages:
                 K[s] = flow(y + np.dot(K_s, a) * h)
             y_new = y + h * np.dot(K_lower, _B)
-            K[-1] = flow(y_new)
+            K[12] = flow(y_new)
+            # the 5th-order error, damped where the 3rd-order one is small
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(np.dot(K_all, _E) * h / scale)
+            err5 = _norm(np.dot(K_all, _E5) / scale) ** 2
+            err3 = _norm(np.dot(K_all, _E3) / scale) ** 2
+            error = h_abs * err5 / np.sqrt((err5 + 0.01 * err3) * y.size) \
+                if err5 or err3 else 0.0
             if error < 1:
                 if error == 0:
                     factor = _MAX_FACTOR
@@ -230,39 +314,68 @@ def _dopri5(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
-        yield _Step(t, t_new, y, y_new, K_all.dot(_P))
+        for s, K_s, a in extra:
+            K[s] = flow(y + np.dot(K_s, a) * h)
+        F = np.empty((7, y.size))
+        F[0] = y_new - y
+        F[1] = h * K[0] - F[0]
+        F[2] = 2 * F[0] - h * (K[12] + K[0])
+        F[3:] = h * np.dot(_D, K)
+        yield _Step(t, t_new, y, y_new, F)
         if t_new >= t_bound:
             return
         t, y = t_new, y_new
-        K[0] = K[-1]  # first same as last
+        K[0] = K[12]  # first same as last
 
 
 def _dense(step: _Step, t):
     """The step's interpolant at a scalar time, shape (n,), or at a 1-D array
-    of times, shape (n, len(t)).
-
-    The powers of the normalised time are built by the same sequential
-    products as ``np.cumprod``, so the values match scipy's dense output.
-    """
-    if step.Q is None:
-        return step.y if np.ndim(t) == 0 else np.repeat(step.y[:, None], len(t), axis=1)
-    h = step.t - step.t_old
-    x = (t - step.t_old) / h
-    x2 = x * x
-    x3 = x2 * x
-    y = h * np.dot(step.Q, np.array([x, x2, x3, x3 * x]))
-    y += step.y_old[:, None] if y.ndim == 2 else step.y_old
+    of times, shape (len(t), n), by scipy's nested products."""
+    if step.F is None:
+        return step.y if np.ndim(t) == 0 else np.tile(step.y, (len(t), 1))
+    x = (t - step.t_old) / (step.t - step.t_old)
+    if isinstance(x, np.ndarray):
+        x = x[:, None]
+    factors = (x, 1 - x)
+    y = (step.F[6] + 0.0) * x  # scipy adds F[6] to zeros, so -0.0 becomes 0.0
+    for i in range(1, 7):
+        y += step.F[6 - i]
+        y *= factors[i % 2]
+    y += step.y_old
     return y
 
 
 def _grid(a: float, b: float, m: int) -> np.ndarray:
-    """``np.linspace(a, b, m + 1)[1:]``, bit for bit, without its overhead."""
+    """Strictly increasing times in (a, b], 0 <= a < b, ending at b:
+    ``np.linspace(a, b, m + 1)[1:]``, bit for bit, without its overhead, on
+    4m ulps of b or more, else (where linspace can repeat times) min(m, n) of
+    the n doubles in (a, b], spread evenly by index."""
+    if b - a < 4 * m * math.ulp(b):
+        lo, hi = np.array([a, b]).view(np.int64)
+        n = int(hi - lo)  # bits of non-negative doubles order as the doubles
+        k = np.arange(1, min(m, n) + 1)
+        return (lo + k * n // len(k)).view(np.float64)
     k = np.arange(1.0, m + 1)
     step = (b - a) / m
     ts = k / m * (b - a) if step == 0 else k * step
     ts += a
     ts[-1] = b
     return ts
+
+
+def _sample_times(step, b: float, store_max_dt: float) -> np.ndarray:
+    """The times of a step's stored samples, which are also its exit probes,
+    on (t_old, b]: at most ``store_max_dt`` and a sixth of the step apart, and
+    close enough, up to _MAX_SUBDIV samples, that the checker's midpoint
+    residual, about d^2 |x'''| / 12 at spacing d (exactly so for a linear
+    flow), stays under _RESIDUAL_FLOOR for the largest |x'''| of the step's
+    dense output ``F`` at five points."""
+    h, span = step.t - step.t_old, b - step.t_old
+    d3 = _D3 @ step.F  # h^3 x''' at the five points
+    d3_max = math.sqrt(np.max(np.einsum("ij,ij->i", d3, d3)))
+    floor = span / h * math.sqrt(d3_max / (12 * h * _RESIDUAL_FLOOR))
+    m = max(_MIN_SUBDIV, math.ceil(span / store_max_dt), math.ceil(min(_MAX_SUBDIV, floor)))
+    return _grid(step.t_old, b, m)
 
 
 def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfig):
@@ -286,12 +399,9 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
 
     stored: list[tuple[np.ndarray, np.ndarray]] = []  # one (ts, xs) block per step
 
-    def samples(step: _Step, b: float) -> tuple[np.ndarray, np.ndarray]:
-        # spacing tracks the integrator's own step, so the finite-difference
-        # residual floor of the solution checker scales with local dynamics
-        m = max(_MIN_SUBDIV, math.ceil((b - step.t_old) / cfg.store_max_dt))
-        ts = _grid(step.t_old, b, m)
-        return ts, _dense(step, ts).T
+    def samples(step: _Step, b: float):
+        ts = _sample_times(step, b, cfg.store_max_dt)
+        return ts, _dense(step, ts)
 
     def segment_end(reason: str, gap: float = 0.0):
         if not stored:  # a start at t_max, or an exit before the first sample
@@ -299,7 +409,7 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
         ts, xs = (np.concatenate(blocks) for blocks in zip(*stored))
         return ts, xs, _FlowEnd(reason, float(ts[-1]), xs[-1], gap)
 
-    steps = _dopri5(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
+    steps = _dop853(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
                     cfg.effective_max_step)
     run_len = 1
     while True:

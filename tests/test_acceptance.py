@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import assert_same_text
 
 from hybridkit.analysis import (
     CONSISTENT,
@@ -301,7 +302,7 @@ def test_criterion_6_solver_oracles(cat):
     # byte-for-byte determinism across reruns
     again = solve(fx.system, [1.0, 0.0, 1.0, 1.0],
                   SolverConfig(t_max=10.0, store_max_dt=0.01))
-    assert again.to_csv() == arc_c.to_csv()
+    assert_same_text(again.to_csv(), arc_c.to_csv())
     _report(6, True,
             f"LTI error {worst:.1e}, amplitude drift {drift:.1e}, halving "
             f"exact, reruns byte-identical")

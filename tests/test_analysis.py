@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import assert_same_text
 
 from hybridkit.analysis import (
     CONSISTENT,
@@ -92,7 +93,7 @@ def test_reports_are_seed_deterministic(cat):
     r1 = check_stability(fx.system, g1, q)
     r2 = check_stability(fx.system, g1, q)
     assert r1.to_json_dict() == r2.to_json_dict()
-    assert r1.witness.to_csv() == r2.witness.to_csv()
+    assert_same_text(r1.witness.to_csv(), r2.witness.to_csv())
 
 
 def test_campaign_solves_to_the_solver_horizon(cat):

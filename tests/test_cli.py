@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_same_text
 
 import hybridkit
 from hybridkit.cli import _resolve_gamma, main
@@ -162,9 +163,15 @@ def test_replay_corrupted_csv_fails_cleanly(tmp_path):
                      {"system": "circles", "x0": [1, 2], "solver": {}},
                      {"system": "circles", "check_tol": math.nan},
                      {"system": "circles", "check_tol": -1},
-                     {"system": "circles", "check_tol": "abc"}):
+                     {"system": "circles", "check_tol": "abc"},
+                     {"system": "circles", "clause": {"type": "bogus"}},
+                     {"system": ["circles"]},
+                     {"system": "circles", "x0": ["a"], "solver": {}},
+                     ["circles"]):
         meta.write_text(json.dumps(bad_meta))
         assert run(["replay", "--arc", str(good), "--meta", str(meta)]) == 2
+    meta.write_text('{"system": "circles"')  # not JSON
+    assert run(["replay", "--arc", str(good), "--meta", str(meta)]) == 2
 
 
 def test_replay_resolves_witness_target_like_analyze(tmp_path, capsys):
@@ -206,9 +213,9 @@ def test_seed_determines_reports_byte_for_byte(tmp_path):
             "--seed", "9"]
     assert run(args + ["--out", str(a)]) == 1
     assert run(args + ["--out", str(b)]) == 1
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-    assert (a / "witness_stability.csv").read_bytes() == \
-        (b / "witness_stability.csv").read_bytes()
+    assert_same_text((a / "report.json").read_bytes(), (b / "report.json").read_bytes())
+    assert_same_text((a / "witness_stability.csv").read_bytes(),
+                     (b / "witness_stability.csv").read_bytes())
 
 
 def test_inline_config_system(tmp_path):
@@ -329,11 +336,11 @@ PINNED_RUNS = {
     "stability": (
         ["--system", "circles", "--check", "stability", "--gamma", "gamma1",
          "--budget", "6", "--tmax", "20", "--seed", "9"],
-        "5cef5364dc30b75d43253868c283d80d681c86d61cde4b8e15bf88a7a6c85d20"),
+        "5eca6059c785bc0309e80638a73363f94ea0549f0ee161690efd34aeb29fb9df"),
     "attractivity": (
         ["--system", "limit-circles", "--check", "attractivity",
          "--gamma", "x2x3-axis", "--budget", "4", "--tmax", "30", "--seed", "3"],
-        "c28382e05726c7937aae134534d3cd617dbc27ffc735410006fc9989a8568dc8"),
+        "3c92d80da2979e7102a09f703eef5ae4c3371d4d87248cde9d39d4348a605525"),
     "local-stability-near": (
         ["--system", "sigma-bump", "--check", "local-stability-near",
          "--gamma", "gamma1", "--gamma2", "gamma2", "--budget", "4",
@@ -346,21 +353,21 @@ PINNED_RUNS = {
     "weak-invariance": (  # falsified under both priorities
         ["--config", "DRIFT", "--check", "weak-invariance", "--gamma", "origin",
          "--budget", "4", "--tmax", "2", "--seed", "11"],
-        "edcbb436b47c7da6ffa991ff4f1051f34cdcd69fc5e9f1ef2d6e4f41b31a638e"),
+        "08230653c9f11de34880d22fe84d6660e46d504401aad6e61cda648d54a6479a"),
     "reduction": (
         ["--system", "settle-line", "--check", "reduction", "--gamma", "origin",
          "--gamma2", "gamma2", "--budget", "3", "--tmax", "10", "--eps", "0.5",
          "--delta-shrinks", "2", "--seed", "13"],
-        "ce34d1182ecdffecbcd21c27f32f8ac513759cb63ee3d9cf8527b612eb9981ca"),
+        "bddd790e5acd8a5eb3a2f3edfdbb23aca86101ef79dc200717bfe34bf5430465"),
     "reduction-global": (
         ["--system", "sigma-bump", "--check", "reduction", "--scope", "global",
          "--budget", "4", "--tmax", "10", "--eps", "0.25,0.5",
          "--delta-shrinks", "2", "--seed", "13"],
-        "2c1ba89733cdcbb9be845b9d36e5c050450de3c364ce9699d61ae1a389a6b177"),
+        "33063650ef8ed14c25664dc9e517cba2835ae8a63dd944a38c3d7e6bb7377999"),
     "detectability": (
         ["--system", "limit-circles", "--check", "detectability", "--budget", "4",
          "--tmax", "20", "--eps", "0.5", "--delta-shrinks", "2", "--seed", "17"],
-        "99671ab5e87b0fa07710c5ac3d101eca9530c879c2a99b60671142d18b59fac7"),
+        "bef1b6c8cd02c1b38ca2f742e67feef10824cca0f0da6658e59ef99d522dad19"),
 }
 
 
@@ -370,10 +377,10 @@ PINNED_SIMULATE = {
     "observer-fig3": (
         ["--system", "observer", "--preset", "fig3", "--tmax", "3",
          "--tracks", "y,q,T,chihat"],
-        "3faa1ed6f842f884886bd82310a6116d9bd1bba97f5b156b166ea4324007c276"),
+        "80fd20e8ede51c57e8eb88a0084bb5ab36e1df898543dcbd894cfacfa1b762c5"),
     "circles": (
         ["--system", "circles"],
-        "c9215fae689c76c087f596f1dc17578ce7c356661a39618ffed2fc46429f75ee"),
+        "e108316ef91481e6de0c98f8ddb63ea0c7b8baad45e0b355af25deeae2f12a3a"),
 }
 
 

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import assert_same_text
 
 from hybridkit.core import (
     HybridArc,
@@ -154,7 +155,7 @@ def test_csv_round_trip_and_column_order():
     header = text.splitlines()[0]
     assert header == "t,j,x_1,x_2,event"
     back = HybridArc.from_csv(text, termination=arc.termination)
-    assert back.to_csv() == text
+    assert_same_text(back.to_csv(), text)
     assert back.termination == arc.termination
 
 
@@ -164,7 +165,7 @@ def test_json_round_trip():
                     [np.array([[1.0], [1.0]]), np.array([[0.5], [0.5]])],
                     Termination.COMPLETE_T, meta={"note": "x"})
     back = HybridArc.from_json(arc.to_json())
-    assert back.to_csv() == arc.to_csv()
+    assert_same_text(back.to_csv(), arc.to_csv())
     assert back.termination == arc.termination
 
 
@@ -193,9 +194,10 @@ def test_preset_arc_files_round_trip_byte_for_byte(cat, name, preset):
     fx = cat[name]
     arc = solve(fx.system, fx.presets[preset], SolverConfig(**fx.solver_overrides))
     text, payload = arc.to_csv(), arc.to_json()
-    assert HybridArc.from_csv(text, termination=arc.termination).to_csv() == text
+    assert_same_text(HybridArc.from_csv(text, termination=arc.termination).to_csv(), text)
     back = HybridArc.from_json(payload)
-    assert back.to_csv() == text and back.to_json() == payload
+    assert_same_text(back.to_csv(), text)
+    assert_same_text(back.to_json(), payload)
 
 
 def test_arc_wide_reductions_take_one_call(cat, monkeypatch):
@@ -227,3 +229,11 @@ def test_malformed_csv_raises():
             HybridArc.from_csv(text)
     with pytest.raises(MalformedArc, match="bogus"):
         HybridArc.from_csv("t,j,x_1,event\n0,0,1,flow\n", termination="bogus")
+
+
+def test_same_text_failures_name_the_first_differing_line():
+    assert_same_text("a\nb\n", "a\nb\n")
+    with pytest.raises(AssertionError, match=r"line 2: 'b' != 'c'"):
+        assert_same_text("a\nb\n", "a\nc\n")
+    with pytest.raises(AssertionError, match=r"\(4, '[0-9a-f]{64}'\) != \(2, "):
+        assert_same_text(b"a\nb\n", b"a\n")
