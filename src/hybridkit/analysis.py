@@ -27,6 +27,9 @@ from .solver import Priority, SolverConfig, solve
 
 _MAX_DRAW_TRIES = 80
 
+#: points of each nested set checked to lie in the next one of a chain
+_NESTING_SAMPLES = 64
+
 #: how far an arc started on a set may stray from it and still count as
 #: staying (forward invariance)
 _INV_TOL = 1e-6
@@ -39,9 +42,11 @@ CONSISTENT = "ConsistentAtBudget"
 class PropertyQuery:
     """Where to sample, at which budgets, and how to solve.  The horizon is
     ``solver.t_max`` and ``solver.j_max``; which property is checked, and
-    of which sets, is the checker's to say."""
+    of which sets, is the checker's to say.  Draws come from ``sampler``,
+    else from the sampled set's own sampler, else (global checks only) the
+    system's, else ``window``; a check near a set rejects any draw, bar the
+    set's own, that lies farther than the check's delta from it."""
 
-    near: ClosedSet | None = None
     near_radius: float | None = None
     eps_grid: tuple[float, ...] = (0.25, 0.5, 1.0)
     sample_budget: int = 50
@@ -159,52 +164,44 @@ def _require_distance(gamma: ClosedSet):
         )
 
 
-def _draw_initial(
-    sys: HybridSystem,
-    rng: np.random.Generator,
-    *,
-    near: ClosedSet | None = None,
-    delta: float = 0.0,
-    window: Window | None = None,
-    project: Callable | None = None,
-    sampler: Callable | None = None,
-    tol: float = 1e-9,
-) -> np.ndarray | None:
-    """One initial condition in (B_delta(near) if near else region) n (C u D)."""
+def _draw_initial(sys: HybridSystem, rng: np.random.Generator,
+                  query: PropertyQuery, near: ClosedSet | None = None,
+                  delta: float = 0.0,
+                  project: Callable | None = None) -> np.ndarray | None:
+    """One initial condition in B_delta(near) n (C u D), or in the query's
+    region n (C u D) when ``near`` is None; None after _MAX_DRAW_TRIES
+    rejected draws.  The source is ``query.sampler``, else ``near``'s own
+    sampler, else ``sys.state_sampler`` (global draws only), else
+    ``query.window``.  A draw ``near``'s sampler did not produce is rejected
+    when farther than delta from ``near``, and so is a projected draw."""
+    own = query.sampler is None and near is not None and near.can_sample
+    # outside B_delta(near), up to rounding; never without a near set
+    beyond = lambda x: near is not None and float(near.distance(x)) > delta + 1e-9
     for _ in range(_MAX_DRAW_TRIES):
-        if sampler is not None:
-            x = np.asarray(sampler(rng, 1), dtype=float).reshape(-1)
-        elif near is not None and near.can_sample:
-            if delta > 0:
-                x = near.sample_near(rng, 1, delta, window,
-                                     frozen=sys.discrete_coords)[0]
-            else:
-                x = near.sample(rng, 1, window)[0]
-        elif window is not None:
-            x = window.uniform(rng, 1)[0]
-            if near is not None and float(near.distance(x)) > delta:
-                continue
+        if query.sampler is not None:
+            x = np.asarray(query.sampler(rng, 1), dtype=float).reshape(-1)
+        elif own and delta > 0:
+            x = near.sample_near(rng, 1, delta, query.window,
+                                 frozen=sys.discrete_coords)[0]
+        elif own:
+            x = near.sample(rng, 1, query.window)[0]
+        elif near is None and sys.state_sampler is not None:
+            x = np.asarray(sys.state_sampler(rng, 1), dtype=float).reshape(-1)
+        elif query.window is not None:
+            x = query.window.uniform(rng, 1)[0]
         else:
             raise ValueError("no sampling region: need a sampler, a samplable "
                              "set, or a window")
+        if not own and beyond(x):
+            continue
         if project is not None:
             x = np.asarray(project(x), dtype=float).reshape(-1)
-            if near is not None and float(near.distance(x)) > delta + 1e-9:
+            if beyond(x):
                 continue
-        if not bool(sys.in_cd(x, tol)):
+        if not bool(sys.in_cd(x, query.solver.tol_set)):
             continue
         return x
     return None
-
-
-def _region_sampler(sys: HybridSystem, query: PropertyQuery):
-    """Sampler for 'global at budget' draws: explicit override, then the
-    system's own sampler, then uniform-window rejection."""
-    if query.sampler is not None:
-        return dict(sampler=query.sampler)
-    if sys.state_sampler is not None:
-        return dict(sampler=sys.state_sampler)
-    return dict(window=query.window)
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +211,24 @@ def _region_sampler(sys: HybridSystem, query: PropertyQuery):
 
 def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
               judge: Callable, key: tuple = (), *,
-              alt: SolverConfig | None = None, **draw):
+              alt: SolverConfig | None = None, near: ClosedSet | None = None,
+              delta: float = 0.0, project: Callable | None = None):
     """The one sampling loop of every checker.
 
-    For each index ``i < sample_budget`` it draws an initial condition from
-    the generator keyed ``(seed, tag, *key, i)``, solves, hands the arc to
-    ``query.arc_hook`` and asks ``judge(arc)`` for None or a ``(witness,
-    clause)`` pair.  An arc the judge rejects is solved again under ``alt``
-    when given, and judged again.  Stops at the first violation and returns
-    ``(initial conditions solved, witness, clause)``; raises ConfigError when
-    no draw landed in C u D, so that no verdict rests on zero arcs.
+    For each index ``i < sample_budget`` it draws an initial condition, in
+    B_delta(near) when ``near`` is given, with the generator keyed ``(seed,
+    tag, *key, i)``, solves, hands the arc to ``query.arc_hook`` and asks
+    ``judge(arc)`` for None or a ``(witness, clause)`` pair.  An arc the
+    judge rejects is solved again under ``alt`` when given, and judged
+    again.  Stops at the first violation and returns ``(initial conditions
+    solved, witness, clause)``; raises ConfigError when no draw landed in
+    C u D, so that no verdict rests on zero arcs.
     """
     cfg = query.solver
     n_solved = 0
     for i in range(query.sample_budget):
-        x0 = _draw_initial(sys, _rng(query.seed, tag, *key, i),
-                           tol=cfg.tol_set, **draw)
+        x0 = _draw_initial(sys, _rng(query.seed, tag, *key, i), query,
+                           near, delta, project)
         if x0 is None:
             continue
         n_solved += 1
@@ -243,10 +242,14 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
         else:
             return n_solved, *bad
     if not n_solved:
+        where, why = "", ""
+        if near is not None:
+            where = f" within delta = {delta:g} of '{near.name}'"
+            why = " (draws farther from it are rejected, a sampler's too)"
         raise ConfigError(
             f"campaign {tag!r}{list(key) if key else ''} on '{sys.name}' drew "
-            f"no initial condition in C u D in {query.sample_budget} draws; "
-            "provide a sampler or a wider window")
+            f"no initial condition in C u D{where} in {query.sample_budget} "
+            f"draws{why}; provide a sampler or a wider window")
     return n_solved, None, None
 
 
@@ -263,8 +266,7 @@ def _eps_delta(sys: HybridSystem, near: ClosedSet, query: PropertyQuery,
             delta = eps * 2.0 ** (-k)
             _, witness, clause = _campaign(
                 sys, query, tag, lambda arc: escape(arc, eps, delta), (ei, k),
-                near=near, delta=delta, window=query.window, project=project,
-                sampler=query.sampler)
+                near=near, delta=delta, project=project)
             if witness is None:
                 delta_for_eps[eps] = delta
                 break
@@ -341,13 +343,15 @@ def _arc_converges(arc: HybridArc, gamma: ClosedSet, conv_tol: float,
 
 
 def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery,
-                       project: Callable | None = None) -> AnalysisReport:
+                       project: Callable | None = None,
+                       near: ClosedSet | None = None) -> AnalysisReport:
     """Attractivity at budget: every sampled arc must be bounded and, when
     judged at the horizon, end within conv_tol of the target.
 
-    The sampling region decides the flavor: query.near (within query.radius)
-    tests the local notion, otherwise the window/state sampler stands in for
-    'global at budget'.
+    ``near`` decides the flavor: given, every draw lies within query.radius
+    of it (LocalAttractivityNear: the target attracts near ``near``); else
+    query.sampler, the system's sampler or the window stands in for 'global
+    at budget' (GlobalAttractivity).
     """
     _require_distance(gamma)
     bound_radius = query.effective_bound_radius()
@@ -366,17 +370,12 @@ def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery
             measured["n_vacuous"] += 1
         return None
 
-    local = query.near is not None
-    if local:
-        draw = dict(near=query.near, delta=query.radius,
-                    window=query.window, sampler=query.sampler)
-    else:
-        draw = _region_sampler(sys, query)
     measured["n_total"], witness, clause = _campaign(
-        sys, query, "attr", judge, project=project, **draw)
+        sys, query, "attr", judge, near=near, delta=query.radius,
+        project=project)
     measured["pass_fraction"] = (
         (measured["n_pass"] + measured["n_vacuous"]) / measured["n_total"])
-    prop = "LocalAttractivityNear" if local else "GlobalAttractivity"
+    prop = "GlobalAttractivity" if near is None else "LocalAttractivityNear"
     return _report(prop, sys, query, measured, witness, clause, target=gamma)
 
 
@@ -452,8 +451,7 @@ def check_invariance(sys: HybridSystem, gamma: ClosedSet, mode: str,
         return None
 
     measured["n_total"], witness, clause = _campaign(
-        sys, query, "inv", judge, alt=alt, near=gamma, delta=0.0,
-        window=query.window, sampler=query.sampler)
+        sys, query, "inv", judge, alt=alt, near=gamma)
     if clause is not None:
         measured["max_excursion"] = max(measured["max_excursion"],
                                         clause["excursion"])
@@ -478,7 +476,7 @@ def check_boundedness(sys: HybridSystem, query: PropertyQuery) -> AnalysisReport
         return None
 
     measured["n_total"], witness, clause = _campaign(
-        sys, query, "bnd", judge, **_region_sampler(sys, query))
+        sys, query, "bnd", judge)
     return _report("Boundedness", sys, query, measured, witness, clause)
 
 
@@ -498,7 +496,7 @@ def check_output_convergence(osys: OutputSystem, query: PropertyQuery) -> Analys
         return None
 
     measured["n_total"], witness, clause = _campaign(
-        sys, query, "out", judge, **_region_sampler(sys, query))
+        sys, query, "out", judge)
     return _report("OutputConvergence", sys, query, measured, witness, clause)
 
 
@@ -523,13 +521,13 @@ def _relative_reports(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
             and query.window is not None:
         w = query.window
         amb_sampler = lambda rng, n: np.atleast_2d(g2.project(w.uniform(rng, n)))
-    sub = query.child(tag, near=None, sampler=None)
+    sub = query.child(tag, sampler=None)
     stab = check_stability(rsys, g1, sub, project=project)
     if scope == "global":
-        attr_q = sub.replace(sampler=amb_sampler)
+        attr = check_attractivity(rsys, g1, sub.replace(sampler=amb_sampler),
+                                  project=project)
     else:
-        attr_q = sub.replace(near=g1)
-    attr = check_attractivity(rsys, g1, attr_q, project=project)
+        attr = check_attractivity(rsys, g1, sub, project=project, near=g1)
     return {"stability": stab, "attractivity": attr}
 
 
@@ -574,11 +572,6 @@ class ReductionReport:
     def sound(self) -> bool:
         return all(t.sound for t in self.theorems)
 
-    def reports(self) -> dict[str, AnalysisReport]:
-        out = dict(self.sub_reports)
-        out.update({f"conclusion_{k}": v for k, v in self.conclusions.items()})
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "schema_version": 1,
@@ -613,7 +606,8 @@ def _conclusions(sys: HybridSystem, g1: ClosedSet, query: PropertyQuery,
     return {
         "stability": check_stability(sys, g1, query.child("conc-s")),
         "attractivity": check_attractivity(
-            sys, g1, query.child("conc-a", near=None if scope == "global" else g1)),
+            sys, g1, query.child("conc-a"),
+            near=None if scope == "global" else g1),
     }
 
 
@@ -633,10 +627,10 @@ def reduction_report(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
         sys, g1, g2, query.radius, query.child("lsn-seed"))
     if scope == "local":
         sub["local_attractivity_near"] = check_attractivity(
-            sys, g2, query.child("lan-seed", near=g1))
+            sys, g2, query.child("lan-seed"), near=g1)
     else:
         sub["global_attractivity_gamma2"] = check_attractivity(
-            sys, g2, query.child("ga2-seed", near=None))
+            sys, g2, query.child("ga2-seed"))
         sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
     conclusions = _conclusions(sys, g1, query, scope)
 
@@ -666,8 +660,7 @@ def reduction_report(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
 
 
 def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
-                               query: PropertyQuery, scope: str = "local",
-                               nesting_samples: int = 64) -> ReductionReport:
+                               query: PropertyQuery, scope: str = "local") -> ReductionReport:
     """Chain reduction: pairwise relative (G)AS along nested targets, plus
     boundedness at global scope, against the conclusion on the innermost set."""
     if scope not in ("local", "global"):
@@ -679,7 +672,7 @@ def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
     for i in range(len(chain) - 1):
         if not chain[i].can_sample:
             continue
-        pts = chain[i].sample(rng, nesting_samples, query.window)
+        pts = chain[i].sample(rng, _NESTING_SAMPLES, query.window)
         ok = np.asarray(chain[i + 1].member(pts, 1e-6), dtype=bool)
         if not ok.all():
             bad = pts[~ok][0]
@@ -726,7 +719,7 @@ def detectability_report(osys: OutputSystem, g1: ClosedSet,
     sub["relative_attractivity"] = rel["attractivity"]
     conclusions = {
         "global_attractivity": check_attractivity(
-            sys, g1, query.child("det-c", near=None)),
+            sys, g1, query.child("det-c")),
     }
     theorems = [_theorem("detectability_attractivity", dict(sub), dict(conclusions))]
     return ReductionReport("global", sub, conclusions, theorems,

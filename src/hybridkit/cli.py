@@ -340,70 +340,62 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad analysis query: {exc}") from exc
 
-    reports: dict[str, AnalysisReport | ReductionReport] = {}
     if args.reduce_chain:
         names = args.reduce_chain.split(",")
         chain = [_resolve_gamma(fixture, n, system.dim) for n in names]
-        reports["reduction"] = recursive_reduction_report(
-            system, chain, query, scope=args.scope)
+        name, rep = "reduction", recursive_reduction_report(
+            system, chain, query, scope=args.scope or "local")
     elif args.check == "reduction":
         g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
         g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-        reports["reduction"] = reduction_report(system, g1, g2, query,
-                                                scope=args.scope)
+        name, rep = "reduction", reduction_report(system, g1, g2, query,
+                                                  scope=args.scope or "local")
     elif args.check == "detectability":
         if fixture is None or fixture.output is None:
             raise ConfigError("detectability needs a fixture with an output map")
         g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
         g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-        reports["detectability"] = detectability_report(
+        name, rep = "detectability", detectability_report(
             with_output(system, fixture.output), g1, g2, query)
     else:
         gamma = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
         if args.check == "stability":
-            reports["stability"] = check_stability(system, gamma, query)
+            name, rep = "stability", check_stability(system, gamma, query)
         elif args.check == "attractivity":
-            reports["attractivity"] = check_attractivity(system, gamma, query)
+            name, rep = "attractivity", check_attractivity(
+                system, gamma, query, near=gamma if args.scope == "local" else None)
         elif args.check == "local-stability-near":
             g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-            reports["local_stability_near"] = check_local_stability_near(
+            name, rep = "local_stability_near", check_local_stability_near(
                 system, gamma, g2, query.radius, query)
         elif args.check in ("strong-invariance", "weak-invariance"):
             mode = "strong" if args.check.startswith("strong") else "weak"
-            reports["invariance"] = check_invariance(system, gamma, mode, query)
+            name, rep = "invariance", check_invariance(system, gamma, mode, query)
         else:
             raise ConfigError(f"unknown check {args.check!r}")
 
-    any_falsified = False
-    summary_lines = []
-    payload: dict = {"schema_version": REPORT_SCHEMA_VERSION, "reports": {}}
-    for name, rep in reports.items():
-        if isinstance(rep, ReductionReport):
-            d = rep.to_json_dict()
-            for sub_name, sub in rep.reports().items():
-                wpath = _save_witness(sub, out, f"{name}_{sub_name}", meta_extra)
+    d = rep.to_json_dict()
+    if isinstance(rep, ReductionReport):
+        for section, prefix in (("sub_reports", ""), ("conclusions", "conclusion_")):
+            for sub_name, sub in getattr(rep, section).items():
+                wpath = _save_witness(sub, out, f"{name}_{prefix}{sub_name}",
+                                      meta_extra)
                 if wpath:
-                    section = ("conclusions" if sub_name.startswith("conclusion_")
-                               else "sub_reports")
-                    short = sub_name.removeprefix("conclusion_")
-                    d[section][short]["witness_path"] = wpath
-            payload["reports"][name] = d
-            any_falsified |= not rep.all_consistent
-        else:
-            d = rep.to_json_dict()
-            wpath = _save_witness(rep, out, name, meta_extra)
-            if wpath:
-                d["witness_path"] = wpath
-            payload["reports"][name] = d
-            any_falsified |= not rep.consistent
-        summary_lines.append(summarize(rep))
+                    d[section][sub_name]["witness_path"] = wpath
+        falsified = not rep.all_consistent
+    else:
+        wpath = _save_witness(rep, out, name, meta_extra)
+        if wpath:
+            d["witness_path"] = wpath
+        falsified = not rep.consistent
 
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, "reports": {name: d}}
     _write(out / "report.json", json.dumps(payload, indent=1))
-    summary = "\n\n".join(summary_lines) + "\n"
+    summary = summarize(rep) + "\n"
     _write(out / "summary.txt", summary)
     print(summary, end="")
     print(f"wrote {out}/report.json")
-    return EXIT_FALSIFIED if any_falsified else EXIT_OK
+    return EXIT_FALSIFIED if falsified else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--system", default=None, help="fixture name")
         p.add_argument("--param", action="append", default=None,
                        metavar="KEY=VALUE", help="fixture parameter override")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
         p.add_argument("--tmax", type=float, default=None)
         p.add_argument("--jmax", type=int, default=None)
 
@@ -528,6 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None, help="named initial condition")
     p.add_argument("--tracks", default=None,
                    help="comma list (observer: y,q,T,chihat) to emit plot panels")
+    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("analyze", help="run property checks or reduction reports")
@@ -540,7 +531,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma2", default=None, help="outer set name")
     p.add_argument("--reduce-chain", default=None,
                    help="comma list of nested target names (innermost first)")
-    p.add_argument("--scope", choices=("local", "global"), default="local")
+    p.add_argument("--scope", choices=("local", "global"), default=None,
+                   help="attractivity: local draws within --r of the target, "
+                        "global (default) from the window or system sampler; "
+                        "reductions and chains: which theorem (default "
+                        "local); other checks: ignored")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--box", default=None,
                    help="'preset' or lo:hi,lo:hi,... sampling window")
     p.add_argument("--budget", type=int, default=50)

@@ -16,18 +16,18 @@ from .geometry import ClosedSet, inflate, intersect
 RESTRICTION_BAND = 1e-6
 
 
-def restrict(sys: HybridSystem, gamma: ClosedSet, band: float = RESTRICTION_BAND) -> HybridSystem:
+def restrict(sys: HybridSystem, gamma: ClosedSet) -> HybridSystem:
     """Restriction to a closed set: (C n Gamma, F, D n Gamma, G).
 
-    The intersection is represented numerically as C n {dist_Gamma <= band};
-    the composite distances are lower bounds, so analyses on restricted
-    systems measure against the original sets, never these.
+    The intersection is represented numerically as C n {dist_Gamma <=
+    RESTRICTION_BAND}; the composite distances are lower bounds, so analyses
+    on restricted systems measure against the original sets, never these.
     """
     if gamma.dim != sys.dim:
         raise DimensionMismatch(
             f"restriction set has dim {gamma.dim}, system has dim {sys.dim}"
         )
-    band_set = inflate(gamma, band)
+    band_set = inflate(gamma, RESTRICTION_BAND)
     band_set.name = f"band[{gamma.name}]"
     return HybridSystem(
         dim=sys.dim,

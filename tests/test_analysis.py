@@ -191,6 +191,51 @@ def test_containment_makes_near_check_trivial(cat):
     assert rep.verdict == CONSISTENT
 
 
+# -- where a campaign draws --------------------------------------------------
+
+
+_CONTRACTION_ORIGIN_CHECKS = {
+    "stability": lambda fx, q: check_stability(fx.system, fx.gammas["origin"], q),
+    "strong_invariance": lambda fx, q: check_invariance(
+        fx.system, fx.gammas["origin"], "strong", q),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONTRACTION_ORIGIN_CHECKS))
+def test_query_sampler_cannot_leave_the_delta_ball(cat, case):
+    fx = cat["contraction"]
+    far = q_for(fx, solver=SolverConfig(t_max=5.0),
+                sampler=lambda rng, n: np.full((n, 1), 5.0))
+    with pytest.raises(ConfigError, match="no initial condition in C u D "
+                       r"within delta = \S+ of 'origin'"):
+        _CONTRACTION_ORIGIN_CHECKS[case](fx, far)
+
+
+def test_query_sampler_inside_the_delta_ball_is_used(cat):
+    fx = cat["contraction"]
+    x0s = []
+    near = q_for(fx, solver=SolverConfig(t_max=5.0),
+                 sampler=lambda rng, n: rng.uniform(-0.01, 0.01, (n, 1)),
+                 arc_hook=lambda sys, arc: x0s.append(arc.meta["x0"][0]))
+    rep = check_stability(fx.system, fx.gammas["origin"], near)
+    assert rep.verdict == CONSISTENT
+    assert x0s and all(abs(x) <= 0.01 for x in x0s)
+
+
+def test_local_attractivity_with_a_sampler_draws_near_the_set(cat):
+    fx = cat["sigma-bump"]
+    origin = fx.gammas["origin"]
+    x0s = []
+    q = q_for(fx, near_radius=0.1, solver=SolverConfig(t_max=2.0),
+              sampler=lambda rng, n: fx.window.uniform(rng, n),
+              arc_hook=lambda sys, arc: x0s.append(arc.meta["x0"]))
+    rep = check_attractivity(fx.system, origin, q, near=origin)
+    assert rep.prop == "LocalAttractivityNear"
+    assert x0s and all(float(origin.distance(np.array(x))) <= 0.1 for x in x0s)
+    glob = check_attractivity(fx.system, origin, q)
+    assert glob.prop == "GlobalAttractivity"
+
+
 # -- invariance --------------------------------------------------------------
 
 

@@ -98,6 +98,18 @@ def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--system", "circles", "--seed", "3"],  # the solve has no seed
+    ["analyze", "--system", "circles", "--format", "csv"],  # writes every format
+])
+def test_flags_a_command_does_not_use_are_rejected(args, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_solver_values_are_configuration_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"system": "circles", "solver": {"rtol": NaN}}')
@@ -132,6 +144,20 @@ def test_analyze_falsified_exit_one_with_witness(tmp_path):
     assert rep["verdict"] == "Falsified"
     assert (tmp_path / "rep" / "witness_attractivity.csv").exists()
     assert rep["witness_path"] == "witness_attractivity.csv"
+
+
+def test_local_attractivity_draws_within_the_near_radius(tmp_path):
+    out = tmp_path / "rep"
+    code = run(["analyze", "--system", "sigma-bump", "--check", "attractivity",
+                "--gamma", "origin", "--scope", "local", "--r", "0.1",
+                "--budget", "4", "--tmax", "2", "--seed", "3", "--out", str(out)])
+    assert code == 1
+    rep = json.loads((out / "report.json").read_text())["reports"]["attractivity"]
+    assert rep["property"] == "LocalAttractivityNear"
+    assert rep["query"]["near_radius"] == 0.1
+    assert rep["witness_path"] == "witness_attractivity.csv"
+    origin = catalog()["sigma-bump"].gammas["origin"]
+    assert float(origin.distance(np.array(rep["witness_clause"]["x0"]))) <= 0.1
 
 
 def test_replay_witness_reproduces(tmp_path):
@@ -364,6 +390,11 @@ PINNED_RUNS = {
          "--budget", "4", "--tmax", "10", "--eps", "0.25,0.5",
          "--delta-shrinks", "2", "--seed", "13"],
         "33063650ef8ed14c25664dc9e517cba2835ae8a63dd944a38c3d7e6bb7377999"),
+    "attractivity-local": (
+        ["--system", "sigma-bump", "--check", "attractivity", "--gamma", "origin",
+         "--scope", "local", "--eps", "0.1", "--budget", "4", "--tmax", "2",
+         "--seed", "3"],
+        "83fd7bc093735d3fbc604552844a958d081e32f6b3bb5cb43841fbe9fec50d92"),
     "detectability": (
         ["--system", "limit-circles", "--check", "detectability", "--budget", "4",
          "--tmax", "20", "--eps", "0.5", "--delta-shrinks", "2", "--seed", "17"],
