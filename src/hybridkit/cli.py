@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -47,6 +48,16 @@ EXIT_SOLVER = 3
 WITNESS_CHECK_TOL = 1e-3
 
 
+def _say(line: str) -> None:
+    """Print one line to stdout.  A reader that has gone away (a closed pipe)
+    does not change the command's exit code: stdout is pointed at the null
+    device, so later lines and the flush at interpreter exit are dropped."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 # ---------------------------------------------------------------------------
 # config resolution
 # ---------------------------------------------------------------------------
@@ -62,15 +73,21 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _affine_map(spec: dict):
+def _affine_map(spec: dict, dim: int):
     a = np.asarray(spec["A"], dtype=float)
-    b = np.asarray(spec.get("b", np.zeros(a.shape[0])), dtype=float)
+    b = np.asarray(spec.get("b", np.zeros(dim)), dtype=float)
+    if a.shape != (dim, dim) or b.shape != (dim,):
+        raise ValueError(f"affine A must have shape ({dim}, {dim}) and b ({dim},), "
+                         f"got {a.shape} and {b.shape}")
     return lambda x: a @ x + b
 
 
 def _poly_map(spec: list, dim: int):
     # terms: [{"target": i, "terms": [{"c": coef, "powers": [e_1..e_n]}]}]
     rows = {int(r["target"]): r["terms"] for r in spec}
+    if not all(0 <= i < dim for i in rows) or \
+            any(len(t["powers"]) != dim for terms in rows.values() for t in terms):
+        raise ValueError(f"poly targets must lie in [0, {dim}) and powers have {dim} entries")
 
     def fn(x):
         out = np.zeros(dim)
@@ -88,7 +105,7 @@ def _map_from_config(spec: dict | None, dim: int):
     if spec is None:
         return lambda x: x
     if "affine" in spec:
-        return _affine_map(spec["affine"])
+        return _affine_map(spec["affine"], dim)
     if "poly" in spec:
         return _poly_map(spec["poly"], dim)
     raise ConfigError("dynamics must be given as 'affine' or 'poly' blocks")
@@ -279,11 +296,11 @@ def cmd_simulate(args) -> int:
             _write(out / name, text)
 
     # event log
-    print(f"system: {system.name}  termination: {arc.termination.value}  "
-          f"t_end: {arc.final_time()[0]:.6g}  jumps: {arc.n_jumps}")
+    _say(f"system: {system.name}  termination: {arc.termination.value}  "
+         f"t_end: {arc.final_time()[0]:.6g}  jumps: {arc.n_jumps}")
     for t, j, pre, post in arc.jump_transitions():
-        print(f"jump {j + 1} at t={t:.10g}")
-    print(f"wrote {out}/arc.{args.format if args.format != 'both' else 'csv'}")
+        _say(f"jump {j + 1} at t={t:.10g}")
+    _say(f"wrote {out}/arc.{args.format if args.format != 'both' else 'csv'}")
     return EXIT_OK
 
 
@@ -393,8 +410,7 @@ def cmd_analyze(args) -> int:
     _write(out / "report.json", json.dumps(payload, indent=1))
     summary = summarize(rep) + "\n"
     _write(out / "summary.txt", summary)
-    print(summary, end="")
-    print(f"wrote {out}/report.json")
+    _say(f"{summary}wrote {out}/report.json")
     return EXIT_FALSIFIED if falsified else EXIT_OK
 
 
@@ -438,7 +454,7 @@ def cmd_replay(args) -> int:
         raise ConfigError(
             f"cannot check the arc at check_tol {tol!r}: {exc}") from exc
     ok_solution = not violations
-    print(f"check_is_solution: {'clean' if ok_solution else violations[:3]}")
+    _say(f"check_is_solution: {'clean' if ok_solution else violations[:3]}")
 
     clause = meta.get("clause")
     reproduced = None
@@ -450,7 +466,7 @@ def cmd_replay(args) -> int:
             reproduced = replay_clause(arc, clause, gamma, g2, output=fixture.output)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot replay witness clause {clause!r}: {exc}") from exc
-        print(f"violation reproduced: {reproduced}")
+        _say(f"violation reproduced: {reproduced}")
         if not (ok_solution and reproduced):
             return EXIT_FALSIFIED if ok_solution else EXIT_CONFIG
         return EXIT_OK
@@ -465,7 +481,7 @@ def cmd_replay(args) -> int:
             raise ConfigError(f"bad x0 {meta['x0']!r} in metadata: {exc}") from exc
         arc2 = solve(system, x0, scfg)
         bitwise = arc2.to_csv() == arc_text
-        print(f"bitwise match after regeneration: {bitwise}")
+        _say(f"bitwise match after regeneration: {bitwise}")
     if not ok_solution:
         return EXIT_FALSIFIED
     if bitwise is False:
@@ -482,10 +498,10 @@ def cmd_list_systems(_args) -> int:
     for name, fx in sorted(catalog().items()):
         gammas = ", ".join(sorted(fx.gammas))
         presets = ", ".join(sorted(fx.presets)) or "-"
-        print(f"{name:14s} dim={fx.system.dim}  targets: {gammas}  "
-              f"presets: {presets}")
+        _say(f"{name:14s} dim={fx.system.dim}  targets: {gammas}  "
+             f"presets: {presets}")
         if fx.notes:
-            print(f"{'':14s} {fx.notes}")
+            _say(f"{'':14s} {fx.notes}")
     return EXIT_OK
 
 

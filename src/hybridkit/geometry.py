@@ -2,7 +2,7 @@
 
 Every set carries a batched distance function (arrays of shape (..., n) map to
 (...,)) and a membership predicate derived from it; the solver locates flow
-exits by bisecting membership along the dense output.  Distances are tagged
+exits by testing membership on grids along the dense output.  Distances are tagged
 with a ``distance_kind``:
 
 * ``"exact"`` -- the Euclidean point-to-set distance,

@@ -9,11 +9,11 @@ the same bits (``tests/test_stepper.py`` keeps scipy as the oracle).
 Everything hybrid -- flow-set exit location, jump application, flow/jump
 priority on C n D, horizons, and the Zeno guard -- is implemented here too.
 Each step's stored samples are sized by the solution checker's residual
-floor, not by the long 8th-order step (``_sample_times``); they are also its exit
-probes (one batched flow-set membership call per run of up to 16 steps) and
-are kept as one block per step, concatenated once per flow interval; an
-exit is located by bisecting membership on the dense output after the first
-sample outside C, which subsumes sign bisection of a scalar guard and also
+floor, not by the long 8th-order step (``_sample_times``), and kept as one
+block per step, concatenated once per flow interval.  They are also its exit
+probes, tested in one batched flow-set membership call as the step is taken,
+and an exit bracket is narrowed by the same rule on the dense output
+(``_probe_step``); this subsumes sign bisection of a scalar guard and also
 copes with band sets and boundary starts.
 
 Determinism contract: identical (system, x0, config) produce bitwise-identical
@@ -40,7 +40,7 @@ from .errors import (
 _MIN_SUBDIV = 6  # fewest stored samples (the exit probes) per step
 _MAX_SUBDIV = 256  # most samples per step that the residual floor may ask for
 _RESIDUAL_FLOOR = 1e-4  # a tenth of the checker's 1e-3 tolerance
-_LOOKAHEAD = 16  # most accepted steps whose probes share one membership call
+_PROBES = 16  # an exit bracket narrows _PROBES-fold per membership call
 
 
 class Priority(enum.Enum):
@@ -56,8 +56,8 @@ class SolverConfig:
     Zeno guard.  Stored sample spacing is at most ``store_max_dt``, one sixth
     of each accepted step, and what keeps the independent solution checker's
     residual, as the step's dense output estimates it, under a tenth of its
-    1e-3 tolerance; the stored samples are the exit-detection grid, tested by
-    one batched membership call per run of up to 16 steps.
+    1e-3 tolerance.  The stored samples are the exit probes, tested by one
+    batched membership call per step; an exit is bracketed to ``event_tol / 8``.
     """
 
     t_max: float = 50.0
@@ -328,14 +328,12 @@ def _dop853(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
         K[0] = K[12]  # first same as last
 
 
-def _dense(step: _Step, t):
-    """The step's interpolant at a scalar time, shape (n,), or at a 1-D array
-    of times, shape (len(t), n), by scipy's nested products."""
+def _dense(step: _Step, t: np.ndarray) -> np.ndarray:
+    """The step's interpolant at a 1-D array of times, shape (len(t), n), by
+    scipy's nested products."""
     if step.F is None:
-        return step.y if np.ndim(t) == 0 else np.tile(step.y, (len(t), 1))
-    x = (t - step.t_old) / (step.t - step.t_old)
-    if isinstance(x, np.ndarray):
-        x = x[:, None]
+        return np.tile(step.y, (len(t), 1))
+    x = ((t - step.t_old) / (step.t - step.t_old))[:, None]
     factors = (x, 1 - x)
     y = (step.F[6] + 0.0) * x  # scipy adds F[6] to zeros, so -0.0 becomes 0.0
     for i in range(1, 7):
@@ -378,6 +376,30 @@ def _sample_times(step, b: float, store_max_dt: float) -> np.ndarray:
     return _grid(step.t_old, b, m)
 
 
+def _probe_step(step, member, cfg: SolverConfig):
+    """An accepted step's stored samples on (t_old, t], tested against C in
+    one batched ``member`` call as it is taken, and None; or, when a probe is
+    outside C, the samples on (t_old, lo] and the width of the exit bracket
+    [lo, hi], narrowed by grids of _PROBES probes to event_tol / 8, which
+    leaves slack in the 2 * event_tol budgets downstream.  ``step`` needs only
+    the t_old, t, y_old and F of a DOP853 dense output."""
+    ts = _sample_times(step, step.t, cfg.store_max_dt)
+    xs = _dense(step, ts)
+    inside = member(xs)
+    if inside.all():
+        return ts, xs, None
+    lo, probes = step.t_old, ts
+    while True:
+        k = int(np.argmin(inside))  # the first probe outside C
+        lo, hi = (lo if k == 0 else float(probes[k - 1])), float(probes[k])
+        if hi - lo <= cfg.event_tol / 8 or math.nextafter(lo, hi) == hi:
+            break
+        probes = _grid(lo, hi, _PROBES)  # ends at hi, which is outside C
+        inside = np.append(member(_dense(step, probes[:-1])), False)
+    ts = _sample_times(step, lo, cfg.store_max_dt) if lo > step.t_old else ts[:0]
+    return ts, _dense(step, ts), hi - lo
+
+
 def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfig):
     """Integrate the flow from (t0, x0 in C) until flow-set exit, t_max, or failure.
 
@@ -399,68 +421,23 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
 
     stored: list[tuple[np.ndarray, np.ndarray]] = []  # one (ts, xs) block per step
 
-    def samples(step: _Step, b: float):
-        ts = _sample_times(step, b, cfg.store_max_dt)
-        return ts, _dense(step, ts)
-
     def segment_end(reason: str, gap: float = 0.0):
         if not stored:  # a start at t_max, or an exit before the first sample
             return [], [], _FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
         ts, xs = (np.concatenate(blocks) for blocks in zip(*stored))
         return ts, xs, _FlowEnd(reason, float(ts[-1]), xs[-1], gap)
 
-    steps = _dop853(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
-                    cfg.effective_max_step)
-    run_len = 1
-    while True:
-        # a run of accepted steps shares one membership call; runs double from
-        # 1 up to _LOOKAHEAD, so a short segment computes few steps past its exit
-        run: list[_Step] = []
-        stop: str | Exception | None = None
-        for _ in range(run_len):
-            try:
-                step = next(steps)
-            except StopIteration:
-                stop = "horizon"
-                break
-            except Exception as exc:  # re-raised unless an earlier step exits C
-                stop = exc
-                break
-            if step is None or not np.all(np.isfinite(step.y)):
-                stop = "failed"
-                break
-            if step.t > step.t_old:  # a start at t_max has nothing to store
-                run.append(step)
-        if run:
-            grids = [samples(step, step.t) for step in run]  # the exit probes
-            inside = member(np.concatenate([xs for _, xs in grids]))
-            k = int(np.argmin(inside))  # first False, if any
-            if not inside[k]:
-                for step, (ts, xs) in zip(run, grids):
-                    if k < len(ts):
-                        break
-                    k -= len(ts)
-                    stored.append((ts, xs))
-                # bracket the first exit and bisect membership down to
-                # event_tol / 8, leaving slack in the 2*event_tol budgets downstream
-                lo = step.t_old if k == 0 else float(ts[k - 1])
-                hi = float(ts[k])
-                tol_bis = cfg.event_tol / 8.0
-                while hi - lo > tol_bis:
-                    mid = 0.5 * (lo + hi)
-                    if member(_dense(step, mid)):
-                        lo = mid
-                    else:
-                        hi = mid
-                if lo > step.t_old:
-                    stored.append(samples(step, lo))  # stored samples end exactly at lo
-                return segment_end("exit", gap=hi - lo)
-            stored += grids
-        if isinstance(stop, Exception):
-            raise stop
-        if stop is not None:
-            return segment_end(stop)
-        run_len = min(2 * run_len, _LOOKAHEAD)
+    for step in _dop853(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
+                        cfg.effective_max_step):
+        if step is None or not np.all(np.isfinite(step.y)):
+            return segment_end("failed")
+        if step.t > step.t_old:  # a start at t_max has nothing to store
+            ts, xs, gap = _probe_step(step, member, cfg)
+            if len(ts):
+                stored.append((ts, xs))
+            if gap is not None:
+                return segment_end("exit", gap)
+    return segment_end("horizon")
 
 
 def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:

@@ -286,6 +286,21 @@ def test_inline_polynomial_dynamics(tmp_path):
     assert x_end == pytest.approx(1.0 / math.sqrt(1 + 2 * 4.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("flow", [
+    {"poly": [{"target": 0, "terms": [{"c": 1.0, "powers": [1, 0, 0]}]}]},
+    {"poly": [{"target": 5, "terms": [{"c": 1.0, "powers": [1, 0]}]}]},
+    {"affine": {"A": [[1.0, 0.0, 0.0]]}},
+])
+def test_inline_maps_are_checked_against_dim(flow, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"system": {"name": "bad", "dim": 2, "flow": flow}}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(path), "--x0", "1,0", "--tmax", "1",
+                "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_observer_chain_exit_zero(tmp_path):
     out = tmp_path / "chain"
     code = run(["analyze", "--system", "observer",
@@ -349,6 +364,29 @@ def test_replay_of_inline_witness_exits_config(tmp_path, capsys):
     assert "names no catalog fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("args,code", [
+    (["--system", "contraction", "--check", "stability", "--gamma", "origin",
+      "--budget", "2", "--tmax", "2"], 0),
+    (["--system", "circles", "--check", "stability", "--gamma", "gamma1",
+      "--budget", "25", "--tmax", "5"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(args, code, unbuffered, tmp_path):
+    src = str(Path(hybridkit.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone away before the first line
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hybridkit.cli", "analyze", *args,
+             "--out", str(tmp_path / "rep")], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
+    assert (tmp_path / "rep" / "report.json").exists()
+
+
 def _dir_digest(path: Path) -> str:
     h = hashlib.sha256()
     for f in sorted(p for p in path.rglob("*") if p.is_file()):
@@ -362,7 +400,7 @@ PINNED_RUNS = {
     "stability": (
         ["--system", "circles", "--check", "stability", "--gamma", "gamma1",
          "--budget", "6", "--tmax", "20", "--seed", "9"],
-        "5eca6059c785bc0309e80638a73363f94ea0549f0ee161690efd34aeb29fb9df"),
+        "83352d019768727626c06b53bf6372d55e4dbd40e46194582810ed0afe39ba47"),
     "attractivity": (
         ["--system", "limit-circles", "--check", "attractivity",
          "--gamma", "x2x3-axis", "--budget", "4", "--tmax", "30", "--seed", "3"],
@@ -408,10 +446,10 @@ PINNED_SIMULATE = {
     "observer-fig3": (
         ["--system", "observer", "--preset", "fig3", "--tmax", "3",
          "--tracks", "y,q,T,chihat"],
-        "80fd20e8ede51c57e8eb88a0084bb5ab36e1df898543dcbd894cfacfa1b762c5"),
+        "f76627a897051fe221c90e7f4cb2c7961529c45d8bac0d43ab5127dec28062a2"),
     "circles": (
         ["--system", "circles"],
-        "e108316ef91481e6de0c98f8ddb63ea0c7b8baad45e0b355af25deeae2f12a3a"),
+        "72ef47bc56f4e64b2af54acaced32cc233aecdcb867ea87bf5dbf95062f5d4a8"),
 }
 
 

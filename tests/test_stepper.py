@@ -2,10 +2,10 @@
 
 The stepper repeats scipy's arithmetic operation for operation, so every
 accepted step, every dense-output value and every arc must match bit for bit.
-The oracle arcs are sampled at the solver's own times
-(``solver._sample_times`` of scipy's dense output).  Test names that say ``rk45`` date from the
-Dormand-Prince 5(4) stepper and its RK45 oracle; they are kept so that the
-test ids stay stable.
+The oracle arcs take scipy's steps through the solver's own probe and exit
+rule (``solver._probe_step`` of scipy's dense output).  Test names that say
+``rk45`` date from the Dormand-Prince 5(4) stepper and its RK45 oracle; they
+are kept so that the test ids stay stable.
 """
 
 from __future__ import annotations
@@ -42,14 +42,11 @@ def _dop853(flow_map, t0, x0, cfg: SolverConfig) -> DOP853:
 
 
 def _scipy_flow_segment(sys_, t0, x0, cfg):
-    """solver._flow_segment driven by scipy's DOP853 and its dense output."""
+    """solver._flow_segment with scipy's DOP853 taking the steps: each step's
+    dense output goes through the solver's own probe and exit rule."""
     member = lambda pts: np.asarray(sys_.flow_set.member(pts, cfg.tol_set), dtype=bool)
     rk = _dop853(sys_.flow_map, t0, x0, cfg)
     times, states = [], []
-
-    def samples(dense, b):
-        ts = solver._sample_times(dense, b, cfg.store_max_dt)
-        return ts, dense(ts).T
 
     def end(reason, gap=0.0):
         if times:
@@ -57,35 +54,17 @@ def _scipy_flow_segment(sys_, t0, x0, cfg):
                                                   np.asarray(states[-1]), gap)
         return times, states, solver._FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
 
-    t_prev = t0
     while rk.status != "finished":
         rk.step()
         if rk.status == "failed" or not np.all(np.isfinite(rk.y)):
             return end("failed")
-        if rk.t == t_prev:
+        if rk.t == rk.t_old:
             continue
-        dense = rk.dense_output()
-        ts, xs = samples(dense, rk.t)
-        inside = member(xs)
-        if inside.all():
-            times.extend(ts.tolist())
-            states.extend(xs)
-            t_prev = rk.t
-            continue
-        k = int(np.argmin(inside))
-        lo = t_prev if k == 0 else float(ts[k - 1])
-        hi = float(ts[k])
-        while hi - lo > cfg.event_tol / 8.0:
-            mid = 0.5 * (lo + hi)
-            if member(dense(mid)):
-                lo = mid
-            else:
-                hi = mid
-        if lo > t_prev:
-            ts, xs = samples(dense, lo)
-            times.extend(ts.tolist())
-            states.extend(xs)
-        return end("exit", gap=hi - lo)
+        ts, xs, gap = solver._probe_step(rk.dense_output(), member, cfg)
+        times.extend(ts.tolist())
+        states.extend(xs)
+        if gap is not None:
+            return end("exit", gap)
     return end("horizon")
 
 
@@ -98,7 +77,7 @@ def _solve_with_scipy(monkeypatch, sys_, x0, cfg):
 def _assert_steps_match(flow_map, t0, x0, t_end, cfg) -> int:
     """Step scipy's DOP853 and _dop853 side by side from (t0, x0) until t_end;
     compare t, y and the dense output on the stored-sample grid (which is also
-    the exit-probe grid) and at a bisection midpoint.  Returns the number of
+    the exit-probe grid) and at the step's midpoint.  Returns the number of
     steps compared."""
     rk = _dop853(flow_map, t0, x0, cfg)
     n = 0
@@ -118,7 +97,7 @@ def _assert_steps_match(flow_map, t0, x0, t_end, cfg) -> int:
             assert _same_bits(solver._grid(step.t_old, step.t, m),
                               np.linspace(rk.t_old, rk.t, m + 1)[1:])
         mid = 0.5 * (rk.t_old + rk.t)
-        assert _same_bits(solver._dense(step, mid), dense(mid))
+        assert _same_bits(solver._dense(step, np.array([mid]))[0], dense(mid))
         n += 1
         if step.t >= t_end:
             break
@@ -184,7 +163,8 @@ def test_third_derivative_table_of_the_dense_output():
     F = np.random.default_rng(0).normal(size=(7, 3))
     step = solver._Step(0.0, 1.0, np.zeros(3), None, F)
     basis = np.array([(x ** ((k + 2) // 2) * (1 - x) ** ((k + 1) // 2))(0.3) for k in range(7)])
-    assert np.allclose(solver._dense(step, 0.3), basis @ F, rtol=1e-14, atol=1e-14)
+    assert np.allclose(solver._dense(step, np.array([0.3]))[0], basis @ F,
+                       rtol=1e-14, atol=1e-14)
 
 
 def _decay():
@@ -215,7 +195,7 @@ def test_start_at_t_max_is_a_constant_step():
     assert rk.status == "finished"
     ts = np.full(4, 3.0)
     assert _same_bits(solver._dense(steps[0], ts), rk.dense_output()(ts).T)
-    assert _same_bits(solver._dense(steps[0], 3.0), rk.dense_output()(3.0))
+    assert _same_bits(solver._dense(steps[0], np.array([3.0]))[0], rk.dense_output()(3.0))
     seg = solver._flow_segment(_decay(), 3.0, x0, cfg)
     ref = _scipy_flow_segment(_decay(), 3.0, x0, cfg)
     assert seg[:2] == ([], []) and ref[:2] == ([], [])
