@@ -13,7 +13,6 @@ from .core import (
     hybrid_time_leq,
     hybrid_time_lt,
     is_complete,
-    range_of,
 )
 from .geometry import (
     ClosedSet,
@@ -25,7 +24,6 @@ from .geometry import (
     full_space,
     inflate,
     intersect,
-    level_set,
     point_set,
     product,
     shell_set,
@@ -51,6 +49,7 @@ from .analysis import (
     check_local_stability_near,
     check_output_convergence,
     check_stability,
+    clause_margin,
     detectability_report,
     recursive_reduction_report,
     reduction_report,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class PropertyQuery:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_grid)
-        if not eps or any(e <= 0 for e in eps) or list(eps) != sorted(eps):
-            raise ValueError("eps_grid must be strictly positive and sorted")
+        if not eps or not all(0 < e < np.inf for e in eps) or list(eps) != sorted(eps):
+            raise ValueError("eps_grid must be finite, strictly positive and sorted")
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "seed", int(self.seed))
         if self.sample_budget < 1:
@@ -71,9 +71,10 @@ class PropertyQuery:
             raise ValueError("delta_shrinks must be >= 0")
         if not (np.isfinite(self.conv_tol) and self.conv_tol > 0):
             raise ValueError("conv_tol must be finite and > 0")
-        if self.near_radius is not None and not (
-                np.isfinite(self.near_radius) and self.near_radius > 0):
-            raise ValueError("near_radius must be finite and > 0")
+        for name in ("near_radius", "bound_radius"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
     def replace(self, **kw) -> "PropertyQuery":
         return _dc_replace(self, **kw)
@@ -205,27 +206,117 @@ def _draw_initial(sys: HybridSystem, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
+# witness clauses
+# ---------------------------------------------------------------------------
+
+
+def _judged_at_horizon(arc: HybridArc) -> bool:
+    """Whether an arc's end state is held to a terminal test: it is complete
+    at the horizon, or Zeno-truncated; maximal-but-incomplete arcs are not."""
+    return is_complete(arc) or arc.termination is Termination.ZENO
+
+
+def clause_margin(arc: HybridArc, clause: dict, gamma: ClosedSet | None = None,
+                  g2: ClosedSet | None = None, output: Callable | None = None):
+    """The signed margin of a witness clause on an arc, at the clause's
+    parameters: negative exactly when the arc violates the clause, None when
+    the clause does not apply to the arc.  Returned with the clause as a
+    witness of this arc records it.
+
+    - stability_escape: eps - sup distance to gamma;
+    - local_stability_escape: eps - the largest distance to g2 over the
+      prefix that stays in B_r(gamma); an empty prefix has none;
+    - attractivity_terminal: conv_tol - terminal distance to gamma;
+    - unbounded: bound_radius - sup norm;
+    - invariance_exit: inv_tol - sup distance to gamma;
+    - output_not_converged: conv_tol - |output| at the final state.
+
+    The two terminal clauses apply only to arcs judged at the horizon.
+    """
+    kind, x0 = clause.get("type"), arc.meta.get("x0")
+    if kind == "stability_escape":
+        supd = arc.sup_distance(gamma)
+        return clause["eps"] - supd, {**clause, "sup_distance": supd, "x0": x0}
+    if kind == "local_stability_escape":
+        t, j, x = arc.table()
+        left = np.flatnonzero(np.asarray(gamma.distance(x)) >= clause["r"])
+        n = left[0] if left.size else len(x)
+        if not n:
+            return None, None
+        d2 = np.asarray(g2.distance(x[:n]))
+        k = int(np.argmax(d2 > clause["eps"]))  # the first escape, if any
+        return clause["eps"] - float(np.fmax.reduce(d2)), {
+            **clause, "x0": x0, "t": float(t[k]), "j": int(j[k]),
+            "dist_gamma2": float(d2[k])}
+    if kind == "attractivity_terminal":
+        if not _judged_at_horizon(arc):
+            return None, None
+        td = arc.terminal_distance(gamma)
+        return clause["conv_tol"] - td, {
+            "type": kind, "terminal_distance": td, "conv_tol": clause["conv_tol"],
+            "x0": x0}
+    if kind == "unbounded":
+        supn = arc.sup_norm()
+        return clause["bound_radius"] - supn, {
+            "type": kind, "sup_norm": supn, "bound_radius": clause["bound_radius"],
+            "x0": x0}
+    if kind == "invariance_exit":
+        exc = arc.sup_distance(gamma)
+        return clause["inv_tol"] - exc, {
+            "type": kind, "mode": clause.get("mode"), "excursion": exc,
+            "inv_tol": clause["inv_tol"], "x0": x0}
+    if kind == "output_not_converged":
+        if output is None:
+            raise ValueError("an output clause needs the output map")
+        if not _judged_at_horizon(arc):
+            return None, None
+        hval = float(np.linalg.norm(output(arc.final_state())))
+        return clause["conv_tol"] - hval, {
+            "type": kind, "terminal_output": hval, "conv_tol": clause["conv_tol"],
+            "x0": x0}
+    raise ValueError(f"unknown witness clause type {kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # the sampling campaign
 # ---------------------------------------------------------------------------
 
 
+class _Campaign(NamedTuple):
+    """What one campaign found: the initial conditions solved, how many of
+    them passed vacuously, the witness arc and its clause (None when no arc
+    violated a clause), and per clause type the worst margin and its x0
+    (None when the clause applied to no arc)."""
+
+    n_total: int
+    n_vacuous: int
+    witness: HybridArc | None
+    clause: dict | None
+    margins: dict
+
+
 def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
-              judge: Callable, key: tuple = (), *,
+              clauses: list[dict], key: tuple = (), *, on: dict | None = None,
               alt: SolverConfig | None = None, near: ClosedSet | None = None,
-              delta: float = 0.0, project: Callable | None = None):
+              delta: float = 0.0, project: Callable | None = None,
+              kept: dict | None = None) -> _Campaign:
     """The one sampling loop of every checker.
 
     For each index ``i < sample_budget`` it draws an initial condition, in
     B_delta(near) when ``near`` is given, with the generator keyed ``(seed,
-    tag, *key, i)``, solves, hands the arc to ``query.arc_hook`` and asks
-    ``judge(arc)`` for None or a ``(witness, clause)`` pair.  An arc the
-    judge rejects is solved again under ``alt`` when given, and judged
-    again.  Stops at the first violation and returns ``(initial conditions
-    solved, witness, clause)``; raises ConfigError when no draw landed in
-    C u D, so that no verdict rests on zero arcs.
+    tag, *key, i)``, solves, hands the arc to ``query.arc_hook`` and takes
+    the clause_margin of each of ``clauses`` on the arc, in order, with the
+    sets ``on``; the first negative margin is the violation.  An arc with a
+    violation is solved again under ``alt`` when given, and judged again.
+    The arc each draw's verdict rests on counts: the worst margin of each
+    clause type is kept with its x0, starting from ``kept``, and a draw
+    passes vacuously when a clause did not apply to its arc.  Stops at the
+    first violation; raises ConfigError when no draw landed in C u D, so
+    that no verdict rests on zero arcs.
     """
     cfg = query.solver
-    n_solved = 0
+    worst = {c["type"]: (kept or {}).get(c["type"]) for c in clauses}
+    n_solved = n_vacuous = 0
     for i in range(query.sample_budget):
         x0 = _draw_initial(sys, _rng(query.seed, tag, *key, i), query,
                            near, delta, project)
@@ -236,11 +327,23 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
             arc = solve(sys, x0, c)
             if query.arc_hook:
                 query.arc_hook(sys, arc)
-            bad = judge(arc)
+            margins, bad = [], None
+            for clause in clauses:
+                m, record = clause_margin(arc, clause, **(on or {}))
+                margins.append((clause["type"], m))
+                if m is not None and m < 0:
+                    bad = record
+                    break
             if bad is None:
                 break
-        else:
-            return n_solved, *bad
+        for kind, m in margins:
+            # a NaN margin (a non-finite sample) violates nothing and is not kept
+            if m is not None and not np.isnan(m) and (
+                    worst[kind] is None or m < worst[kind]["worst"]):
+                worst[kind] = {"worst": m, "x0": arc.meta["x0"]}
+        if bad is not None:
+            return _Campaign(n_solved, n_vacuous, arc, bad, worst)
+        n_vacuous += any(m is None for _, m in margins)
     if not n_solved:
         where, why = "", ""
         if near is not None:
@@ -250,42 +353,46 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
             f"campaign {tag!r}{list(key) if key else ''} on '{sys.name}' drew "
             f"no initial condition in C u D{where} in {query.sample_budget} "
             f"draws{why}; provide a sampler or a wider window")
-    return n_solved, None, None
+    return _Campaign(n_solved, n_vacuous, None, None, worst)
 
 
 def _eps_delta(sys: HybridSystem, near: ClosedSet, query: PropertyQuery,
-               tag: str, escape: Callable, project: Callable | None = None):
+               tag: str, kind: str, on: dict, project: Callable | None = None,
+               **params) -> tuple[dict, _Campaign]:
     """Shrinking-delta search: for each eps of the grid, the first delta in
     eps * 2^-k (k = 0..delta_shrinks) from whose B_delta(near) no sampled arc
-    escapes (``escape(arc, eps, delta)`` is None).  Returns (delta for each
-    eps tried, witness, clause); the search stops at the first eps for which
-    every delta level had an escape, recording None for it."""
+    violates the ``kind`` clause at (eps, delta, **params).  The search stops
+    at the first eps for which every delta level had a violation, recording
+    None for it.  Returns the delta for each eps tried and the last
+    campaign, whose margins are kept over the campaigns the verdict rests
+    on: the accepted delta of each eps, and the falsifying one."""
     delta_for_eps: dict = {}
+    kept = None
     for ei, eps in enumerate(query.eps_grid):
         for k in range(query.delta_shrinks + 1):
             delta = eps * 2.0 ** (-k)
-            _, witness, clause = _campaign(
-                sys, query, tag, lambda arc: escape(arc, eps, delta), (ei, k),
-                near=near, delta=delta, project=project)
-            if witness is None:
-                delta_for_eps[eps] = delta
+            run = _campaign(
+                sys, query, tag, [{"type": kind, "eps": eps, "delta": delta, **params}],
+                (ei, k), on=on, near=near, delta=delta, project=project, kept=kept)
+            if run.witness is None:
+                delta_for_eps[eps], kept = delta, run.margins
                 break
         else:
             delta_for_eps[eps] = None
-            return delta_for_eps, witness, clause
-    return delta_for_eps, None, None
+            break
+    return delta_for_eps, run
 
 
 def _report(prop: str, sys: HybridSystem, query: PropertyQuery, measured: dict,
-            witness: HybridArc | None, clause: dict | None, notes=(),
-            **sets: ClosedSet) -> AnalysisReport:
-    """The report of one campaign; ``sets`` names the target (and the outer
-    set) in the provenance, next to the query's settings and the system."""
-    return AnalysisReport(FALSIFIED if witness is not None else CONSISTENT,
-                          prop, measured,
+            run: _Campaign, notes=(), **sets: ClosedSet) -> AnalysisReport:
+    """The report of one campaign, with its margins under ``measured``;
+    ``sets`` names the target (and the outer set) in the provenance, next to
+    the query's settings and the system."""
+    return AnalysisReport(FALSIFIED if run.witness is not None else CONSISTENT,
+                          prop, {**measured, "margins": run.margins},
                           {**query.provenance(), "system": sys.name,
                            **{k: s.name for k, s in sets.items()}},
-                          witness, clause, list(notes))
+                          run.witness, run.clause, list(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -302,44 +409,10 @@ def check_stability(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery,
     if not gamma.bounded:
         notes.append("target not declared compact: the uniform notion is "
                      "tested inside the sampling window")
-
-    def escape(arc, eps, delta):
-        supd = arc.sup_distance(gamma)
-        if supd > eps:
-            return arc, {"type": "stability_escape", "eps": eps, "delta": delta,
-                         "sup_distance": supd, "x0": arc.meta["x0"]}
-        return None
-
-    found, witness, clause = _eps_delta(sys, gamma, query, "stab", escape,
-                                        project)
-    measured = {"delta_for_eps": found,
-                "worst_amplification": {e: e / d for e, d in found.items()
-                                        if d is not None}}
-    return _report("Stability", sys, query, measured, witness, clause, notes,
-                   target=gamma)
-
-
-def _judged_at_horizon(arc: HybridArc) -> bool:
-    """Whether an arc's end state is held to a terminal test: it is complete
-    at the horizon, or Zeno-truncated; maximal-but-incomplete arcs are not."""
-    return is_complete(arc) or arc.termination is Termination.ZENO
-
-
-def _arc_converges(arc: HybridArc, gamma: ClosedSet, conv_tol: float,
-                   bound_radius: float) -> dict | None:
-    """Basin-membership test for one arc: bounded, and convergent when judged
-    at the horizon (other arcs pass vacuously).  None when it passes, else
-    the violated clause."""
-    supn = arc.sup_norm()
-    if supn > bound_radius:
-        return {"type": "unbounded", "sup_norm": supn,
-                "bound_radius": bound_radius, "x0": arc.meta.get("x0")}
-    if _judged_at_horizon(arc):
-        td = arc.terminal_distance(gamma)
-        if td > conv_tol:
-            return {"type": "attractivity_terminal", "terminal_distance": td,
-                    "conv_tol": conv_tol, "x0": arc.meta.get("x0")}
-    return None
+    found, run = _eps_delta(sys, gamma, query, "stab", "stability_escape",
+                            {"gamma": gamma}, project)
+    return _report("Stability", sys, query, {"delta_for_eps": found}, run,
+                   notes, target=gamma)
 
 
 def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery,
@@ -354,47 +427,17 @@ def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery
     at budget' (GlobalAttractivity).
     """
     _require_distance(gamma)
-    bound_radius = query.effective_bound_radius()
-    measured: dict = {"n_pass": 0, "n_vacuous": 0, "n_total": 0,
-                      "max_terminal_distance": 0.0}
-
-    def judge(arc):
-        bad = _arc_converges(arc, gamma, query.conv_tol, bound_radius)
-        if bad is not None:
-            return arc, bad
-        if _judged_at_horizon(arc):
-            measured["n_pass"] += 1
-            measured["max_terminal_distance"] = max(
-                measured["max_terminal_distance"], arc.terminal_distance(gamma))
-        else:
-            measured["n_vacuous"] += 1
-        return None
-
-    measured["n_total"], witness, clause = _campaign(
-        sys, query, "attr", judge, near=near, delta=query.radius,
-        project=project)
-    measured["pass_fraction"] = (
-        (measured["n_pass"] + measured["n_vacuous"]) / measured["n_total"])
+    run = _campaign(
+        sys, query, "attr",
+        [{"type": "unbounded", "bound_radius": query.effective_bound_radius()},
+         {"type": "attractivity_terminal", "conv_tol": query.conv_tol}],
+        on={"gamma": gamma}, near=near, delta=query.radius, project=project)
+    n_pass = run.n_total - run.n_vacuous - (run.witness is not None)
+    measured = {"n_pass": n_pass, "n_vacuous": run.n_vacuous,
+                "n_total": run.n_total,
+                "pass_fraction": (n_pass + run.n_vacuous) / run.n_total}
     prop = "GlobalAttractivity" if near is None else "LocalAttractivityNear"
-    return _report(prop, sys, query, measured, witness, clause, target=gamma)
-
-
-def _prefix_escape(arc: HybridArc, g1: ClosedSet, g2: ClosedSet,
-                   r: float, eps: float) -> dict | None:
-    """First sample whose whole prefix stayed in B_r(g1) but which leaves
-    B_eps(g2); None when the quoted conditional holds along the arc."""
-    for j, (t, x) in enumerate(zip(arc.times, arc.states)):
-        d1 = np.asarray(g1.distance(x))
-        d2 = np.asarray(g2.distance(x))
-        leave = np.flatnonzero(d1 >= r)
-        stop = leave[0] if leave.size else d1.shape[0]
-        bad = np.flatnonzero(d2[:stop] > eps)
-        if bad.size:
-            k = int(bad[0])
-            return {"t": float(t[k]), "j": j, "dist_gamma2": float(d2[k])}
-        if leave.size:
-            return None
-    return None
+    return _report(prop, sys, query, measured, run, target=gamma)
 
 
 def check_local_stability_near(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
@@ -404,17 +447,10 @@ def check_local_stability_near(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
     within B_eps(g2)."""
     _require_distance(g1)
     _require_distance(g2)
-
-    def escape(arc, eps, delta):
-        esc = _prefix_escape(arc, g1, g2, r, eps)
-        if esc is None:
-            return None
-        return arc, {"type": "local_stability_escape", "eps": eps,
-                     "delta": delta, "r": r, "x0": arc.meta["x0"], **esc}
-
-    found, witness, clause = _eps_delta(sys, g1, query, "lsn", escape, project)
+    found, run = _eps_delta(sys, g1, query, "lsn", "local_stability_escape",
+                            {"gamma": g1, "g2": g2}, project, r=r)
     return _report("LocalStabilityNear", sys, query,
-                   {"r": r, "delta_for_eps": found}, witness, clause,
+                   {"r": r, "delta_for_eps": found}, run,
                    target=g1, relative_to=g2)
 
 
@@ -430,7 +466,6 @@ def check_invariance(sys: HybridSystem, gamma: ClosedSet, mode: str,
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
     _require_distance(gamma)
-    measured: dict = {"n_total": 0, "max_excursion": 0.0}
     notes = []
     alt = None
     if mode == "weak":
@@ -439,65 +474,32 @@ def check_invariance(sys: HybridSystem, gamma: ClosedSet, mode: str,
         alt = query.solver.replace(
             priority=Priority.FLOW if query.solver.priority is Priority.JUMP
             else Priority.JUMP)
-
-    def judge(arc):
-        exc = arc.sup_distance(gamma)
-        if exc > _INV_TOL:
-            return arc, {"type": "invariance_exit", "mode": mode,
-                         "excursion": exc, "inv_tol": _INV_TOL,
-                         "x0": arc.meta["x0"]}
-        # a rejected arc may yet be replaced by its weak-mode retry
-        measured["max_excursion"] = max(measured["max_excursion"], exc)
-        return None
-
-    measured["n_total"], witness, clause = _campaign(
-        sys, query, "inv", judge, alt=alt, near=gamma)
-    if clause is not None:
-        measured["max_excursion"] = max(measured["max_excursion"],
-                                        clause["excursion"])
+    run = _campaign(
+        sys, query, "inv",
+        [{"type": "invariance_exit", "mode": mode, "inv_tol": _INV_TOL}],
+        on={"gamma": gamma}, alt=alt, near=gamma)
     prop = ("StrongForwardInvariance" if mode == "strong"
             else "WeakForwardInvariance")
-    return _report(prop, sys, query, measured, witness, clause, notes,
+    return _report(prop, sys, query, {"n_total": run.n_total}, run, notes,
                    target=gamma)
 
 
 def check_boundedness(sys: HybridSystem, query: PropertyQuery) -> AnalysisReport:
     """All sampled solutions stay within the declared bound radius."""
     bound_radius = query.effective_bound_radius()
-    measured: dict = {"n_total": 0, "max_sup_norm": 0.0,
-                      "bound_radius": bound_radius}
-
-    def judge(arc):
-        supn = arc.sup_norm()
-        measured["max_sup_norm"] = max(measured["max_sup_norm"], supn)
-        if supn > bound_radius:
-            return arc, {"type": "unbounded", "sup_norm": supn,
-                         "bound_radius": bound_radius, "x0": arc.meta["x0"]}
-        return None
-
-    measured["n_total"], witness, clause = _campaign(
-        sys, query, "bnd", judge)
-    return _report("Boundedness", sys, query, measured, witness, clause)
+    run = _campaign(sys, query, "bnd",
+                    [{"type": "unbounded", "bound_radius": bound_radius}])
+    return _report("Boundedness", sys, query,
+                   {"n_total": run.n_total, "bound_radius": bound_radius}, run)
 
 
 def check_output_convergence(osys: OutputSystem, query: PropertyQuery) -> AnalysisReport:
     """Complete sampled arcs must end with |h(x)| <= conv_tol."""
-    sys = osys.sys
-    measured: dict = {"n_total": 0, "max_terminal_output": 0.0}
-
-    def judge(arc):
-        if not _judged_at_horizon(arc):
-            return None
-        hval = float(np.linalg.norm(osys.output(arc.final_state())))
-        measured["max_terminal_output"] = max(measured["max_terminal_output"], hval)
-        if hval > query.conv_tol:
-            return arc, {"type": "output_not_converged", "terminal_output": hval,
-                         "conv_tol": query.conv_tol, "x0": arc.meta["x0"]}
-        return None
-
-    measured["n_total"], witness, clause = _campaign(
-        sys, query, "out", judge)
-    return _report("OutputConvergence", sys, query, measured, witness, clause)
+    run = _campaign(osys.sys, query, "out",
+                    [{"type": "output_not_converged", "conv_tol": query.conv_tol}],
+                    on={"output": osys.output})
+    return _report("OutputConvergence", osys.sys, query, {"n_total": run.n_total},
+                   run)
 
 
 # ---------------------------------------------------------------------------
@@ -737,24 +739,10 @@ def replay_clause(arc: HybridArc, clause: dict, gamma: ClosedSet | None,
                   g2: ClosedSet | None = None,
                   output: Callable | None = None) -> bool:
     """Re-evaluate a witness clause on a stored arc; True iff the recorded
-    violation reproduces."""
-    kind = clause.get("type")
-    if kind == "stability_escape":
-        return arc.sup_distance(gamma) > clause["eps"]
-    if kind == "attractivity_terminal":
-        return arc.terminal_distance(gamma) > clause["conv_tol"]
-    if kind == "unbounded":
-        return arc.sup_norm() > clause["bound_radius"]
-    if kind == "local_stability_escape":
-        return _prefix_escape(arc, gamma, g2, clause["r"], clause["eps"]) is not None
-    if kind == "invariance_exit":
-        return arc.sup_distance(gamma) > clause["inv_tol"]
-    if kind == "output_not_converged":
-        if output is None:
-            raise ValueError("replaying an output clause needs the output map")
-        val = float(np.linalg.norm(np.atleast_1d(output(arc.final_state()))))
-        return val > clause["conv_tol"]
-    raise ValueError(f"unknown witness clause type {kind!r}")
+    violation reproduces: the clause's margin at its recorded parameters is
+    negative."""
+    m = clause_margin(arc, clause, gamma, g2, output)[0]
+    return m is not None and m < 0
 
 
 def summarize(report) -> str:

@@ -106,9 +106,6 @@ class HybridTimeDomain:
     def t_end(self) -> float:
         return self.intervals[-1][1]
 
-    def total_flow_time(self) -> float:
-        return sum(t1 - t0 for t0, t1, _ in self.intervals)
-
 
 @dataclass
 class HybridArc:
@@ -303,16 +300,6 @@ def is_complete(arc: HybridArc) -> bool:
     """Complete up to horizon: the recorded domain reached a configured horizon
     (operational stand-in for an unbounded hybrid time domain)."""
     return arc.termination in _COMPLETE_FLAGS
-
-
-def range_of(arc: HybridArc, tol: float = 1e-9) -> np.ndarray:
-    """All sampled state values, deduplicated within ``tol`` (grid rounding)."""
-    pts = arc.all_states()
-    if tol <= 0:
-        return np.unique(pts, axis=0)
-    keys = np.round(pts / tol).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    return pts[np.sort(idx)]
 
 
 @dataclass(frozen=True)

@@ -388,26 +388,6 @@ def affine_set(A, b, *, name: str = "") -> ClosedSet:
                      name=name or "affine")
 
 
-def level_set(
-    dim: int,
-    residual: Callable[[np.ndarray], np.ndarray],
-    *,
-    name: str = "",
-    member_tol: float = DEFAULT_MEMBER_TOL,
-    sample: Callable | None = None,
-    project: Callable | None = None,
-) -> ClosedSet:
-    """Zero set of ``residual``; |residual| is the declared surrogate distance."""
-
-    def dist(x):
-        return np.abs(np.asarray(residual(x)))
-
-    desc = {"type": "level_set", "dim": dim, "residual": name or "residual"}
-    return ClosedSet(dim, dist, descriptor=desc, distance_kind="declared",
-                     member_tol=member_tol, sample=sample, project=project,
-                     name=name or "level_set")
-
-
 # ---------------------------------------------------------------------------
 # combinators
 # ---------------------------------------------------------------------------

@@ -223,13 +223,13 @@ _RTOL_MIN = 100 * float(np.finfo(float).eps)
 
 class _Step(NamedTuple):
     """One accepted step from (t_old, y_old) to (t, y), with the 7 rows ``F``
-    of its dense output (None for a step of zero length, whose output is y)."""
+    of its dense output."""
 
     t_old: float
     t: float
     y_old: np.ndarray
     y: np.ndarray
-    F: np.ndarray | None
+    F: np.ndarray
 
 
 def _norm(v: np.ndarray):
@@ -257,7 +257,7 @@ def _initial_step(flow, y0, f0, interval, max_step, rtol, atol):
 
 def _dop853(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
             rtol: float, atol: float, max_step: float):
-    """Accepted DOP853 steps from (t, y) forward to t_bound >= t.
+    """Accepted DOP853 steps from (t, y) forward to t_bound > t.
 
     ``flow(y)`` returns the derivative of state ``y``; ``f`` is ``flow(y)``,
     the first stage.  Yields one _Step per accepted step and stops after the
@@ -270,9 +270,6 @@ def _dop853(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
         warnings.warn(f"rtol {rtol!r} is below 100 eps; using {_RTOL_MIN!r}",
                       stacklevel=4)
         rtol = _RTOL_MIN
-    if t == t_bound:
-        yield _Step(t, t, y, y, None)
-        return
     h_abs = _initial_step(flow, y, f, abs(t_bound - t), max_step, rtol, atol)
     K = np.empty((16, y.size))
     K[0] = f
@@ -331,8 +328,6 @@ def _dop853(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
 def _dense(step: _Step, t: np.ndarray) -> np.ndarray:
     """The step's interpolant at a 1-D array of times, shape (len(t), n), by
     scipy's nested products."""
-    if step.F is None:
-        return np.tile(step.y, (len(t), 1))
     x = ((t - step.t_old) / (step.t - step.t_old))[:, None]
     factors = (x, 1 - x)
     y = (step.F[6] + 0.0) * x  # scipy adds F[6] to zeros, so -0.0 becomes 0.0
@@ -422,7 +417,7 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
     stored: list[tuple[np.ndarray, np.ndarray]] = []  # one (ts, xs) block per step
 
     def segment_end(reason: str, gap: float = 0.0):
-        if not stored:  # a start at t_max, or an exit before the first sample
+        if not stored:  # an exit before the first sample
             return [], [], _FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
         ts, xs = (np.concatenate(blocks) for blocks in zip(*stored))
         return ts, xs, _FlowEnd(reason, float(ts[-1]), xs[-1], gap)
@@ -431,12 +426,11 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
                         cfg.effective_max_step):
         if step is None or not np.all(np.isfinite(step.y)):
             return segment_end("failed")
-        if step.t > step.t_old:  # a start at t_max has nothing to store
-            ts, xs, gap = _probe_step(step, member, cfg)
-            if len(ts):
-                stored.append((ts, xs))
-            if gap is not None:
-                return segment_end("exit", gap)
+        ts, xs, gap = _probe_step(step, member, cfg)
+        if len(ts):
+            stored.append((ts, xs))
+        if gap is not None:
+            return segment_end("exit", gap)
     return segment_end("horizon")
 
 

@@ -17,16 +17,17 @@ from hybridkit.analysis import (
     check_local_stability_near,
     check_output_convergence,
     check_stability,
+    clause_margin,
     detectability_report,
     recursive_reduction_report,
     reduction_report,
     replay_clause,
 )
 from hybridkit.composition import with_output
-from hybridkit.core import check_is_solution
-from hybridkit.core import HybridSystem
+from hybridkit.core import HybridArc, HybridSystem, check_is_solution
 from hybridkit.errors import ApproximateDistance, ChainNotNested, ConfigError
-from hybridkit.geometry import Window, box_set, empty_set, inflate, intersect, point_set
+from hybridkit.geometry import (Window, box_set, empty_set, full_space, inflate, intersect,
+                                point_set)
 from hybridkit.solver import SolverConfig
 from hybridkit.systems import Q_IDX
 
@@ -247,7 +248,7 @@ def test_amplitude_shell_strongly_invariant(cat):
         q_for(fx, solver=SolverConfig(t_max=20.0), sample_budget=8,
               sampler=fx.system.state_sampler))
     assert rep.verdict == CONSISTENT
-    assert rep.measured["max_excursion"] < 1e-6
+    assert rep.measured["margins"]["invariance_exit"]["worst"] > 0
 
 
 def test_noninvariant_slab_falsified_immediately():
@@ -329,6 +330,63 @@ def test_falsification_witnesses_replay(cat):
         assert rep.verdict == FALSIFIED
         assert check_is_solution(fx.system, rep.witness, 1e-3) == []
         assert replay_clause(rep.witness, rep.witness_clause, gamma)
+
+
+def test_witness_margin_is_the_worst_margin(cat):
+    # one falsified check per witness clause type, with the sets its margin
+    # is taken on: the witness's own margin, from the arc in memory and from
+    # its CSV, is the report's worst margin of that clause, bit for bit
+    drift, bump, lc = cat["drift-line"], cat["sigma-bump"], cat["limit-circles"]
+    origin = drift.gammas["origin"]
+    long = q_for(drift, solver=SolverConfig(t_max=50.0))
+    growth = q_for(bump, window=Window.from_bounds([[2.0, 3.0], [0.5, 1.0]]),
+                   solver=SolverConfig(t_max=15.0), bound_radius=100.0)
+    line = HybridSystem(1, full_space(1), lambda x: np.ones(1), empty_set(1),
+                        lambda x: x, name="drift")
+    slab = box_set([[-1.0, 1.0]])
+    osys = with_output(lc.system, lc.output)
+    cases = {
+        "stability_escape": (
+            check_stability(drift.system, origin, long), {"gamma": origin}),
+        "local_stability_escape": (
+            check_local_stability_near(drift.system, origin, origin, 10.0, long),
+            {"gamma": origin, "g2": origin}),
+        "attractivity_terminal": (
+            check_attractivity(lc.system, lc.gammas["gamma1"],
+                               q_for(lc, solver=SolverConfig(t_max=60.0))),
+            {"gamma": lc.gammas["gamma1"]}),
+        "unbounded": (check_boundedness(bump.system, growth), {}),
+        "invariance_exit": (
+            check_invariance(line, slab, "strong",
+                             PropertyQuery(solver=SolverConfig(t_max=5.0),
+                                           sample_budget=5, seed=1,
+                                           window=Window.cube(1, 1.0))),
+            {"gamma": slab}),
+        "output_not_converged": (
+            check_output_convergence(osys, q_for(lc, solver=SolverConfig(t_max=20.0))),
+            {"output": osys.output}),
+    }
+    for kind, (rep, on) in cases.items():
+        assert rep.verdict == FALSIFIED and rep.witness_clause["type"] == kind
+        worst = rep.measured["margins"][kind]
+        assert worst["x0"] == rep.witness_clause["x0"]
+        stored = HybridArc.from_csv(rep.witness.to_csv(),
+                                    termination=rep.witness.termination)
+        margin, clause = clause_margin(rep.witness, rep.witness_clause, **on)
+        assert clause == rep.witness_clause
+        assert margin < 0 and margin == worst["worst"]
+        assert clause_margin(stored, rep.witness_clause, **on)[0] == margin
+        assert replay_clause(stored, rep.witness_clause, on.get("gamma"),
+                             on.get("g2"), on.get("output"))
+
+
+@pytest.mark.parametrize("kw", [
+    {"eps_grid": (float("nan"),)}, {"eps_grid": (0.25, float("inf"))},
+    {"bound_radius": float("nan")}, {"bound_radius": float("inf")},
+    {"bound_radius": 0.0}])
+def test_query_rejects_non_finite_grids_and_radii(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        PropertyQuery(**kw)
 
 
 def test_restriction_agreement_with_interior_outer_set(cat):

@@ -15,7 +15,9 @@ import pytest
 from conftest import assert_same_text
 
 import hybridkit
+from hybridkit.analysis import clause_margin
 from hybridkit.cli import _resolve_gamma, main
+from hybridkit.core import HybridArc
 from hybridkit.solver import SolverConfig, solve
 from hybridkit.systems import catalog
 
@@ -91,10 +93,15 @@ def test_simulate_rejects_bad_input(tmp_path):
     ["analyze", "--system", "sigma-bump", "--budget", "1", "--box", "1:0,1:0"],
     ["analyze", "--system", "sigma-bump", "--budget", "1", "--box", "0:1"],
     ["analyze", "--system", "sigma-bump", "--budget", "1", "--box", "1,2"],
+    ["analyze", "--system", "sigma-bump", "--eps", "nan"],
+    ["analyze", "--system", "sigma-bump", "--eps", "0.25,inf"],
 ])
 def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     assert run([*args, "--tmax", "1", "--out", str(tmp_path / "out")]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if "0.25,inf" in args:  # refused by the query, not by an infinite draw
+        assert "eps_grid" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -400,43 +407,43 @@ PINNED_RUNS = {
     "stability": (
         ["--system", "circles", "--check", "stability", "--gamma", "gamma1",
          "--budget", "6", "--tmax", "20", "--seed", "9"],
-        "83352d019768727626c06b53bf6372d55e4dbd40e46194582810ed0afe39ba47"),
+        "9e826d15ee721415518b2a3796a16c5783f7ae0cf2b82296734f7ca2bd2b08aa"),
     "attractivity": (
         ["--system", "limit-circles", "--check", "attractivity",
          "--gamma", "x2x3-axis", "--budget", "4", "--tmax", "30", "--seed", "3"],
-        "3c92d80da2979e7102a09f703eef5ae4c3371d4d87248cde9d39d4348a605525"),
+        "36dedb1c45747bdc70be31a2705f5605d1f7fc9fd22b0c71e7354458e8680cbd"),
     "local-stability-near": (
         ["--system", "sigma-bump", "--check", "local-stability-near",
          "--gamma", "gamma1", "--gamma2", "gamma2", "--budget", "4",
          "--tmax", "10", "--seed", "5"],
-        "884d0bc3d6c94ebd73ccf3496399ff02ba184ed58db5ae2ac2e77925bf64c1b1"),
+        "a666948537ac02b14e67a1d87e6855f95fc48acb0e97b8f2b35fd05dc4fdfb24"),
     "strong-invariance": (
         ["--system", "drift-line", "--check", "strong-invariance",
          "--gamma", "gamma2", "--budget", "4", "--tmax", "5", "--seed", "7"],
-        "5ac0ba9597afbaa059018283954b4b06f2252d35918e9693ee691e20fb2e961d"),
+        "646589392c807cf4c3c8c8dc7e8ac850a5d322a427436c6926cec2d8cbc0057e"),
     "weak-invariance": (  # falsified under both priorities
         ["--config", "DRIFT", "--check", "weak-invariance", "--gamma", "origin",
          "--budget", "4", "--tmax", "2", "--seed", "11"],
-        "08230653c9f11de34880d22fe84d6660e46d504401aad6e61cda648d54a6479a"),
+        "f135463245dc151e47f7a67177cf7c15b0c06aebccec318def7f756347771229"),
     "reduction": (
         ["--system", "settle-line", "--check", "reduction", "--gamma", "origin",
          "--gamma2", "gamma2", "--budget", "3", "--tmax", "10", "--eps", "0.5",
          "--delta-shrinks", "2", "--seed", "13"],
-        "bddd790e5acd8a5eb3a2f3edfdbb23aca86101ef79dc200717bfe34bf5430465"),
+        "3fe948774e6a7c507de50ad0ceba318ecf9784c188010a43762f8631d9c3cf41"),
     "reduction-global": (
         ["--system", "sigma-bump", "--check", "reduction", "--scope", "global",
          "--budget", "4", "--tmax", "10", "--eps", "0.25,0.5",
          "--delta-shrinks", "2", "--seed", "13"],
-        "33063650ef8ed14c25664dc9e517cba2835ae8a63dd944a38c3d7e6bb7377999"),
+        "4d8dfd5b4f532f4df3607cf1d74c85cb7a6ffd85b30b706423390e78c880740f"),
     "attractivity-local": (
         ["--system", "sigma-bump", "--check", "attractivity", "--gamma", "origin",
          "--scope", "local", "--eps", "0.1", "--budget", "4", "--tmax", "2",
          "--seed", "3"],
-        "83fd7bc093735d3fbc604552844a958d081e32f6b3bb5cb43841fbe9fec50d92"),
+        "ed19c2abfa1d7de67c91011a8ae4cdedd6094de893c42887e109c96fd53af845"),
     "detectability": (
         ["--system", "limit-circles", "--check", "detectability", "--budget", "4",
          "--tmax", "20", "--eps", "0.5", "--delta-shrinks", "2", "--seed", "17"],
-        "bef1b6c8cd02c1b38ca2f742e67feef10824cca0f0da6658e59ef99d522dad19"),
+        "9da35548de035aa6418f12374e102450fbd5596c4f2c37ec50ffbc0d4cb54ec0"),
 }
 
 
@@ -476,6 +483,30 @@ def _query_blocks(node, queries: list, radii: list):
             _query_blocks(value, queries, radii)
 
 
+def _check_margins(node, out: Path):
+    """No report consistent at budget has a negative margin, and a falsified
+    one's worst margin of its witness clause is the witness's own, replayed
+    from the witness files."""
+    if isinstance(node, dict):
+        margins = node.get("measured", {}).get("margins")
+        if node.get("verdict") == "ConsistentAtBudget":
+            assert all(m is None or m["worst"] >= 0 for m in margins.values())
+        elif margins is not None:
+            arc_path = out / node["witness_path"]
+            meta = json.loads(arc_path.with_suffix(".json").read_text())
+            arc = HybridArc.from_csv(arc_path.read_text(),
+                                     termination=meta["termination"])
+            fixture = catalog().get(meta["system"])
+            sets = {k: _resolve_gamma(fixture, meta[g], arc.dim)
+                    for k, g in (("gamma", "gamma"), ("g2", "gamma2")) if meta[g]}
+            output = fixture.output if fixture is not None else None
+            margin = clause_margin(arc, meta["clause"], output=output, **sets)[0]
+            assert margin < 0
+            assert margin == margins[meta["clause"]["type"]]["worst"]
+        for value in node.values():
+            _check_margins(value, out)
+
+
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
 def test_seed_pinned_report_bytes(name, tmp_path):
     args, digest = PINNED_RUNS[name]
@@ -490,4 +521,5 @@ def test_seed_pinned_report_bytes(name, tmp_path):
     for q in queries:
         assert "property" not in q
         assert q["near_radius"] == (radii[0] if radii else max(q["eps_grid"]))
+    _check_margins(json.loads((out / "report.json").read_text()), out)
     assert _dir_digest(out) == digest

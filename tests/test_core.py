@@ -18,7 +18,6 @@ from hybridkit.core import (
     hybrid_time_leq,
     hybrid_time_lt,
     is_complete,
-    range_of,
 )
 from hybridkit.errors import MalformedArc
 from hybridkit.geometry import empty_set, full_space
@@ -79,27 +78,6 @@ def test_is_complete_flags():
     horizon = HybridArc([np.array([0.0, 50.0])], [np.zeros((2, 1))],
                         Termination.COMPLETE_T)
     assert is_complete(horizon)
-
-
-def test_range_of_constant_and_halving():
-    const = HybridArc([np.array([0.0, 1.0, 2.0])], [np.full((3, 1), 0.7)],
-                      Termination.COMPLETE_T)
-    assert range_of(const).shape == (1, 1)
-
-    vals = [1.0, 0.5, 0.25, 0.125]
-    arc = HybridArc([np.array([0.0])] * 4,
-                    [np.array([[v]]) for v in vals],
-                    Termination.COMPLETE_J)
-    r = range_of(arc)
-    assert sorted(r.ravel().tolist()) == sorted(vals)
-
-
-def test_range_of_rotation_stays_on_circle():
-    sys = _rotation_system(1.5)
-    arc = solve(sys, [2.0, 0.0],
-                SolverConfig(t_max=2 * np.pi / 1.5, store_max_dt=0.02))
-    pts = range_of(arc)
-    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 2.0)) < 1e-6
 
 
 def test_checker_clean_on_solver_output():

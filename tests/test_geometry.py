@@ -8,6 +8,7 @@ import pytest
 
 from hybridkit.errors import DimensionMismatch
 from hybridkit.geometry import (
+    ClosedSet,
     Window,
     affine_set,
     box_set,
@@ -17,7 +18,6 @@ from hybridkit.geometry import (
     full_space,
     inflate,
     intersect,
-    level_set,
     point_set,
     product,
     set_from_config,
@@ -134,7 +134,8 @@ def test_inflate_distance_matches_brute_force():
 
 
 def test_inflation_of_declared_surrogate_keeps_formula():
-    s = level_set(2, lambda x: x[..., 0] ** 2 + x[..., 1] - 1.0, name="parab")
+    s = ClosedSet(2, lambda x: np.abs(x[..., 0] ** 2 + x[..., 1] - 1.0),
+                  distance_kind="declared", name="parab")
     infl = inflate(s, 0.25)
     x = np.array([0.5, 2.0])
     assert infl.distance(x) == pytest.approx(max(0.0, float(s.distance(x)) - 0.25))

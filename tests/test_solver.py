@@ -80,7 +80,7 @@ def test_zeno_guard_trips_on_toggle_plane(cat):
     assert arc.termination is Termination.ZENO
     # zeno_k short intervals have occurred: zeno_k - 1 jumps plus the open one
     assert arc.n_jumps == cfg.zeno_k - 1
-    assert arc.domain.total_flow_time() == 0.0
+    assert arc.final_time()[0] == 0.0
 
 
 def test_initial_condition_outside_cd_raises(cat):

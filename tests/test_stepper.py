@@ -184,25 +184,6 @@ def test_rtol_below_100_eps_is_clamped_as_in_rk45(monkeypatch):
         assert _assert_steps_match(_decay().flow_map, 0.0, x0, cfg.t_max, cfg) > 10
 
 
-def test_start_at_t_max_is_a_constant_step():
-    cfg = SolverConfig(t_max=3.0)
-    x0 = np.array([1.0, 0.5])
-    steps = list(solver._dop853(_decay().flow_map, 3.0, x0, _decay().flow_map(x0), 3.0,
-                                cfg.rtol, cfg.atol, cfg.effective_max_step))
-    assert len(steps) == 1 and steps[0].t_old == steps[0].t == 3.0
-    rk = _dop853(_decay().flow_map, 3.0, x0, cfg)
-    rk.step()
-    assert rk.status == "finished"
-    ts = np.full(4, 3.0)
-    assert _same_bits(solver._dense(steps[0], ts), rk.dense_output()(ts).T)
-    assert _same_bits(solver._dense(steps[0], np.array([3.0]))[0], rk.dense_output()(3.0))
-    seg = solver._flow_segment(_decay(), 3.0, x0, cfg)
-    ref = _scipy_flow_segment(_decay(), 3.0, x0, cfg)
-    assert seg[:2] == ([], []) and ref[:2] == ([], [])
-    assert seg[2].reason == ref[2].reason == "horizon"
-    assert _same_bits(seg[2].x, ref[2].x)
-
-
 def test_a_tail_step_of_3_ulps_stores_strictly_increasing_times(monkeypatch):
     t_max = 3.0
     t0 = t_max - 3 * math.ulp(t_max)
