@@ -235,6 +235,8 @@ def _parse_x0(fixture: Fixture | None, args, dim: int) -> np.ndarray:
             x0 = np.array([float(v) for v in args.x0.split(",")], dtype=float)
         except ValueError as exc:
             raise ConfigError(f"bad --x0 {args.x0!r}") from exc
+        if not np.isfinite(x0).all():
+            raise ConfigError(f"--x0 {args.x0!r} has a non-finite entry")
         if x0.size != dim:
             raise ConfigError(f"--x0 has {x0.size} entries, system dim is {dim}")
         return x0

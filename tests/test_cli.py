@@ -95,6 +95,8 @@ def test_simulate_rejects_bad_input(tmp_path):
     ["analyze", "--system", "sigma-bump", "--budget", "1", "--box", "1,2"],
     ["analyze", "--system", "sigma-bump", "--eps", "nan"],
     ["analyze", "--system", "sigma-bump", "--eps", "0.25,inf"],
+    ["simulate", "--system", "circles", "--x0", "nan,0.5,0.1,1"],
+    ["simulate", "--system", "circles", "--x0", "inf,0.5,0.1,1"],
 ])
 def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     assert run([*args, "--tmax", "1", "--out", str(tmp_path / "out")]) == 2
@@ -102,6 +104,8 @@ def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     assert "configuration error" in err
     if "0.25,inf" in args:  # refused by the query, not by an infinite draw
         assert "eps_grid" in err
+    if args[-2] == "--x0":  # refused by the parser, not by the solver
+        assert "--x0" in err
     assert not (tmp_path / "out").exists()
 
 

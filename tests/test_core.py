@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 from conftest import assert_same_text
 
 from hybridkit.core import (
+    ARC_SCHEMA_VERSION,
     HybridArc,
     HybridSystem,
     HybridTimeDomain,
     Termination,
+    Violation,
+    _events,
+    _jsonable,
     check_is_solution,
     hybrid_time_leq,
     hybrid_time_lt,
@@ -25,6 +32,12 @@ from hybridkit.solver import SolverConfig, solve
 from hybridkit.systems import catalog
 
 PRESETS = [(name, preset) for name, fx in catalog().items() for preset in fx.presets]
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_arc(name, preset):
+    fx = catalog()[name]
+    return fx.system, solve(fx.system, fx.presets[preset], SolverConfig(**fx.solver_overrides))
 
 
 def _rotation_system(omega=1.5):
@@ -168,9 +181,8 @@ def test_csv_jump_rows_marked():
 
 
 @pytest.mark.parametrize("name,preset", PRESETS)
-def test_preset_arc_files_round_trip_byte_for_byte(cat, name, preset):
-    fx = cat[name]
-    arc = solve(fx.system, fx.presets[preset], SolverConfig(**fx.solver_overrides))
+def test_preset_arc_files_round_trip_byte_for_byte(name, preset):
+    _, arc = _preset_arc(name, preset)
     text, payload = arc.to_csv(), arc.to_json()
     assert_same_text(HybridArc.from_csv(text, termination=arc.termination).to_csv(), text)
     back = HybridArc.from_json(payload)
@@ -215,3 +227,161 @@ def test_same_text_failures_name_the_first_differing_line():
         assert_same_text("a\nb\n", "a\nc\n")
     with pytest.raises(AssertionError, match=r"\(4, '[0-9a-f]{64}'\) != \(2, "):
         assert_same_text(b"a\nb\n", b"a\n")
+
+
+# -- the array-form checker and the row-template JSON writer against the
+# per-sample code they replaced, kept here as references ---------------------
+
+def _check_per_row(sys, arc, tol, tol_set=1e-9):
+    """``check_is_solution`` with one Python iteration per stored sample."""
+    out = []
+    for j, (t, x) in enumerate(zip(arc.times, arc.states)):
+        check = x[:-1]
+        if check.shape[0]:
+            inside = np.asarray(sys.flow_set.member(check, tol_set), dtype=bool)
+            for k in np.flatnonzero(~inside):
+                out.append(Violation("FlowOutsideC", float(t[k]), j,
+                                     float(sys.flow_set.distance(check[k]))))
+        for k in range(t.shape[0] - 1):
+            dt = t[k + 1] - t[k]
+            if dt <= 0:
+                continue
+            mid = 0.5 * (x[k] + x[k + 1])
+            resid = (x[k + 1] - x[k]) / dt - np.asarray(sys.flow_map(mid), dtype=float)
+            mag = float(np.linalg.norm(resid))
+            if mag > tol:
+                out.append(Violation("FlowResidual", float(t[k]), j, mag))
+    for t, j, pre, post in arc.jump_transitions():
+        if not bool(sys.jump_set.member(pre, tol_set)):
+            out.append(Violation("JumpOutsideD", t, j, float(sys.jump_set.distance(pre))))
+        err = float(np.linalg.norm(post - np.asarray(sys.jump_map(pre), dtype=float)))
+        if err > tol:
+            out.append(Violation("JumpMapMismatch", t, j, err))
+    return out
+
+
+def _assert_same_violations(sys, arc, tol):
+    got, ref = check_is_solution(sys, arc, tol), _check_per_row(sys, arc, tol)
+    assert [(v.kind, v.t, v.j) for v in got] == [(v.kind, v.t, v.j) for v in ref]
+    for g, r in zip(got, ref):
+        assert math.isclose(g.magnitude, r.magnitude, rel_tol=1e-12, abs_tol=0.0)
+    return got
+
+
+def _json_per_row(arc):
+    """``to_json`` as one dict per sample through ``json.dumps(indent=1)``."""
+    t, j, x = arc.table()
+    columns = (t.tolist(), j.tolist(), x.tolist(), _events(j).tolist())
+    rows = [{"t": tk, "j": jk, "x": xk, "event": ek} for tk, jk, xk, ek in zip(*columns)]
+    return json.dumps({"schema_version": ARC_SCHEMA_VERSION, "n": arc.dim,
+                       "termination": arc.termination.value, "samples": rows,
+                       "meta": _jsonable(arc.meta)}, indent=1)
+
+
+def _decay_arc(times, noise, seed=0):
+    """Sampled e^{-t} on each interval of ``times``, jumping by x -> x/2,
+    with N(0, noise) added to every state."""
+    gen = np.random.default_rng(seed)
+    states, x0 = [], 1.0
+    for t in times:
+        x = x0 * np.exp(-(t - t[0]))[:, None]
+        states.append(x + gen.normal(scale=noise, size=x.shape))
+        x0 = 0.5 * float(x[-1, 0])
+    return HybridArc([np.asarray(t, dtype=float) for t in times], states,
+                     Termination.COMPLETE_J)
+
+
+def _decay_system(flow_map=lambda x: -x):
+    return HybridSystem(1, full_space(1), flow_map, full_space(1),
+                        lambda x: 0.5 * x, name="decay")
+
+
+@pytest.mark.parametrize("name,preset", PRESETS)
+def test_array_checker_equals_per_row_reference_on_presets(name, preset):
+    sys, arc = _preset_arc(name, preset)
+    assert _assert_same_violations(sys, arc, 1e-3) == []
+
+
+def test_array_checker_equals_per_row_reference_on_a_noisy_arc():
+    sys, arc = _preset_arc("observer", "fig3")
+    gen = np.random.default_rng(0)
+    noisy = HybridArc(list(arc.times),
+                      [x + gen.normal(scale=1e-3, size=x.shape) for x in arc.states],
+                      arc.termination)
+    v = _assert_same_violations(sys, noisy, 1e-3)
+    assert sum(viol.kind == "FlowResidual" for viol in v) == 3002
+
+
+def test_array_checker_equals_per_row_reference_on_odd_intervals():
+    # a single-sample interval between two flows, and a flow map that
+    # returns a scalar for the 1-D state
+    times = [np.linspace(0.0, 1.0, 41), np.array([1.0]), np.linspace(1.0, 2.0, 41)]
+    scalar = _decay_system(lambda x: -float(x[0]))
+    for sys in (_decay_system(), scalar):
+        arc = _decay_arc(times, noise=1e-3)
+        assert any(v.kind == "FlowResidual" for v in _assert_same_violations(sys, arc, 1e-3))
+    # a repeated time sample (dt = 0) is skipped by both; the arc constructor
+    # refuses one, so it is put in afterwards
+    arc = _decay_arc(times, noise=1e-3)
+    arc.times[0] = arc.times[0].copy()
+    arc.times[0][5] = arc.times[0][4]
+    v = _assert_same_violations(scalar, arc, 1e-3)
+    assert sum(viol.kind == "FlowResidual" and viol.j == 0 for viol in v) == 39
+
+
+def test_array_checker_propagates_a_flow_map_error_at_the_same_midpoint():
+    def flow_map(x):
+        if x[0] < 0.5:
+            raise FloatingPointError(f"flow map refused {float(x[0])!r}")
+        return -x
+
+    sys, arc = _decay_system(flow_map), _decay_arc([np.linspace(0.0, 2.0, 81)], 0.0)
+    with pytest.raises(FloatingPointError) as ref:
+        _check_per_row(sys, arc, 1e-3)
+    with pytest.raises(FloatingPointError, match=re.escape(str(ref.value))):
+        check_is_solution(sys, arc, 1e-3)
+
+
+def test_checker_makes_one_membership_call_per_interval_and_one_map_call_per_gap(
+        monkeypatch):
+    times = [np.linspace(0.0, 1.0, 11), np.array([1.0]), np.linspace(1.0, 1.5, 7),
+             np.array([1.5, 2.0])]
+    arc = _decay_arc(times, noise=0.0)
+    arc.times[0] = arc.times[0].copy()
+    arc.times[0][3] = arc.times[0][2]  # one zero-length gap
+    maps = []
+    sys = _decay_system(lambda x: maps.append(1) or -x)
+    members = []
+    member = sys.flow_set.member
+    monkeypatch.setattr(sys.flow_set, "member",
+                        lambda x, tol=None: members.append(len(x)) or member(x, tol))
+    check_is_solution(sys, arc, 1e-3)
+    assert members == [10, 6, 1]  # intervals with at least 2 samples
+    assert len(maps) == 9 + 6 + 1  # positive-length gaps
+
+
+@pytest.mark.parametrize("name,preset", PRESETS)
+def test_to_json_equals_json_dumps_reference_on_presets(name, preset):
+    _, arc = _preset_arc(name, preset)
+    assert_same_text(arc.to_json(), _json_per_row(arc))
+
+
+def test_to_json_equals_json_dumps_reference_on_extreme_values():
+    arc = HybridArc(
+        [np.array([0.0, 5e-324, 1.0]), np.array([1.0, np.inf])],
+        [np.array([[np.nan, -0.0], [np.inf, -np.inf], [1e300, 5e-324]]),
+         np.array([[-1e300, 0.1], [np.nan, 1.0]])],
+        Termination.COMPLETE_T,
+        meta={"nested": [1, [2.5, {"k": None}], {"deep": {"x": [True, False]}}],
+              "empty_list": [], "empty_dict": {}, "none": None, "flag": True,
+              "text": "nan inf Infinity -Infinity NaN", "nan": float("nan"),
+              "inf": [float("inf"), -float("inf")], "array": np.arange(3)},
+    )
+    text = arc.to_json()
+    assert_same_text(text, _json_per_row(arc))
+    back = HybridArc.from_json(text)
+    assert_same_text(back.to_json(), text)
+    assert back.termination == arc.termination
+    for a, b in zip(back.states + back.times, arc.states + arc.times):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
