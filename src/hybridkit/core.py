@@ -75,7 +75,9 @@ class HybridSystem:
                 )
 
     def in_cd(self, x, tol: float | None = None):
-        return np.logical_or(self.flow_set.member(x, tol), self.jump_set.member(x, tol))
+        # D is tested only when some point is outside C
+        in_c = self.flow_set.member(x, tol)
+        return in_c if np.all(in_c) else np.logical_or(in_c, self.jump_set.member(x, tol))
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,7 @@ def coords_set(
             raise DimensionMismatch(f"constraint index {i} out of range for dim {dim}")
         if c[0] not in (_INTERVAL, _VALUES, _ANGLE):
             raise ValueError(f"unknown coordinate constraint {c!r}")
+    values = {i: np.asarray(c[1], dtype=float) for i, c in items if c[0] == _VALUES}
 
     def dist(x):
         total = np.zeros(x.shape[:-1])
@@ -216,7 +217,7 @@ def coords_set(
             if c[0] == _INTERVAL:
                 d = _interval_dist(xi, c[1], c[2])
             elif c[0] == _VALUES:
-                d = _values_dist(xi, np.asarray(c[1], dtype=float))
+                d = _values_dist(xi, values[i])
             else:
                 d = circle_distance(xi, c[1], c[2])
             total = total + d * d
@@ -234,7 +235,7 @@ def coords_set(
                     lo, hi = c[1], c[2]  # constraint wins over window
                 pts[:, i] = rng.uniform(lo, hi, size=n) if hi > lo else lo
             elif c[0] == _VALUES:
-                pts[:, i] = rng.choice(np.asarray(c[1], dtype=float), size=n)
+                pts[:, i] = rng.choice(values[i], size=n)
             else:
                 pts[:, i] = c[1]
         return pts
@@ -246,8 +247,7 @@ def coords_set(
             if c[0] == _INTERVAL:
                 out[..., i] = np.clip(xi, c[1], c[2])
             elif c[0] == _VALUES:
-                vals = np.asarray(c[1], dtype=float)
-                out[..., i] = vals[np.argmin(np.abs(xi[..., None] - vals), axis=-1)]
+                out[..., i] = values[i][np.argmin(np.abs(xi[..., None] - values[i]), axis=-1)]
             else:
                 out[..., i] = _project_angle(xi, c[1], c[2])
         return out

@@ -14,7 +14,11 @@ block per step, concatenated once per flow interval.  They are also its exit
 probes, tested in one batched flow-set membership call as the step is taken,
 and an exit bracket is narrowed by the same rule on the dense output
 (``_probe_step``); this subsumes sign bisection of a scalar guard and also
-copes with band sets and boundary starts.
+copes with band sets and boundary starts.  At x0 and after each jump the
+state is tested against its deciding set first, D under jump priority and C
+under flow priority, and against the other set only when it is not in the
+deciding one (``_next_move``).  After a flow-set exit D is tested first
+under either priority.
 
 Determinism contract: identical (system, x0, config) produce bitwise-identical
 arcs; no randomness is involved anywhere in the solve path.
@@ -434,6 +438,23 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
     return segment_end("horizon")
 
 
+def _next_move(sys: HybridSystem, x: np.ndarray, cfg: SolverConfig) -> str | None:
+    """Whether the hybrid state x jumps or flows next: "jump", "flow", or None
+    when x lies outside C u D (within tol_set).
+
+    The priority's own set decides (D under jump priority, C under flow
+    priority); the other set is tested only when x is not in it.
+    """
+    if cfg.priority is Priority.JUMP:
+        moves = (sys.jump_set, "jump"), (sys.flow_set, "flow")
+    else:
+        moves = (sys.flow_set, "flow"), (sys.jump_set, "jump")
+    for s, move in moves:
+        if bool(s.member(x, cfg.tol_set)):
+            return move
+    return None
+
+
 def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
     """Compute one maximal-up-to-horizon hybrid arc from x0.
 
@@ -446,9 +467,8 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (sys.dim,):
         raise DimensionMismatch(f"x0 has shape {x.shape}, system dim is {sys.dim}")
-    in_c = bool(sys.flow_set.member(x, cfg.tol_set))
-    in_d = bool(sys.jump_set.member(x, cfg.tol_set))
-    if not (in_c or in_d):
+    move = _next_move(sys, x, cfg)
+    if move is None:
         raise InitialConditionOutsideCD(
             f"x0 = {x.tolist()} is outside C u D "
             f"(distances {float(sys.flow_set.distance(x)):.3e} / "
@@ -465,13 +485,12 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
     termination: Termination | None = None
 
     while termination is None:
-        take_jump = in_d and (cfg.priority is Priority.JUMP or not in_c)
+        if move is None:
+            # the state escaped C u D
+            termination = Termination.ESCAPED
+            break
 
-        if not take_jump:
-            if not in_c:
-                # not in C, not jumping: the state escaped C u D
-                termination = Termination.ESCAPED
-                break
+        if move == "flow":
             if t >= cfg.t_max:
                 termination = Termination.COMPLETE_T
                 break
@@ -488,8 +507,9 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
                 break
             events.append({"kind": "flow_exit", "t": t, "j": j,
                            "bracket_gap": end.bracket_gap})
+            # x has just left C, so D decides under either priority
             if bool(sys.jump_set.member(x, cfg.tol_set)):
-                take_jump = True
+                move = "jump"
             elif bool(sys.flow_set.member(x, cfg.tol_set)):
                 termination = Termination.NOT_EXTENDABLE
                 break
@@ -497,7 +517,7 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
                 termination = Termination.ESCAPED
                 break
 
-        if take_jump:
+        if move == "jump":
             # close the current flow interval, applying the Zeno accounting
             duration = interval_times[-1][-1][-1] - interval_times[-1][0][0]
             zeno_run = zeno_run + 1 if duration < cfg.zeno_dt_min else 0
@@ -521,8 +541,7 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
                 termination = Termination.COMPLETE_J
                 break
             # a state outside C u D ends ESCAPED at the loop top
-            in_c = bool(sys.flow_set.member(x, cfg.tol_set))
-            in_d = bool(sys.jump_set.member(x, cfg.tol_set))
+            move = _next_move(sys, x, cfg)
 
     return HybridArc(
         [np.concatenate(ts) for ts in interval_times],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from hybridkit.core import HybridSystem, Termination, check_is_solution
 from hybridkit.errors import InitialConditionOutsideCD
 from hybridkit.geometry import box_set, coords_set, empty_set, full_space, union
 from hybridkit.solver import Priority, SolverConfig, SolveError, solve, solve_batch
-from hybridkit.systems import estimator_diagnostics
+from hybridkit.systems import catalog, estimator_diagnostics
 
 
 def test_pure_flow_matches_exponential():
@@ -236,16 +237,101 @@ def test_exit_probes_are_the_stored_samples():
     assert received.tobytes() == np.vstack(arc.states).tobytes()
 
 
-def test_each_hybrid_state_is_tested_against_c_and_d_once():
+def _state_calls(calls: list) -> int:
+    """How many logged calls tested a single hybrid state; the stored-sample
+    probes come as (m, n) arrays."""
+    return sum(np.ndim(x) == 1 for x in calls)
+
+
+def test_each_hybrid_state_is_tested_against_its_deciding_set_first():
+    # (priority, C, D, termination, calls on hybrid states to C, to D): x' = 0
+    # and the halving jump map, so the states are 1, 1/2, 1/4, ...
+    jump, flow = Priority.JUMP, Priority.FLOW
+    cases = [
+        # every state in C n D: the priority's set alone is asked
+        (jump, full_space(1), full_space(1), Termination.COMPLETE_J, 0, 5),
+        (flow, full_space(1), full_space(1), Termination.COMPLETE_T, 1, 0),
+        # D alone holds the states
+        (jump, empty_set(1), full_space(1), Termination.COMPLETE_J, 0, 5),
+        # the deciding set says no: the other set is asked once per state
+        (flow, empty_set(1), full_space(1), Termination.COMPLETE_J, 5, 5),
+        (jump, full_space(1), empty_set(1), Termination.COMPLETE_T, 1, 1),
+    ]
+    for priority, c, d, termination, n_c, n_d in cases:
+        c_calls: list = []
+        d_calls: list = []
+        sys = HybridSystem(1, _record_member(c, c_calls), lambda x: 0 * x,
+                           _record_member(d, d_calls), lambda x: x / 2, name="halving")
+        arc = solve(sys, [1.0], SolverConfig(t_max=1.0, j_max=5, priority=priority))
+        assert arc.termination is termination
+        # x0 and the states after jumps 1..4; the fifth jump ends the arc
+        assert arc.n_jumps == (5 if termination is Termination.COMPLETE_J else 0)
+        assert (_state_calls(c_calls), _state_calls(d_calls)) == (n_c, n_d), priority
+        if n_d == 0:
+            assert not d_calls  # D is never asked, not even about a probe
+
+
+def test_post_jump_states_on_the_toggle_plane_are_not_tested_against_c():
+    # each circles arc ends in a run of jumps on the toggle plane, where every
+    # post-jump state is in D; under jump priority C is never asked about one
+    fx = catalog()["circles"]  # a fresh instance: _record_member patches its sets
     c_calls: list = []
     d_calls: list = []
-    sys = HybridSystem(1, _record_member(empty_set(1), c_calls), lambda x: 0 * x,
-                       _record_member(full_space(1), d_calls), lambda x: x / 2,
-                       name="halving")
-    arc = solve(sys, [1.0], SolverConfig(t_max=1.0, j_max=5))
-    assert arc.termination is Termination.COMPLETE_J and arc.n_jumps == 5
-    # x0 and the states after jumps 1..4; the fifth jump ends the arc
-    assert len(c_calls) == len(d_calls) == 5
+    sys = HybridSystem(4, _record_member(fx.system.flow_set, c_calls), fx.system.flow_map,
+                       _record_member(fx.system.jump_set, d_calls), fx.system.jump_map,
+                       name="circles")
+    cfg = SolverConfig(**fx.solver_overrides)
+    assert cfg.priority is Priority.JUMP
+    for x0 in (fx.presets["default"], np.array([0.0, 1.0, 1.0, 1.0])):
+        c_calls.clear()
+        d_calls.clear()
+        arc = solve(sys, x0, cfg)
+        assert arc.termination is Termination.ZENO and arc.n_jumps > 1
+        post_jump = [xs[0] for xs in arc.states[1:]]
+        c_states = [x for x in c_calls if np.ndim(x) == 1]
+        assert not any(np.array_equal(x, y) for x in c_states for y in post_jump)
+        # C is asked about x0 only when x0 is not on the toggle plane
+        assert len(c_states) == (0 if x0[0] == 0.0 else 1)
+        # D is asked about x0, each flow-set exit and each post-jump state
+        exits = sum(e["kind"] == "flow_exit" for e in arc.meta["events"])
+        assert _state_calls(d_calls) == 1 + exits + len(post_jump)
+        assert all(bool(sys.jump_set.member(x, cfg.tol_set)) for x in post_jump)
+
+
+#: sha256 of ``to_csv()`` of every catalog preset's arc under each priority,
+#: recorded before the solver tested the deciding set first
+PINNED_PRESET_CSV = {
+    ("observer", "fig3", "jump"): "2ce56332d55d5b24d2dc592f760af9d979a234cb830f3a9ec866fbdeddcc0cec",
+    ("observer", "fig3", "flow"): "2ce56332d55d5b24d2dc592f760af9d979a234cb830f3a9ec866fbdeddcc0cec",
+    ("circles", "default", "jump"): "6fbfa520a14a6a5fba8ab17ea946c4ab8c79f56fa0628fd579f5590cf73df5d9",
+    ("circles", "default", "flow"): "2eaee3a9f86e002cdcdd75c7f7903c624233645d12e0d683ab6102f276aa5172",
+    ("cascade-ex1", "default", "jump"): "c20503dcf633565f8de8c648ee7caea1e691f751a68d23d2a533772fdcc80371",
+    ("cascade-ex1", "default", "flow"): "c20503dcf633565f8de8c648ee7caea1e691f751a68d23d2a533772fdcc80371",
+    ("polar", "default", "jump"): "26989e8a015b60b23f95eb50784c570db92ebf4eca64ffcc6b1d224b6b53ff5c",
+    ("polar", "default", "flow"): "26989e8a015b60b23f95eb50784c570db92ebf4eca64ffcc6b1d224b6b53ff5c",
+    ("sigma-bump", "default", "jump"): "09a8231a29ba3990c745582f96127acdeed6113579c76d25cab3d589610e73f5",
+    ("sigma-bump", "default", "flow"): "09a8231a29ba3990c745582f96127acdeed6113579c76d25cab3d589610e73f5",
+    ("limit-circles", "default", "jump"): "94480b2052f1f4645450c210bc933f5b39e693fa1760d77b193f1b26995defb9",
+    ("limit-circles", "default", "flow"): "94480b2052f1f4645450c210bc933f5b39e693fa1760d77b193f1b26995defb9",
+    ("drift-line", "default", "jump"): "c86dc21152f9415897197791a06125344cbc0a46b32cd7b5bd06491945d28ec0",
+    ("drift-line", "default", "flow"): "c86dc21152f9415897197791a06125344cbc0a46b32cd7b5bd06491945d28ec0",
+    ("settle-line", "default", "jump"): "f669bba9ad69a890c8a46730a4102edb1900a8310230b2a7c072202788933ab5",
+    ("settle-line", "default", "flow"): "f669bba9ad69a890c8a46730a4102edb1900a8310230b2a7c072202788933ab5",
+    ("contraction", "default", "jump"): "f41c4f297f8482e2b6721290de7370927713b95f1357ba3b4727f4f3c51c233f",
+    ("contraction", "default", "flow"): "f41c4f297f8482e2b6721290de7370927713b95f1357ba3b4727f4f3c51c233f",
+}
+
+
+@pytest.mark.parametrize("name,preset,priority", [
+    (name, preset, priority.value)
+    for name, fx in catalog().items() for preset in fx.presets for priority in Priority
+])
+def test_preset_arcs_are_pinned_under_both_priorities(cat, name, preset, priority):
+    fx = cat[name]
+    arc = solve(fx.system, fx.presets[preset],
+                SolverConfig(**fx.solver_overrides, priority=priority))
+    digest = hashlib.sha256(arc.to_csv().encode()).hexdigest()
+    assert digest == PINNED_PRESET_CSV[(name, preset, priority)]
 
 
 def test_flow_map_is_evaluated_once_at_each_segment_start():
