@@ -27,7 +27,7 @@ from hybridkit.core import (
     is_complete,
 )
 from hybridkit.errors import MalformedArc
-from hybridkit.geometry import empty_set, full_space
+from hybridkit.geometry import box_set, coords_set, empty_set, full_space
 from hybridkit.solver import SolverConfig, solve
 from hybridkit.systems import catalog
 
@@ -66,6 +66,23 @@ def test_hybrid_time_is_partial_order():
             for c in grid:
                 if hybrid_time_leq(a, b) and hybrid_time_leq(b, c):
                     assert hybrid_time_leq(a, c)
+
+
+def test_in_cd_tests_d_only_when_a_point_is_outside_c():
+    d = coords_set(1, {0: ("values", (2.0,))})
+    member = d.member
+    d_calls: list = []
+    d.member = lambda x, tol=None: d_calls.append(x) or member(x, tol)
+    sys = HybridSystem(1, box_set([[0.0, 1.0]]), lambda x: x, d, lambda x: x, name="box-and-point")
+    # C = [0, 1] and D = {2}: 0.5 is in C, 2 in D only, 3 in neither
+    for pts, expected, n_d in [([0.5], True, 0), ([2.0], True, 1), ([3.0], False, 1),
+                               ([[0.5], [1.0]], [True, True], 0),
+                               ([[0.5], [3.0], [2.0]], [True, False, True], 1)]:
+        d_calls.clear()
+        x = np.array(pts)
+        got = sys.in_cd(x, 1e-9)
+        assert np.array_equal(got, expected) and len(d_calls) == n_d
+        assert np.array_equal(got, np.logical_or(sys.flow_set.member(x, 1e-9), member(x, 1e-9)))
 
 
 def test_time_domain_invariants():
