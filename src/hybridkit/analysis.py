@@ -383,15 +383,21 @@ def _eps_delta(sys: HybridSystem, near: ClosedSet, query: PropertyQuery,
     return delta_for_eps, run
 
 
+def _provenance(sys: HybridSystem, query: PropertyQuery, sets: dict) -> dict:
+    """The query's settings, the system, and each named set (a chain of sets
+    by its list of names)."""
+    return {**query.provenance(), "system": sys.name,
+            **{k: s.name if isinstance(s, ClosedSet) else [g.name for g in s]
+               for k, s in sets.items()}}
+
+
 def _report(prop: str, sys: HybridSystem, query: PropertyQuery, measured: dict,
             run: _Campaign, notes=(), **sets: ClosedSet) -> AnalysisReport:
     """The report of one campaign, with its margins under ``measured``;
-    ``sets`` names the target (and the outer set) in the provenance, next to
-    the query's settings and the system."""
+    ``sets`` names the target (and the outer set) in the provenance."""
     return AnalysisReport(FALSIFIED if run.witness is not None else CONSISTENT,
                           prop, {**measured, "margins": run.margins},
-                          {**query.provenance(), "system": sys.name,
-                           **{k: s.name for k, s in sets.items()}},
+                          _provenance(sys, query, sets),
                           run.witness, run.clause, list(notes))
 
 
@@ -509,20 +515,17 @@ def check_output_convergence(osys: OutputSystem, query: PropertyQuery) -> Analys
 
 def _relative_reports(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
                       query: PropertyQuery, scope: str,
-                      tag: str = "rel") -> dict[str, AnalysisReport]:
-    """(G)AS of g1 relative to g2: stability plus attractivity of g1 for the
-    restriction, sampling through g2 (projection when available)."""
-    if g2 is None:
-        rsys, project, amb_sampler = sys, None, None
-    else:
+                      tag: str = "rel") -> tuple[AnalysisReport, AnalysisReport]:
+    """(G)AS of g1 relative to g2, as the pair (stability, attractivity) of g1
+    for the restriction, sampling through g2 (projection when available)."""
+    if scope not in ("local", "global"):
+        raise ValueError("scope must be 'local' or 'global'")
+    rsys, project, amb_sampler = sys, None, None
+    if g2 is not None:
         rsys = restrict(sys, g2)
         project = g2.project if g2.can_project else None
-        amb_sampler = (lambda rng, n: g2.sample(rng, n, query.window)) \
-            if g2.can_sample else None
-    if g2 is not None and amb_sampler is None and project is not None \
-            and query.window is not None:
-        w = query.window
-        amb_sampler = lambda rng, n: np.atleast_2d(g2.project(w.uniform(rng, n)))
+        if g2.can_sample:
+            amb_sampler = lambda rng, n: g2.sample(rng, n, query.window)
     sub = query.child(tag, sampler=None)
     stab = check_stability(rsys, g1, sub, project=project)
     if scope == "global":
@@ -530,19 +533,31 @@ def _relative_reports(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
                                   project=project)
     else:
         attr = check_attractivity(rsys, g1, sub, project=project, near=g1)
-    return {"stability": stab, "attractivity": attr}
+    return stab, attr
 
 
 @dataclass
 class TheoremCheck:
-    """Observed status of one implication: hypothesis bundle vs conclusion."""
+    """Observed status of one implication: the verdicts of its hypothesis
+    bundle and of its conclusion."""
 
     name: str
     hypotheses: dict[str, str]
     conclusion: dict[str, str]
-    hypotheses_consistent: bool
-    conclusion_consistent: bool
-    sound: bool
+
+    @property
+    def hypotheses_consistent(self) -> bool:
+        return all(v == CONSISTENT for v in self.hypotheses.values())
+
+    @property
+    def conclusion_consistent(self) -> bool:
+        return all(v == CONSISTENT for v in self.conclusion.values())
+
+    @property
+    def sound(self) -> bool:
+        # every witness we produce starts inside our own sampled region, so a
+        # falsified conclusion under all-consistent hypotheses is a soundness hit
+        return not (self.hypotheses_consistent and not self.conclusion_consistent)
 
     def to_json_dict(self) -> dict:
         return {
@@ -587,19 +602,22 @@ class ReductionReport:
         }
 
 
-def _theorem(name: str, hyp_reports: dict[str, AnalysisReport],
-             conc_reports: dict[str, AnalysisReport]) -> TheoremCheck:
-    hyp_ok = all(r.consistent for r in hyp_reports.values())
-    conc_ok = all(r.consistent for r in conc_reports.values())
-    # every witness we produce starts inside our own sampled region, so a
-    # falsified conclusion under all-consistent hypotheses is a soundness hit
-    sound = not (hyp_ok and not conc_ok)
-    return TheoremCheck(
-        name,
-        {k: v.verdict for k, v in hyp_reports.items()},
-        {k: v.verdict for k, v in conc_reports.items()},
-        hyp_ok, conc_ok, sound,
-    )
+def _bundle(scope: str, sys: HybridSystem, query: PropertyQuery,
+            sub: dict[str, AnalysisReport], conclusions: dict[str, AnalysisReport],
+            theorems: list[tuple], **names) -> ReductionReport:
+    """The report of a theorem bundle: the hypothesis checks ``sub``, the
+    conclusion checks, and each theorem declared as ``(name, hypothesis
+    keys, conclusion keys)``, where omitted keys mean all of them.  ``names``
+    names the sets in the provenance, as in _report."""
+    def verdicts(reports: dict, keys) -> dict[str, str]:
+        return {k: reports[k].verdict for k in (reports if keys is None else keys)}
+
+    checks = []
+    for name, *keys in theorems:
+        hyp, conc = [*keys, None, None][:2]
+        checks.append(TheoremCheck(name, verdicts(sub, hyp), verdicts(conclusions, conc)))
+    return ReductionReport(scope, sub, conclusions, checks,
+                           _provenance(sys, query, names))
 
 
 def _conclusions(sys: HybridSystem, g1: ClosedSet, query: PropertyQuery,
@@ -619,54 +637,32 @@ def reduction_report(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
     stability/attractivity conditions within ``query.radius`` of g1, and the
     conclusion checks on g1, with the implication directions evaluated for
     soundness."""
-    if scope not in ("local", "global"):
-        raise ValueError("scope must be 'local' or 'global'")
     sub: dict[str, AnalysisReport] = {}
-    rel = _relative_reports(sys, g1, g2, query, scope)
-    sub["relative_stability"] = rel["stability"]
-    sub["relative_attractivity"] = rel["attractivity"]
+    sub["relative_stability"], sub["relative_attractivity"] = _relative_reports(
+        sys, g1, g2, query, scope)
     sub["local_stability_near"] = check_local_stability_near(
         sys, g1, g2, query.radius, query.child("lsn-seed"))
+    relative = ("relative_stability", "relative_attractivity")
     if scope == "local":
         sub["local_attractivity_near"] = check_attractivity(
             sys, g2, query.child("lan-seed"), near=g1)
+        theorems = [("stability", (*relative, "local_stability_near"), ("stability",)),
+                    ("asymptotic_stability",)]
     else:
         sub["global_attractivity_gamma2"] = check_attractivity(
             sys, g2, query.child("ga2-seed"))
         sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
-    conclusions = _conclusions(sys, g1, query, scope)
-
-    if scope == "local":
-        theorems = [
-            _theorem("stability",
-                     {k: sub[k] for k in ("relative_stability",
-                                          "relative_attractivity",
-                                          "local_stability_near")},
-                     {"stability": conclusions["stability"]}),
-            _theorem("asymptotic_stability", dict(sub), dict(conclusions)),
-        ]
-    else:
-        attr_hyps = {k: sub[k] for k in ("relative_stability",
-                                         "relative_attractivity",
-                                         "global_attractivity_gamma2",
-                                         "boundedness")}
-        theorems = [
-            _theorem("attractivity", attr_hyps,
-                     {"attractivity": conclusions["attractivity"]}),
-            _theorem("global_asymptotic_stability", dict(sub), dict(conclusions)),
-        ]
-
-    return ReductionReport(scope, sub, conclusions, theorems,
-                           {**query.provenance(), "system": sys.name,
-                            "gamma1": g1.name, "gamma2": g2.name})
+        theorems = [("attractivity", (*relative, "global_attractivity_gamma2",
+                                      "boundedness"), ("attractivity",)),
+                    ("global_asymptotic_stability",)]
+    return _bundle(scope, sys, query, sub, _conclusions(sys, g1, query, scope),
+                   theorems, gamma1=g1, gamma2=g2)
 
 
 def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
                                query: PropertyQuery, scope: str = "local") -> ReductionReport:
     """Chain reduction: pairwise relative (G)AS along nested targets, plus
     boundedness at global scope, against the conclusion on the innermost set."""
-    if scope not in ("local", "global"):
-        raise ValueError("scope must be 'local' or 'global'")
     if not chain:
         raise ValueError("empty chain")
     # sampled nesting check
@@ -686,25 +682,16 @@ def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
     sub: dict[str, AnalysisReport] = {}
     for i, g in enumerate(chain):
         amb = chain[i + 1] if i + 1 < len(chain) else None
-        rel = _relative_reports(sys, g, amb, query, scope, tag=f"link{i}")
         label = amb.name if amb is not None else "statespace"
-        sub[f"link{i + 1}_stability_rel_{label}"] = rel["stability"]
-        sub[f"link{i + 1}_attractivity_rel_{label}"] = rel["attractivity"]
+        stab, attr = _relative_reports(sys, g, amb, query, scope, tag=f"link{i}")
+        sub[f"link{i + 1}_stability_rel_{label}"] = stab
+        sub[f"link{i + 1}_attractivity_rel_{label}"] = attr
     if scope == "global":
         sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
-    conclusions = _conclusions(sys, chain[0], query, scope)
-
-    as_hyps = dict(sub)
-    attr_hyps = {k: v for k, v in sub.items()
-                 if not k.startswith(f"link{len(chain)}_stability")}
-    theorems = [
-        _theorem("asymptotic_stability", as_hyps, dict(conclusions)),
-        _theorem("attractivity", attr_hyps,
-                 {"attractivity": conclusions["attractivity"]}),
-    ]
-    return ReductionReport(scope, sub, conclusions, theorems,
-                           {**query.provenance(), "system": sys.name,
-                            "chain": [g.name for g in chain]})
+    attr_hyps = [k for k in sub if not k.startswith(f"link{len(chain)}_stability")]
+    return _bundle(scope, sys, query, sub, _conclusions(sys, chain[0], query, scope),
+                   [("asymptotic_stability",),
+                    ("attractivity", attr_hyps, ("attractivity",))], chain=chain)
 
 
 def detectability_report(osys: OutputSystem, g1: ClosedSet,
@@ -713,21 +700,14 @@ def detectability_report(osys: OutputSystem, g1: ClosedSet,
     g1 inside the declared zero-output invariant set, and the global
     attractivity conclusion on g1."""
     sys = osys.sys
-    sub: dict[str, AnalysisReport] = {}
-    sub["boundedness"] = check_boundedness(sys, query.child("det-b"))
-    sub["output_convergence"] = check_output_convergence(osys, query.child("det-o"))
-    rel = _relative_reports(sys, g1, g2_declared, query, "global", tag="det")
-    sub["relative_stability"] = rel["stability"]
-    sub["relative_attractivity"] = rel["attractivity"]
-    conclusions = {
-        "global_attractivity": check_attractivity(
-            sys, g1, query.child("det-c")),
-    }
-    theorems = [_theorem("detectability_attractivity", dict(sub), dict(conclusions))]
-    return ReductionReport("global", sub, conclusions, theorems,
-                           {**query.provenance(), "system": sys.name,
-                            "gamma1": g1.name,
-                            "gamma2_declared": g2_declared.name})
+    sub = {"boundedness": check_boundedness(sys, query.child("det-b")),
+           "output_convergence": check_output_convergence(osys, query.child("det-o"))}
+    sub["relative_stability"], sub["relative_attractivity"] = _relative_reports(
+        sys, g1, g2_declared, query, "global", tag="det")
+    conclusions = {"global_attractivity": check_attractivity(sys, g1, query.child("det-c"))}
+    return _bundle("global", sys, query, sub, conclusions,
+                   [("detectability_attractivity",)],
+                   gamma1=g1, gamma2_declared=g2_declared)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from . import __version__
 from .analysis import (
     AnalysisReport,
     PropertyQuery,
-    ReductionReport,
     check_attractivity,
     check_invariance,
     check_local_stability_near,
@@ -166,6 +165,9 @@ def _resolve_fixture(args, cfg: dict) -> tuple[Fixture | None, object]:
         fx = cat[name]
         return fx, fx.system
     if isinstance(sys_spec, dict):
+        if getattr(args, "param", None):
+            raise ConfigError("--param sets catalog fixture parameters; "
+                              "an inline system takes none")
         return None, _system_from_inline(sys_spec)
     raise ConfigError("no system given: use --system NAME or a config file")
 
@@ -188,7 +190,7 @@ def _resolve_gamma(fixture: Fixture | None, token: str, dim: int) -> ClosedSet:
     the latter), else ``origin``."""
     if fixture is not None:
         if token in fixture.gammas:
-            return fixture.gamma(token)
+            return fixture.gammas[token]
         for gamma in fixture.gammas.values():
             if gamma.name == token:
                 return gamma
@@ -247,6 +249,10 @@ def _parse_x0(fixture: Fixture | None, args, dim: int) -> np.ndarray:
     raise ConfigError("no initial condition: use --x0 or --preset")
 
 
+#: the tracks ``simulate --tracks`` accepts; any of them emits all three panels
+_TRACKS = ("y", "q", "T", "chihat")
+
+
 def _fig3_panels(arc: HybridArc) -> dict[str, str]:
     """Three plot-data CSVs in hybrid-time order: (y, q), (T), and the
     estimate-vs-plant states."""
@@ -263,6 +269,14 @@ def cmd_simulate(args) -> int:
     fixture, system = _resolve_fixture(args, cfg)
     scfg = _solver_config(args, cfg, fixture)
     x0 = _parse_x0(fixture, args, system.dim)
+    if args.tracks is not None:
+        if fixture is None or fixture.name != "observer":
+            raise ConfigError("--tracks emits the observer's plot panels; "
+                              f"system {system.name!r} has none")
+        bad = sorted(set(args.tracks.split(",")) - set(_TRACKS))
+        if bad:
+            raise ConfigError(f"--tracks {args.tracks!r}: unknown tracks {bad}; "
+                              f"choose from {','.join(_TRACKS)}")
     try:
         arc = solve(system, x0, scfg)
     except HybridkitError as exc:
@@ -292,8 +306,7 @@ def cmd_simulate(args) -> int:
         meta["params"] = fixture.params
     _write(out / "run.json", json.dumps(meta, indent=1))
 
-    tracks = (args.tracks or "").split(",") if args.tracks else []
-    if tracks and fixture is not None and fixture.name == "observer":
+    if args.tracks is not None:
         for name, text in _fig3_panels(arc).items():
             _write(out / name, text)
 
@@ -312,9 +325,9 @@ def cmd_simulate(args) -> int:
 
 
 def _save_witness(report: AnalysisReport, out: Path, tag: str,
-                  meta_extra: dict) -> str | None:
-    if report.witness is None:
-        return None
+                  meta_extra: dict) -> str:
+    """Writes a falsified report's witness arc and its metadata; returns the
+    arc's file name."""
     arc_name = f"witness_{tag}.csv"
     arc_path = out / arc_name
     _write(arc_path, report.witness.to_csv())
@@ -394,19 +407,15 @@ def cmd_analyze(args) -> int:
             raise ConfigError(f"unknown check {args.check!r}")
 
     d = rep.to_json_dict()
-    if isinstance(rep, ReductionReport):
-        for section, prefix in (("sub_reports", ""), ("conclusions", "conclusion_")):
-            for sub_name, sub in getattr(rep, section).items():
-                wpath = _save_witness(sub, out, f"{name}_{prefix}{sub_name}",
-                                      meta_extra)
-                if wpath:
-                    d[section][sub_name]["witness_path"] = wpath
-        falsified = not rep.all_consistent
-    else:
-        wpath = _save_witness(rep, out, name, meta_extra)
-        if wpath:
-            d["witness_path"] = wpath
-        falsified = not rep.consistent
+    # (check, its JSON node, its witness tag) for every check the report holds
+    walk = [(rep, d, name)] if isinstance(rep, AnalysisReport) else [
+        (sub, d[section][k], f"{name}_{prefix}{k}")
+        for section, prefix in (("sub_reports", ""), ("conclusions", "conclusion_"))
+        for k, sub in getattr(rep, section).items()]
+    for sub, node, tag in walk:
+        if sub.witness is not None:
+            node["witness_path"] = _save_witness(sub, out, tag, meta_extra)
+    falsified = not all(sub.consistent for sub, _, _ in walk)
 
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "reports": {name: d}}
     _write(out / "report.json", json.dumps(payload, indent=1))
@@ -440,13 +449,13 @@ def cmd_replay(args) -> int:
         return EXIT_CONFIG
 
     name = meta.get("system")
-    if not isinstance(name, str) or name not in catalog():
+    cat = catalog(_observer_params(meta["params"])
+                  if name == "observer" and meta.get("params") else None)
+    if not isinstance(name, str) or name not in cat:
         print(f"metadata names no catalog fixture (system {name!r});"
               " nothing to validate the arc against", file=sys.stderr)
         return EXIT_CONFIG
-    params = _observer_params(meta["params"]) \
-        if name == "observer" and meta.get("params") else None
-    fixture = catalog(params)[name]
+    fixture = cat[name]
 
     system = fixture.system
     tol = meta.get("check_tol", WITNESS_CHECK_TOL)

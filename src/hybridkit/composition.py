@@ -134,23 +134,17 @@ def subsystem_h2(spec: CascadeSpec) -> HybridSystem:
 class OutputSystem:
     """A hybrid system with a continuous output map attached.
 
-    Outputs are tracked, not state-augmented, so event detection is untouched.
+    Outputs are evaluated on states, not state-augmented, so event detection
+    is untouched.
     """
 
     sys: HybridSystem
     h: Callable[[np.ndarray], np.ndarray]
-    output_dim: int = 1
 
     def output(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.atleast_1d(np.asarray(self.h(x), dtype=float))
-        return np.stack([np.atleast_1d(np.asarray(self.h(row), dtype=float)) for row in x])
-
-    def output_track(self, arc) -> list[np.ndarray]:
-        """Per-interval output samples h(x(t,j)) matching the arc layout."""
-        return [self.output(xs) for xs in arc.states]
+        """h at one state, as a 1-D array."""
+        return np.atleast_1d(np.asarray(self.h(np.asarray(x, dtype=float)), dtype=float))
 
 
-def with_output(sys: HybridSystem, h: Callable, output_dim: int = 1) -> OutputSystem:
-    return OutputSystem(sys, h, output_dim)
+def with_output(sys: HybridSystem, h: Callable) -> OutputSystem:
+    return OutputSystem(sys, h)

@@ -103,10 +103,6 @@ class HybridTimeDomain:
                     f"interval {bj} starts at {b0}, previous ended at {a1}"
                 )
 
-    @property
-    def t_end(self) -> float:
-        return self.intervals[-1][1]
-
 
 @dataclass
 class HybridArc:

@@ -557,30 +557,7 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
     )
 
 
-@dataclass(frozen=True)
-class SolveError:
-    """Captured per-element failure from solve_batch."""
-
-    index: int
-    x0: np.ndarray
-    error: Exception
-
-
-def solve_batch(sys: HybridSystem, x0s, cfg: SolverConfig | None = None,
-                on_error: str = "raise") -> list:
-    """Elementwise solve, order preserving, independent of any partitioning.
-
-    With on_error="collect", failed entries appear as SolveError records in
-    place of arcs; "raise" propagates the first failure.
-    """
-    if on_error not in ("raise", "collect"):
-        raise ValueError("on_error must be 'raise' or 'collect'")
-    out = []
-    for i, x0 in enumerate(x0s):
-        try:
-            out.append(solve(sys, x0, cfg))
-        except Exception as exc:  # noqa: BLE001 - collected per element
-            if on_error == "raise":
-                raise
-            out.append(SolveError(i, np.asarray(x0, dtype=float), exc))
-    return out
+def solve_batch(sys: HybridSystem, x0s, cfg: SolverConfig | None = None) -> list:
+    """Elementwise solve, order preserving, independent of any partitioning;
+    the first failure propagates."""
+    return [solve(sys, x0, cfg) for x0 in x0s]

@@ -559,15 +559,6 @@ class Fixture:
     output: Callable | None = None
     notes: str = ""
 
-    def gamma(self, name: str) -> ClosedSet:
-        try:
-            return self.gammas[name]
-        except KeyError:
-            raise KeyError(
-                f"fixture '{self.name}' has no target set '{name}' "
-                f"(available: {sorted(self.gammas)})"
-            ) from None
-
 
 def observer_fixture(params: ObserverParams | None = None) -> Fixture:
     p = params or ObserverParams()

@@ -97,15 +97,24 @@ def test_simulate_rejects_bad_input(tmp_path):
     ["analyze", "--system", "sigma-bump", "--eps", "0.25,inf"],
     ["simulate", "--system", "circles", "--x0", "nan,0.5,0.1,1"],
     ["simulate", "--system", "circles", "--x0", "inf,0.5,0.1,1"],
+    ["simulate", "--config", "DRIFT", "--x0", "1", "--param", "omega=2"],
+    ["simulate", "--system", "circles", "--tracks", "y,q"],
+    ["simulate", "--system", "observer", "--preset", "fig3", "--tracks", "bogus"],
+    ["simulate", "--system", "circles", "--x0", "a,b,c,d"],
+    ["simulate", "--system", "observer", "--param", "omega"],
+    ["simulate", "--preset", "fig3"],  # no system at all
+    ["analyze", "--system", "sigma-bump", "--check", "detectability"],  # no output map
 ])
 def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
+    cfg = _inline_config(tmp_path, DRIFT)
+    args = [cfg if a == "DRIFT" else a for a in args]
     assert run([*args, "--tmax", "1", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
     if "0.25,inf" in args:  # refused by the query, not by an infinite draw
         assert "eps_grid" in err
-    if args[-2] == "--x0":  # refused by the parser, not by the solver
-        assert "--x0" in err
+    if args[-2] in ("--x0", "--tracks") or cfg in args:  # the flag is named
+        assert args[-2] in err
     assert not (tmp_path / "out").exists()
 
 
@@ -131,6 +140,22 @@ def test_non_finite_solver_values_are_configuration_errors(tmp_path, capsys):
         assert run(["simulate", *args, "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("power,x0,tmax,why", [
+    (-1, "0", "1", "flow map non-finite at segment start"),  # x' = 1/x at 0
+    (2, "1", "2", "termination flag NumericalFailure"),  # x' = x^2 blows up at t = 1
+], ids=["non-finite-start", "blow-up"])
+def test_simulate_solver_failure_exits_3(power, x0, tmax, why, tmp_path, capsys):
+    system = {"name": "poly", "dim": 1,
+              "flow": {"poly": [{"target": 0, "terms": [{"c": 1.0, "powers": [power]}]}]}}
+    out = tmp_path / "out"
+    with np.errstate(divide="ignore"):
+        code = run(["simulate", "--config", _inline_config(tmp_path, system),
+                    "--x0", x0, "--tmax", tmax, "--out", str(out)])
+    assert code == 3
+    assert f"solver failure: {why}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_consistent_exit_zero(tmp_path):
@@ -448,6 +473,16 @@ PINNED_RUNS = {
         ["--system", "limit-circles", "--check", "detectability", "--budget", "4",
          "--tmax", "20", "--eps", "0.5", "--delta-shrinks", "2", "--seed", "17"],
         "9da35548de035aa6418f12374e102450fbd5596c4f2c37ec50ffbc0d4cb54ec0"),
+    "chain-local": (
+        ["--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2", "--scope", "local",
+         "--budget", "3", "--tmax", "10", "--eps", "0.5", "--delta-shrinks", "2",
+         "--seed", "19"],
+        "9f11c85fc6254ef685988279976ffa5cd7aa435a2d9728be7ef23c2d6bdc7498"),
+    "chain-global": (
+        ["--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2", "--scope", "global",
+         "--budget", "3", "--tmax", "10", "--eps", "0.5", "--delta-shrinks", "2",
+         "--seed", "19"],
+        "eaa754c7e8bf50843beb0a470aa20fa5a6d40d7be849635a0dbab384461208fe"),
 }
 
 

@@ -180,22 +180,6 @@ def test_subsystem_h2_of_growth_cascade_is_unstable(cat):
     assert arc.final_state()[0] > 100.0
 
 
-def test_with_output_identity_and_observer(cat):
-    fx = cat["circles"]
-    osys = with_output(fx.system, lambda x: x, output_dim=4)
-    arc = solve(fx.system, [1.0, 0.0, 0.5, 1.0], SolverConfig(t_max=3.0))
-    track = osys.output_track(arc)
-    for xs, ys in zip(arc.states, track):
-        assert np.array_equal(xs, ys)
-
-    obs = cat["observer"]
-    o2 = with_output(obs.system, obs.output)
-    arc2 = solve(obs.system, obs.presets["fig3"],
-                 SolverConfig(**obs.solver_overrides))
-    for xs, ys in zip(arc2.states, o2.output_track(arc2)):
-        assert np.array_equal(ys[:, 0], xs[:, 0])  # y = first plant coordinate
-
-
 def test_circles_output_converges(cat):
     fx = cat["circles"]
     osys = with_output(fx.system, lambda x: np.array([x[0]]))

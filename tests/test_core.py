@@ -211,7 +211,7 @@ def test_arc_wide_reductions_take_one_call(cat, monkeypatch):
     fx = cat["circles"]
     arc = solve(fx.system, fx.presets["default"], SolverConfig(**fx.solver_overrides))
     assert arc.n_jumps >= 50
-    gamma = fx.gamma("gamma1")
+    gamma = fx.gammas["gamma1"]
     per_interval = max(np.max(gamma.distance(x)) for x in arc.states)
     norm_per_interval = max(np.max(np.linalg.norm(x, axis=1)) for x in arc.states)
     calls = []

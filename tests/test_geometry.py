@@ -170,6 +170,16 @@ def test_intersect_membership_is_conjunction(cat):
     assert np.array_equal(lhs, rhs)
 
 
+def test_intersect_samples_lie_in_both_operands():
+    a, b = box_set([[-1.0, 1.0], [-1.0, 1.0]]), box_set([[0.0, 2.0], [-2.0, 0.5]])
+    pts = intersect(a, b).sample(np.random.default_rng(5), 50)
+    assert pts.shape == (50, 2)
+    assert np.all(a.member(pts)) and np.all(b.member(pts))
+    starved = intersect(a, box_set([[3.0, 4.0], [3.0, 4.0]]))
+    with pytest.raises(ValueError, match="intersection sampler starved"):
+        starved.sample(np.random.default_rng(5), 1)
+
+
 def test_product_of_points():
     p = product(point_set([0.0]), point_set([0.0]))
     assert p.dim == 2

@@ -12,7 +12,7 @@ from conftest import assert_same_text
 from hybridkit.core import HybridSystem, Termination, check_is_solution
 from hybridkit.errors import InitialConditionOutsideCD
 from hybridkit.geometry import box_set, coords_set, empty_set, full_space, union
-from hybridkit.solver import Priority, SolverConfig, SolveError, solve, solve_batch
+from hybridkit.solver import Priority, SolverConfig, solve, solve_batch
 from hybridkit.systems import catalog, estimator_diagnostics
 
 
@@ -163,17 +163,12 @@ def test_batch_permutation_equivariance(cat):
         assert_same_text(rev[k].to_csv(), fwd[i].to_csv())
 
 
-def test_batch_collects_errors(cat):
+def test_batch_raises_the_first_error(cat):
     fx = cat["circles"]
     good = [1.0, 0.0, 0.5, 1.0]
     bad = [1.0, 0.0, 0.5, -1.0]  # outside C u D
-    out = solve_batch(fx.system, [good, bad, good], SolverConfig(t_max=2.0),
-                      on_error="collect")
-    assert isinstance(out[1], SolveError)
-    assert out[1].index == 1
-    assert_same_text(out[0].to_csv(), out[2].to_csv())
     with pytest.raises(InitialConditionOutsideCD):
-        solve_batch(fx.system, [bad], SolverConfig(t_max=2.0))
+        solve_batch(fx.system, [good, bad, good], SolverConfig(t_max=2.0))
 
 
 def test_default_max_step_tracks_horizon():
@@ -189,6 +184,17 @@ def test_config_validation():
         SolverConfig(j_max=0)
     with pytest.raises(ValueError):
         SolverConfig(rtol=0.0)
+
+
+def test_flow_exit_before_the_first_stored_sample():
+    # x0 lies in C = [0, 1] only within tol_set, so the flow leaves C at once
+    sys = HybridSystem(1, box_set([[0.0, 1.0]]), lambda x: np.ones(1),
+                       empty_set(1), lambda x: x, name="ramp")
+    arc = solve(sys, [1.0 + 0.999e-9], SolverConfig(t_max=5.0))
+    assert arc.termination is Termination.NOT_EXTENDABLE
+    assert sum(len(t) for t in arc.times) == 1
+    assert [(e["kind"], e["t"]) for e in arc.meta["events"]] == [("flow_exit", 0.0)]
+    assert check_is_solution(sys, arc, 1e-3) == []
 
 
 def test_not_extendable_on_flow_set_exit_without_jump():
