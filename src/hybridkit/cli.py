@@ -90,11 +90,13 @@ def _poly_map(spec: list, dim: int):
 
     def fn(x):
         out = np.zeros(dim)
-        for i, terms in rows.items():
-            acc = 0.0
-            for t in terms:
-                acc += t["c"] * float(np.prod(x ** np.asarray(t["powers"], dtype=float)))
-            out[i] = acc
+        # a pole (x' = 1/x at 0) gives inf/nan, which the solver reports itself
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i, terms in rows.items():
+                acc = 0.0
+                for t in terms:
+                    acc += t["c"] * float(np.prod(x ** np.asarray(t["powers"], dtype=float)))
+                out[i] = acc
         return out
 
     return fn
@@ -348,6 +350,12 @@ def _save_witness(report: AnalysisReport, out: Path, tag: str,
 
 
 def cmd_analyze(args) -> int:
+    check = args.check or "stability"
+    if args.reduce_chain and args.check is not None:
+        raise ConfigError("--check does not apply to --reduce-chain, which runs the chain report")
+    outer = ("local-stability-near", "reduction", "detectability")  # the checks --gamma2 feeds
+    if args.gamma2 is not None and (args.reduce_chain or check not in outer):
+        raise ConfigError(f"--gamma2 is read only by --check {', '.join(outer)}")
     cfg = _load_config(args.config)
     fixture, system = _resolve_fixture(args, cfg)
     scfg = _solver_config(args, cfg, fixture)
@@ -377,34 +385,34 @@ def cmd_analyze(args) -> int:
         chain = [_resolve_gamma(fixture, n, system.dim) for n in names]
         name, rep = "reduction", recursive_reduction_report(
             system, chain, query, scope=args.scope or "local")
-    elif args.check == "reduction":
+    elif check == "reduction":
         g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
         g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
         name, rep = "reduction", reduction_report(system, g1, g2, query,
                                                   scope=args.scope or "local")
-    elif args.check == "detectability":
+    elif check == "detectability":
         if fixture is None or fixture.output is None:
-            raise ConfigError("detectability needs a fixture with an output map")
+            raise ConfigError("--check detectability needs a fixture with an output map")
         g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
         g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
         name, rep = "detectability", detectability_report(
             with_output(system, fixture.output), g1, g2, query)
     else:
         gamma = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
-        if args.check == "stability":
+        if check == "stability":
             name, rep = "stability", check_stability(system, gamma, query)
-        elif args.check == "attractivity":
+        elif check == "attractivity":
             name, rep = "attractivity", check_attractivity(
                 system, gamma, query, near=gamma if args.scope == "local" else None)
-        elif args.check == "local-stability-near":
+        elif check == "local-stability-near":
             g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
             name, rep = "local_stability_near", check_local_stability_near(
                 system, gamma, g2, query.radius, query)
-        elif args.check in ("strong-invariance", "weak-invariance"):
-            mode = "strong" if args.check.startswith("strong") else "weak"
+        elif check in ("strong-invariance", "weak-invariance"):
+            mode = "strong" if check.startswith("strong") else "weak"
             name, rep = "invariance", check_invariance(system, gamma, mode, query)
         else:
-            raise ConfigError(f"unknown check {args.check!r}")
+            raise ConfigError(f"unknown check {check!r}")
 
     d = rep.to_json_dict()
     # (check, its JSON node, its witness tag) for every check the report holds
@@ -550,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run property checks or reduction reports")
     common(p)
-    p.add_argument("--check", default="stability",
+    p.add_argument("--check", default=None,  # stability when absent
                    choices=("stability", "attractivity", "local-stability-near",
                             "strong-invariance", "weak-invariance",
                             "reduction", "detectability"))

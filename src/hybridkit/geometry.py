@@ -2,8 +2,10 @@
 
 Every set carries a batched distance function (arrays of shape (..., n) map to
 (...,)) and a membership predicate derived from it; the solver locates flow
-exits by testing membership on grids along the dense output.  Distances are tagged
-with a ``distance_kind``:
+exits by testing membership on grids along the dense output.  ``member`` and
+``distance`` validate their input once and then run the set's raw kernels,
+which combinators call directly.  Distances are tagged with a
+``distance_kind``:
 
 * ``"exact"`` -- the Euclidean point-to-set distance,
 * ``"declared"`` -- a user-supplied surrogate (zero exactly on the set),
@@ -26,6 +28,9 @@ import numpy as np
 from .errors import DimensionMismatch
 
 DEFAULT_MEMBER_TOL = 1e-9
+
+#: kernel constants are float64 scalars, which numpy need not convert per call
+_ZERO = np.float64(0.0)
 
 _INTERVAL = "interval"
 _VALUES = "values"
@@ -90,8 +95,9 @@ class ClosedSet:
         if distance_kind not in ("exact", "declared", "lower_bound"):
             raise ValueError(f"unknown distance_kind {distance_kind!r}")
         self.dim = int(dim)
+        # raw kernels: a validated float array of shape (..., dim) in, arrays out
         self._distance = distance
-        self._member = member
+        self._member = member or (lambda x, tol: distance(x) <= tol)
         self.descriptor = descriptor or {"type": "custom"}
         self.distance_kind = distance_kind
         self.member_tol = float(member_tol)
@@ -114,11 +120,7 @@ class ClosedSet:
         return np.asarray(self._distance(self._check_dim(x)))
 
     def member(self, x, tol: float | None = None):
-        x = self._check_dim(x)
-        tol = self.member_tol if tol is None else float(tol)
-        if self._member is not None:
-            return self._member(x, tol)
-        return np.asarray(self._distance(x)) <= tol
+        return self._member(self._check_dim(x), self.member_tol if tol is None else float(tol))
 
     # -- sampling / projection ---------------------------------------------
 
@@ -176,11 +178,13 @@ class ClosedSet:
 
 
 def _interval_dist(x, lo, hi):
-    return np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    return np.maximum(np.maximum(lo - x, x - hi), _ZERO)
 
 
-def _values_dist(x, values):
-    return np.min(np.abs(x[..., None] - values), axis=-1)
+def _norm(v):
+    """``np.linalg.norm(v, axis=-1)`` bit for bit (the same product, reduction
+    and root) without its Python-level dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def circle_distance(theta, theta0: float, period: float = 2 * math.pi):
@@ -208,20 +212,34 @@ def coords_set(
             raise DimensionMismatch(f"constraint index {i} out of range for dim {dim}")
         if c[0] not in (_INTERVAL, _VALUES, _ANGLE):
             raise ValueError(f"unknown coordinate constraint {c!r}")
-    values = {i: np.asarray(c[1], dtype=float) for i, c in items if c[0] == _VALUES}
+    values = {i: np.asarray(c[1], dtype=float).reshape(-1) for i, c in items if c[0] == _VALUES}
 
-    def dist(x):
-        total = np.zeros(x.shape[:-1])
-        for i, c in items:
-            xi = x[..., i]
-            if c[0] == _INTERVAL:
-                d = _interval_dist(xi, c[1], c[2])
-            elif c[0] == _VALUES:
-                d = _values_dist(xi, values[i])
-            else:
-                d = circle_distance(xi, c[1], c[2])
-            total = total + d * d
-        return np.sqrt(total)
+    def term(i, c):  # the distance along coordinate i, up to sign (it is squared)
+        if c[0] == _VALUES:  # min over |x_i - v|, each >= +0 or NaN, so in any order
+            first, *rest = values[i]
+
+            def values_dist(x):
+                xi = x[..., i]
+                d = abs(xi - first)
+                for v in rest:
+                    d = np.minimum(d, abs(xi - v))
+                return d
+            return values_dist
+        if c[0] == _ANGLE:
+            return lambda x: circle_distance(x[..., i], c[1], c[2])
+        lo, hi = np.float64(c[1]), np.float64(c[2])
+        if lo == hi:  # x - lo squares to the square of _interval_dist(x, lo, lo)
+            return lambda x: x[..., i] - lo
+        return lambda x: _interval_dist(x[..., i], lo, hi)
+
+    terms = [term(i, c) for i, c in items]
+
+    def dist(x):  # the terms add in quadrature, in coordinate order
+        total = None
+        for t in terms:
+            d = t(x)
+            total = d * d if total is None else total + d * d
+        return np.zeros(x.shape[:-1]) if total is None else np.sqrt(total)
 
     def sample(rng, n, window):
         if window is None:
@@ -275,7 +293,7 @@ def point_set(p, *, name: str = "") -> ClosedSet:
     dim = p.size
 
     def dist(x):
-        return np.linalg.norm(x - p, axis=-1)
+        return _norm(x - p)
 
     desc = {"type": "point", "at": p.tolist()}
     return ClosedSet(
@@ -322,11 +340,8 @@ def shell_set(dim: int, coords, r_min: float, r_max: float, *, name: str = "") -
     if not (0 <= r_min <= r_max):
         raise ValueError("need 0 <= r_min <= r_max")
 
-    def block_norm(x):
-        return np.linalg.norm(x[..., coords], axis=-1)
-
     def dist(x):
-        return _interval_dist(block_norm(x), r_min, r_max)
+        return _interval_dist(_norm(x[..., coords]), r_min, r_max)
 
     def sample(rng, n, window):
         if window is None:
@@ -373,7 +388,7 @@ def affine_set(A, b, *, name: str = "") -> ClosedSet:
         return resid @ pinv.T
 
     def dist(x):
-        return np.linalg.norm(correction(x), axis=-1)
+        return _norm(correction(x))
 
     def project(x):
         return np.asarray(x, dtype=float) - correction(np.asarray(x, dtype=float))
@@ -415,12 +430,13 @@ def intersect(a: ClosedSet, b: ClosedSet) -> ClosedSet:
         return b
     if b.descriptor.get("type") == "full":
         return a
+    da, db, ma, mb = a._distance, b._distance, a._member, b._member
 
     def dist(x):
-        return np.maximum(a.distance(x), b.distance(x))
+        return np.maximum(da(x), db(x))
 
     def member(x, tol):
-        return np.logical_and(a.member(x, tol), b.member(x, tol))
+        return ma(x, tol) & mb(x, tol)
 
     def sample(rng, n, window):
         # rejection through a's sampler; workable only for fat intersections
@@ -449,12 +465,13 @@ def intersect(a: ClosedSet, b: ClosedSet) -> ClosedSet:
 def union(a: ClosedSet, b: ClosedSet) -> ClosedSet:
     """Union: distance is the min, which stays exact for exact operands."""
     _same_dim(a, b)
+    da, db, ma, mb = a._distance, b._distance, a._member, b._member
 
     def dist(x):
-        return np.minimum(a.distance(x), b.distance(x))
+        return np.minimum(da(x), db(x))
 
     def member(x, tol):
-        return np.logical_or(a.member(x, tol), b.member(x, tol))
+        return ma(x, tol) | mb(x, tol)
 
     sample = None
     if a.can_sample and b.can_sample:
@@ -488,12 +505,13 @@ def union(a: ClosedSet, b: ClosedSet) -> ClosedSet:
 def product(a: ClosedSet, b: ClosedSet) -> ClosedSet:
     """Cartesian product on R^{dim_a + dim_b}; distance adds in quadrature."""
     na, nb = a.dim, b.dim
+    da, db, ma, mb = a._distance, b._distance, a._member, b._member
 
     def dist(x):
-        return np.hypot(a.distance(x[..., :na]), b.distance(x[..., na:]))
+        return np.hypot(da(x[..., :na]), db(x[..., na:]))
 
     def member(x, tol):
-        return np.logical_and(a.member(x[..., :na], tol), b.member(x[..., na:], tol))
+        return ma(x[..., :na], tol) & mb(x[..., na:], tol)
 
     sample = None
     if a.can_sample and b.can_sample:
@@ -527,9 +545,10 @@ def inflate(s: ClosedSet, c: float) -> ClosedSet:
     c = float(c)
     if c <= 0:
         raise ValueError("inflation radius must be positive")
+    ds, c64 = s._distance, np.float64(c)
 
     def dist(x):
-        return np.maximum(s.distance(x) - c, 0.0)
+        return np.maximum(ds(x) - c64, _ZERO)
 
     sample = None
     if s.can_sample:

@@ -23,6 +23,8 @@ from .errors import InvalidParams, UndefinedAtPoint
 from .geometry import (
     ClosedSet,
     Window,
+    _ZERO,
+    _norm,
     coords_set,
     empty_set,
     full_space,
@@ -141,23 +143,6 @@ def _rho_of_state(x, p: ObserverParams):
         + x[..., Q_IDX] * p.sigma
 
 
-def _sync_residuals(x, p: ObserverParams) -> np.ndarray:
-    """Columns of constraint violations whose joint zero set is the invariant
-    synchronized core: residual, jump-set-interior excess, crossing-branch
-    mismatch, and late timer (all flow-constant, all preserved by jumps taken
-    on the threshold)."""
-    x = np.asarray(x, dtype=float)
-    chi = x[..., CHI]
-    tau = x[..., TAU_IDX]
-    q = x[..., Q_IDX]
-    qy = q * x[..., 0]
-    r1 = np.abs(_phase_residual(chi, tau, p) + q * p.sigma)
-    r2 = np.maximum(0.0, -(qy + p.sigma))
-    r3 = np.maximum(0.0, -q * _advanced_second(chi, tau, p))
-    r4 = np.maximum(0.0, tau - math.pi / p.omega)
-    return np.stack([r1, r2, r3, r4], axis=-1)
-
-
 def _tau_roots(chi, p: ObserverParams, h: float) -> np.ndarray:
     """Timer values in [0, tau_cap] solving the synchronization equation with
     selector value ``h``."""
@@ -207,25 +192,25 @@ def xi_space(p: ObserverParams) -> ClosedSet:
 
 
 def _threshold_sets(p: ObserverParams) -> tuple[ClosedSet, ClosedSet]:
-    sigma = p.sigma
+    sigma = np.float64(p.sigma)
 
-    def flow_guard(x):
-        return x[..., Q_IDX] * x[..., 0] + sigma
+    def flow_dist(x):  # qy >= -sigma
+        return np.maximum(-(x[..., Q_IDX] * x[..., 0] + sigma), _ZERO)
 
-    def jump_guard(x):
-        qy = x[..., Q_IDX] * x[..., 0]
-        return np.minimum(np.abs(x[..., 0]) - sigma, -(qy + sigma))
+    def jump_dist(x):  # |y| >= sigma and qy <= -sigma
+        y = x[..., 0]
+        return np.maximum(-np.minimum(abs(y) - sigma, -(x[..., Q_IDX] * y + sigma)), _ZERO)
 
     flow_half = ClosedSet(
         7,
-        lambda x: np.maximum(-flow_guard(x), 0.0),
+        flow_dist,
         descriptor={"type": "custom", "name": "qy >= -sigma"},
         distance_kind="declared",
         name="qy>=-sigma",
     )
     jump_half = ClosedSet(
         7,
-        lambda x: np.maximum(-jump_guard(x), 0.0),
+        jump_dist,
         descriptor={"type": "custom", "name": "|y| >= sigma, qy <= -sigma"},
         distance_kind="declared",
         name="qy<=-sigma",
@@ -302,21 +287,34 @@ def gamma_sets(p: ObserverParams | None = None) -> tuple[ClosedSet, ClosedSet, C
     """
     p = p or ObserverParams()
     xi = xi_space(p)
-    period = p.period
+    pi, omega, sigma, period, late = (
+        np.float64(v) for v in (math.pi, p.omega, p.sigma, p.period, math.pi / p.omega))
 
     def resid_rho(x):
-        return np.linalg.norm(_sync_residuals(x, p), axis=-1)
+        """Norm of the violations (residual, jump-set-interior excess, crossing
+        branch, late timer) that vanish together on the synchronized core; each
+        is flow-constant and preserved by jumps taken on the threshold."""
+        tau, q = x[..., TAU_IDX], x[..., Q_IDX]
+        a = pi - omega * tau
+        cos_a, sin_a = np.cos(a), np.sin(a)
+        r = np.empty(x.shape[:-1] + (4,))
+        r[..., 0] = abs(cos_a * x[..., 0] - sin_a * x[..., 1] + q * sigma)
+        r[..., 1] = np.maximum(_ZERO, -(q * x[..., 0] + sigma))
+        r[..., 2] = np.maximum(_ZERO, -q * (sin_a * x[..., 0] + cos_a * x[..., 1]))
+        r[..., 3] = np.maximum(_ZERO, tau - late)
+        return _norm(r)
 
     def resid_T(x):
-        return np.abs(np.asarray(x, dtype=float)[..., T_IDX] - period)
+        return abs(x[..., T_IDX] - period)
 
     def resid_est(x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x[..., CHIHAT] - x[..., CHI], axis=-1)
+        return _norm(x[..., CHIHAT] - x[..., CHI])
 
     def member_factory(*resids):
+        xi_member = xi._member
+
         def member(x, tol):
-            ok = np.asarray(xi.member(x, tol), dtype=bool)
+            ok = np.asarray(xi_member(x, tol), dtype=bool)
             for r in resids:
                 ok = ok & (r(x) <= tol)
             return ok

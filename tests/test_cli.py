@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,14 @@ def test_simulate_rejects_bad_input(tmp_path):
     ["simulate", "--system", "observer", "--param", "omega"],
     ["simulate", "--preset", "fig3"],  # no system at all
     ["analyze", "--system", "sigma-bump", "--check", "detectability"],  # no output map
+    ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2",
+     "--check", "attractivity"],
+    ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2",
+     "--check", "stability"],  # the default, given explicitly
+    *(["analyze", "--system", "sigma-bump", "--check", check, "--gamma2", "gamma2"]
+      for check in ("stability", "attractivity", "strong-invariance", "weak-invariance")),
+    ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2",
+     "--gamma2", "gamma2"],
 ])
 def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     cfg = _inline_config(tmp_path, DRIFT)
@@ -113,7 +122,8 @@ def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     assert "configuration error" in err
     if "0.25,inf" in args:  # refused by the query, not by an infinite draw
         assert "eps_grid" in err
-    if args[-2] in ("--x0", "--tracks") or cfg in args:  # the flag is named
+    named = ("--x0", "--tracks", "--check", "--gamma2")
+    if args[-2] in named or cfg in args:  # the flag is named
         assert args[-2] in err
     assert not (tmp_path / "out").exists()
 
@@ -150,11 +160,15 @@ def test_simulate_solver_failure_exits_3(power, x0, tmax, why, tmp_path, capsys)
     system = {"name": "poly", "dim": 1,
               "flow": {"poly": [{"target": 0, "terms": [{"c": 1.0, "powers": [power]}]}]}}
     out = tmp_path / "out"
-    with np.errstate(divide="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run(["simulate", "--config", _inline_config(tmp_path, system),
                     "--x0", x0, "--tmax", tmax, "--out", str(out)])
     assert code == 3
-    assert f"solver failure: {why}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"solver failure: {why}" in err
+    assert "RuntimeWarning" not in err  # the solver's report is the only one
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
