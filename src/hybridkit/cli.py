@@ -351,8 +351,9 @@ def _save_witness(report: AnalysisReport, out: Path, tag: str,
 
 def cmd_analyze(args) -> int:
     check = args.check or "stability"
-    if args.reduce_chain and args.check is not None:
-        raise ConfigError("--check does not apply to --reduce-chain, which runs the chain report")
+    if args.reduce_chain and (args.check, args.gamma) != (None, None):
+        raise ConfigError("--check and --gamma do not apply to --reduce-chain, which runs "
+                          "the chain report on the sets it names")
     outer = ("local-stability-near", "reduction", "detectability")  # the checks --gamma2 feeds
     if args.gamma2 is not None and (args.reduce_chain or check not in outer):
         raise ConfigError(f"--gamma2 is read only by --check {', '.join(outer)}")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import HybridSystem
 from .errors import DimensionMismatch
-from .geometry import ClosedSet, inflate, intersect
+from .geometry import ClosedSet, inflate, intersect, product
 
 #: numerical band representing membership of the restriction set; pure
 #: tol_set (1e-9) would flag integration drift along invariant sets as exit
@@ -72,7 +72,6 @@ class CascadeSpec:
 def build_cascade(spec: CascadeSpec) -> HybridSystem:
     """Stacked system on R^{n1+n2}: product sets, block-triangular maps."""
     n1 = spec.n1
-    from .geometry import product  # local import keeps module load order simple
 
     def flow(x):
         x1, x2 = x[:n1], x[n1:]

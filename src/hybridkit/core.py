@@ -2,8 +2,8 @@
 
 A hybrid system is the 4-tuple (flow set, flow map, jump set, jump map) on R^n.
 Flow and jump maps are single-valued selections; set-valued dynamics are out of
-scope.  Arcs store dense samples per flow interval, which keeps golden-file
-testing and the independent solution checker simple.
+scope.  An arc stores its samples as one (t, j, x) table, the form in which it
+is written, read and reduced; its flow intervals are views of that table.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -77,7 +77,7 @@ class HybridSystem:
     def in_cd(self, x, tol: float | None = None):
         # D is tested only when some point is outside C
         in_c = self.flow_set.member(x, tol)
-        return in_c if np.all(in_c) else np.logical_or(in_c, self.jump_set.member(x, tol))
+        return in_c if np.asarray(in_c).all() else np.logical_or(in_c, self.jump_set.member(x, tol))
 
 
 @dataclass(frozen=True)
@@ -104,76 +104,105 @@ class HybridTimeDomain:
                 )
 
 
-@dataclass
 class HybridArc:
-    """A sampled hybrid arc: per-interval (times, states) plus a termination flag."""
+    """A sampled hybrid arc: one (t, j, x) table of shapes (N,), (N,), (N, n)
+    in hybrid-time order, a termination flag and meta.  ``times`` and
+    ``states`` are the table split at the jumps, one view per flow interval."""
 
-    times: list[np.ndarray]
-    states: list[np.ndarray]
-    termination: Termination
-    meta: dict = field(default_factory=dict)
+    def __init__(self, times, states, termination: Termination | str | None,
+                 meta: dict | None = None):
+        times = [np.atleast_1d(np.asarray(t, dtype=float)) for t in times]
+        states = [np.atleast_2d(np.asarray(x, dtype=float)) for x in states]
+        counts = [len(t) for t in times]
+        if not counts or counts != [len(x) for x in states]:
+            raise MalformedArc("arc needs intervals of as many times as states")
+        self._store(np.concatenate(times), np.repeat(np.arange(len(counts)), counts),
+                    np.concatenate(states), termination, meta)
 
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise MalformedArc("times/states interval counts differ")
-        if not self.times:
-            raise MalformedArc("arc has no intervals")
-        self.times = [np.atleast_1d(np.asarray(t, dtype=float)) for t in self.times]
-        # C order keeps row-wise reductions bitwise independent of how the
-        # states were built
-        self.states = [np.atleast_2d(np.ascontiguousarray(x, dtype=float))
-                       for x in self.states]
-        for t, x in zip(self.times, self.states):
-            if t.shape[0] != x.shape[0]:
-                raise MalformedArc("sample count mismatch within an interval")
-            if t.size > 1 and not np.all(np.diff(t) > 0):
-                raise MalformedArc("sample times not strictly increasing")
+    def _store(self, t, j, x, termination, meta) -> None:
+        """Check the (t, j, x) table and keep it as the arc: the jump counter
+        starts at 0 and steps by 0 or 1, each step opening an interval, and
+        the times strictly increase within an interval.  C order keeps
+        row-wise reductions bitwise independent of how the states were built."""
+        if not len(j):
+            raise MalformedArc("arc has no samples")
+        x = np.ascontiguousarray(x, dtype=float)
+        step = np.diff(j, prepend=-1)
+        ok = (step == 0) | (step == 1)
+        ok[0] = step[0] == 1
+        if not ok.all():
+            raise MalformedArc(f"jump counter out of order at j={j[np.argmin(ok)]}")
+        if not (np.diff(t)[step[1:] == 0] > 0).all():
+            raise MalformedArc("sample times not strictly increasing")
+        try:
+            self.termination = Termination(Termination.NOT_EXTENDABLE if termination is None
+                                           else termination)
+        except ValueError:
+            raise MalformedArc(f"unknown termination {termination!r}") from None
+        self._t, self._j, self._x = t, j, x
+        self._cuts = np.flatnonzero(step[1:]) + 1  # the first row after each jump
+        self.meta = dict(meta or {})
+
+    @staticmethod
+    def _from_table(t: np.ndarray, j: np.ndarray, x: np.ndarray,
+                    termination: Termination | str | None,
+                    meta: dict | None) -> "HybridArc":
+        """The arc whose samples are the (t, j, x) table."""
+        arc = object.__new__(HybridArc)
+        arc._store(t, j, x, termination, meta)
+        return arc
 
     # -- structure -----------------------------------------------------------
 
     @property
+    def times(self) -> list[np.ndarray]:
+        return np.split(self._t, self._cuts)
+
+    @property
+    def states(self) -> list[np.ndarray]:
+        return np.split(self._x, self._cuts)
+
+    @property
     def dim(self) -> int:
-        return self.states[0].shape[1]
+        return self._x.shape[1]
 
     @property
     def domain(self) -> HybridTimeDomain:
-        return HybridTimeDomain(
-            tuple((float(t[0]), float(t[-1]), j) for j, t in enumerate(self.times))
-        )
+        first, last = np.append(0, self._cuts), np.append(self._cuts, len(self._t)) - 1
+        return HybridTimeDomain(tuple(zip(self._t[first].tolist(), self._t[last].tolist(),
+                                          range(len(first)))))
 
     @property
     def n_jumps(self) -> int:
-        return len(self.times) - 1
+        return len(self._cuts)
 
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All samples as one (t, j, x) table of shapes (N,), (N,), (N, n),
-        in hybrid-time order."""
-        j = np.repeat(np.arange(len(self.times)), [t.shape[0] for t in self.times])
-        return np.concatenate(self.times), j, np.concatenate(self.states)
+        """The stored (t, j, x) table, as it is: for reading, not a copy."""
+        return self._t, self._j, self._x
 
     def samples(self) -> Iterator[tuple[float, int, np.ndarray]]:
         t, j, x = self.table()
         return zip(t.tolist(), j.tolist(), x)
 
     def all_states(self) -> np.ndarray:
-        return self.table()[2]
+        return self._x
 
     def final_state(self) -> np.ndarray:
-        return self.states[-1][-1]
+        return self._x[-1]
 
     def final_time(self) -> tuple[float, int]:
-        return float(self.times[-1][-1]), len(self.times) - 1
+        return float(self._t[-1]), self.n_jumps
 
     def jump_transitions(self) -> Iterator[tuple[float, int, np.ndarray, np.ndarray]]:
         """(t, j, pre-jump state, post-jump state) for each recorded jump."""
-        for j in range(len(self.times) - 1):
-            yield float(self.times[j][-1]), j, self.states[j][-1], self.states[j + 1][0]
+        for j, k in enumerate(self._cuts.tolist()):
+            yield float(self._t[k - 1]), j, self._x[k - 1], self._x[k]
 
     def sup_distance(self, target: ClosedSet) -> float:
-        return float(np.max(target.distance(self.table()[2])))
+        return float(np.max(target.distance(self._x)))
 
     def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.table()[2], axis=1)))
+        return float(np.max(np.linalg.norm(self._x, axis=1)))
 
     def terminal_distance(self, target: ClosedSet) -> float:
         return float(target.distance(self.final_state()))
@@ -239,27 +268,6 @@ class HybridArc:
             np.array([row["x"] for row in rows], dtype=float),
             payload["termination"], payload.get("meta", {}),
         )
-
-    @staticmethod
-    def _from_table(t: np.ndarray, j: np.ndarray, x: np.ndarray,
-                    termination: Termination | str | None,
-                    meta: dict | None) -> "HybridArc":
-        """The arc whose samples are the (t, j, x) table: the jump counter
-        starts at 0 and steps by 0 or 1, and each step opens an interval."""
-        if not len(j):
-            raise MalformedArc("arc has no intervals")
-        step = np.diff(j, prepend=-1)
-        ok = (step == 0) | (step == 1)
-        ok[0] = step[0] == 1
-        if not ok.all():
-            raise MalformedArc(f"jump counter out of order at j={j[np.argmin(ok)]}")
-        try:
-            term = Termination(Termination.NOT_EXTENDABLE if termination is None
-                               else termination)
-        except ValueError:
-            raise MalformedArc(f"unknown termination {termination!r}") from None
-        cuts = np.flatnonzero(step[1:]) + 1
-        return HybridArc(np.split(t, cuts), np.split(x, cuts), term, meta=dict(meta or {}))
 
 
 def _events(j: np.ndarray) -> np.ndarray:

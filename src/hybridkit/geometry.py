@@ -550,14 +550,7 @@ def inflate(s: ClosedSet, c: float) -> ClosedSet:
     def dist(x):
         return np.maximum(ds(x) - c64, _ZERO)
 
-    sample = None
-    if s.can_sample:
-        def sample(rng, n, window):
-            base = s.sample(rng, n, window)
-            u = rng.normal(size=(n, s.dim))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            r = c * rng.uniform(size=(n, 1)) ** (1.0 / s.dim)
-            return base + u * r
+    sample = (lambda rng, n, window: s.sample_near(rng, n, c, window)) if s.can_sample else None
 
     project = None
     if s.can_project:

@@ -10,11 +10,12 @@ Everything hybrid -- flow-set exit location, jump application, flow/jump
 priority on C n D, horizons, and the Zeno guard -- is implemented here too.
 Each step's stored samples are sized by the solution checker's residual
 floor, not by the long 8th-order step (``_sample_times``), and kept as one
-block per step, concatenated once per flow interval.  They are also its exit
-probes, tested in one batched flow-set membership call as the step is taken,
-and an exit bracket is narrowed by the same rule on the dense output
-(``_probe_step``); this subsumes sign bisection of a scalar guard and also
-copes with band sets and boundary starts.  At x0 and after each jump the
+block per step, concatenated once per flow segment and once more into the
+arc's (t, j, x) table.  They are also its exit probes, tested in one batched
+flow-set membership call as the step is taken, and an exit bracket is
+narrowed by the same rule on the dense output (``_probe_step``); this
+subsumes sign bisection of a scalar guard and also copes with band sets and
+boundary starts.  At x0 and after each jump the
 state is tested against its deciding set first, D under jump priority and C
 under flow priority, and against the other set only when it is not in the
 deciding one (``_next_move``).  After a flow-set exit D is tested first
@@ -413,7 +414,7 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
         raise DimensionMismatch(
             f"flow map returned shape {fx0.shape} for state of shape {x0.shape}"
         )
-    if not np.all(np.isfinite(fx0)):
+    if not np.isfinite(fx0).all():
         raise FlowMapEvaluationFailure(
             f"flow map non-finite at segment start (t={t0:.6g})"
         )
@@ -428,7 +429,7 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
 
     for step in _dop853(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
                         cfg.effective_max_step):
-        if step is None or not np.all(np.isfinite(step.y)):
+        if step is None or not np.isfinite(step.y).all():
             return segment_end("failed")
         ts, xs, gap = _probe_step(step, member, cfg)
         if len(ts):
@@ -475,11 +476,10 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
             f"{float(sys.jump_set.distance(x)):.3e})"
         )
 
-    # the sample blocks of each flow interval, concatenated once at the end
-    interval_times: list[list[np.ndarray]] = [[np.zeros(1)]]
-    interval_states: list[list[np.ndarray]] = [[np.array([x])]]
+    # (times, states, jump counter) of each sample block, concatenated once
+    blocks: list[tuple[np.ndarray, np.ndarray, int]] = [(np.zeros(1), np.array([x]), 0)]
     events: list[dict] = []
-    t = 0.0
+    t = t_start = 0.0  # the current time and that of the current interval's start
     j = 0
     zeno_run = 0
     termination: Termination | None = None
@@ -496,8 +496,7 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
                 break
             seg_t, seg_x, end = _flow_segment(sys, t, x, cfg)
             if len(seg_t):
-                interval_times[-1].append(np.asarray(seg_t))
-                interval_states[-1].append(np.asarray(seg_x))
+                blocks.append((np.asarray(seg_t), np.asarray(seg_x), j))
             t, x = end.t, end.x
             if end.reason == "horizon":
                 termination = Termination.COMPLETE_T
@@ -519,8 +518,7 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
 
         if move == "jump":
             # close the current flow interval, applying the Zeno accounting
-            duration = interval_times[-1][-1][-1] - interval_times[-1][0][0]
-            zeno_run = zeno_run + 1 if duration < cfg.zeno_dt_min else 0
+            zeno_run = zeno_run + 1 if t - t_start < cfg.zeno_dt_min else 0
             if zeno_run >= cfg.zeno_k:
                 termination = Termination.ZENO
                 break
@@ -531,10 +529,9 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
                 )
             events.append({"kind": "jump", "t": t, "j": j})
             j += 1
-            interval_times.append([np.array([t])])
-            interval_states.append([np.array([x_new])])
-            x = x_new
-            if not np.all(np.isfinite(x)):
+            blocks.append((np.array([t]), np.array([x_new]), j))
+            x, t_start = x_new, t
+            if not np.isfinite(x).all():
                 termination = Termination.NUMERICAL_FAILURE
                 break
             if j >= cfg.j_max:
@@ -543,13 +540,13 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
             # a state outside C u D ends ESCAPED at the loop top
             move = _next_move(sys, x, cfg)
 
-    return HybridArc(
-        [np.concatenate(ts) for ts in interval_times],
-        [np.concatenate(xs) for xs in interval_states],
+    ts, xs, js = zip(*blocks)
+    return HybridArc._from_table(
+        np.concatenate(ts), np.repeat(js, [len(b) for b in ts]), np.concatenate(xs),
         termination,
         meta={
             "system": sys.name,
-            "x0": interval_states[0][0][0].tolist(),
+            "x0": xs[0][0].tolist(),
             "events": events,
             "termination": termination.value,
             "config": cfg.to_config(),

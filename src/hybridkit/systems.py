@@ -433,24 +433,13 @@ class ObserverDiagnostics:
 def estimator_diagnostics(arc: HybridArc, p: ObserverParams | None = None) -> ObserverDiagnostics:
     """eta1 = chi - chihat and eta2 = T - 2*pi/omega along the arc."""
     p = p or ObserverParams()
-    period = p.period
-    ts, js, e1, e2, taus, rhos = [], [], [], [], [], []
-    for j, (t, x) in enumerate(zip(arc.times, arc.states)):
-        ts.append(t)
-        js.append(np.full(t.shape, j, dtype=int))
-        e1.append(np.linalg.norm(x[:, CHIHAT] - x[:, CHI], axis=1))
-        e2.append(x[:, T_IDX] - period)
-        taus.append(x[:, TAU_IDX])
-        rhos.append(_rho_of_state(x, p))
-    jump_times, tau_pre, eta2_post = [], [], []
-    for t, j, pre, post in arc.jump_transitions():
-        jump_times.append(t)
-        tau_pre.append(pre[TAU_IDX])
-        eta2_post.append(post[T_IDX] - period)
+    t, j, x = arc.table()
+    jumps = list(arc.jump_transitions())
     return ObserverDiagnostics(
-        np.concatenate(ts), np.concatenate(js), np.concatenate(e1),
-        np.concatenate(e2), np.concatenate(taus), np.concatenate(rhos),
-        np.asarray(jump_times), np.asarray(tau_pre), np.asarray(eta2_post),
+        t, j, np.linalg.norm(x[:, CHIHAT] - x[:, CHI], axis=1), x[:, T_IDX] - p.period,
+        x[:, TAU_IDX], _rho_of_state(x, p), np.asarray([tj for tj, *_ in jumps]),
+        np.asarray([pre[TAU_IDX] for *_, pre, _ in jumps]),
+        np.asarray([post[T_IDX] - p.period for *_, post in jumps]),
     )
 
 

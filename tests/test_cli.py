@@ -113,6 +113,7 @@ def test_simulate_rejects_bad_input(tmp_path):
       for check in ("stability", "attractivity", "strong-invariance", "weak-invariance")),
     ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2",
      "--gamma2", "gamma2"],
+    ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2", "--gamma", "gamma1"],
 ])
 def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     cfg = _inline_config(tmp_path, DRIFT)
@@ -122,7 +123,7 @@ def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     assert "configuration error" in err
     if "0.25,inf" in args:  # refused by the query, not by an infinite draw
         assert "eps_grid" in err
-    named = ("--x0", "--tracks", "--check", "--gamma2")
+    named = ("--x0", "--tracks", "--check", "--gamma2", "--gamma")
     if args[-2] in named or cfg in args:  # the flag is named
         assert args[-2] in err
     assert not (tmp_path / "out").exists()

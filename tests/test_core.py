@@ -222,6 +222,39 @@ def test_arc_wide_reductions_take_one_call(cat, monkeypatch):
     assert arc.sup_norm() == norm_per_interval
 
 
+def test_table_is_stored_once_and_intervals_are_views_of_it():
+    _, arc = _preset_arc("circles", "default")
+    t, j, x = arc.table()
+    assert all(a is b for a, b in zip(arc.table(), (t, j, x)))
+    assert all(np.shares_memory(tk, t) for tk in arc.times)
+    assert all(np.shares_memory(xk, x) for xk in arc.states)
+
+
+@pytest.mark.parametrize("config", ["default", "fixture"])
+@pytest.mark.parametrize("name,preset", PRESETS)
+def test_solved_rebuilt_and_parsed_arcs_share_one_table(name, preset, config):
+    fx = catalog()[name]
+    if config == "fixture":
+        _, arc = _preset_arc(name, preset)
+    else:
+        arc = solve(fx.system, fx.presets[preset], SolverConfig())
+    if name == "circles":  # the toggle's Zeno run: intervals one sample long
+        assert min(len(t) for t in arc.times) == 1
+    # the per-interval definitions, read off the views
+    domain = tuple((float(t[0]), float(t[-1]), k) for k, t in enumerate(arc.times))
+    jumps = [(float(arc.times[k][-1]), k, arc.states[k][-1].tobytes(),
+              arc.states[k + 1][0].tobytes()) for k in range(len(arc.times) - 1)]
+    rebuilt = HybridArc(arc.times, arc.states, arc.termination, arc.meta)
+    parsed = HybridArc.from_csv(arc.to_csv(), arc.termination)
+    for other in (arc, rebuilt, parsed):
+        assert ([(a.dtype, a.shape, a.tobytes()) for a in other.table()]
+                == [(a.dtype, a.shape, a.tobytes()) for a in arc.table()])
+        assert other.n_jumps == len(jumps) and other.final_time() == arc.final_time()
+        assert other.domain == HybridTimeDomain(domain)
+        assert [(t, j, pre.tobytes(), post.tobytes())
+                for t, j, pre, post in other.jump_transitions()] == jumps
+
+
 def test_malformed_csv_raises():
     with pytest.raises(MalformedArc):
         HybridArc.from_csv("t,j,x_1,event\n0,0,1,flow\n0,2,1,jump\n")

@@ -142,6 +142,26 @@ def test_inflation_of_declared_surrogate_keeps_formula():
     assert infl.distance_kind == "declared"
 
 
+def test_inflation_samples_are_sample_near_draws(cat):
+    # inflate(s, c) draws an on-set point plus a normal direction scaled to
+    # radius c * U^(1/dim), the draws of s.sample_near(rng, n, c, window)
+    sets = [point_set([0.0, 0.0]), coords_set(3, {0: ("interval", 0.0, 0.0)}),
+            shell_set(2, (0, 1), 1.0, 3.0), cat["observer"].gammas["gamma1"],
+            cat["circles"].gammas["gamma2"]]
+    for s in sets:
+        for c in (0.5, 2.0):
+            for seed in range(5):
+                for window in (None, Window.cube(s.dim, 3.0)):
+                    got = inflate(s, c).sample(np.random.default_rng(seed), 30, window)
+                    near = s.sample_near(np.random.default_rng(seed), 30, c, window)
+                    rng = np.random.default_rng(seed)
+                    base = s.sample(rng, 30, window)
+                    u = rng.normal(size=(30, s.dim))
+                    u /= np.linalg.norm(u, axis=1, keepdims=True)
+                    ref = base + u * (c * rng.uniform(size=(30, 1)) ** (1.0 / s.dim))
+                    assert got.tobytes() == near.tobytes() == ref.tobytes(), (s.name, c, seed)
+
+
 def test_intersect_with_full_space_is_identity():
     s = shell_set(2, (0, 1), 1.0, 3.0)
     assert intersect(s, full_space(2)) is s
