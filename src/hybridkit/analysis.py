@@ -23,9 +23,13 @@ from .composition import OutputSystem, restrict
 from .core import HybridArc, HybridSystem, Termination, _jsonable, is_complete
 from .errors import ApproximateDistance, ChainNotNested, ConfigError
 from .geometry import ClosedSet, Window
-from .solver import Priority, SolverConfig, solve
+from .solver import Priority, SolverConfig, solve, solve_batch
 
 _MAX_DRAW_TRIES = 80
+
+#: a campaign solves its draws in chunks of indices, doubling from 2 to 16
+_FIRST_CHUNK = 2
+_MAX_CHUNK = 16
 
 #: points of each nested set checked to lie in the next one of a chain
 _NESTING_SAMPLES = 64
@@ -57,7 +61,9 @@ class PropertyQuery:
     delta_shrinks: int = 5
     solver: SolverConfig = SolverConfig()
     sampler: Callable | None = None
-    arc_hook: Callable | None = None  # called (system, arc) for every solve
+    # called (system, arc) for every judged solve and every ``alt`` re-solve,
+    # in draw order; solves discarded after a violation are never passed
+    arc_hook: Callable | None = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_grid)
@@ -295,6 +301,24 @@ class _Campaign(NamedTuple):
     margins: dict
 
 
+def _solved_draws(sys: HybridSystem, cfg: SolverConfig, draw: Callable, budget: int):
+    """(x0, arc) of each index < budget whose ``draw(i)`` is not None, in
+    index order.  Chunks of _FIRST_CHUNK indices, doubling up to _MAX_CHUNK,
+    are drawn and solved by one ``solve_batch`` each; when it raises, the
+    chunk is drawn and solved again lazily, index by index, so that the
+    error surfaces at its own draw and only when that draw is reached."""
+    start, size = 0, _FIRST_CHUNK
+    while start < budget:
+        chunk = range(start, min(start + size, budget))
+        start, size = chunk.stop, min(2 * size, _MAX_CHUNK)
+        try:
+            x0s = [x0 for x0 in map(draw, chunk) if x0 is not None]
+            pairs = zip(x0s, solve_batch(sys, x0s, cfg))
+        except Exception:
+            pairs = ((x0, solve(sys, x0, cfg)) for x0 in map(draw, chunk) if x0 is not None)
+        yield from pairs
+
+
 def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
               clauses: list[dict], key: tuple = (), *, on: dict | None = None,
               alt: SolverConfig | None = None, near: ClosedSet | None = None,
@@ -312,19 +336,19 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
     clause type is kept with its x0, starting from ``kept``, and a draw
     passes vacuously when a clause did not apply to its arc.  Stops at the
     first violation; raises ConfigError when no draw landed in C u D, so
-    that no verdict rests on zero arcs.
+    that no verdict rests on zero arcs.  The draws are solved in chunks
+    (``_solved_draws``) but judged in index order, one by one, so the
+    solves of a chunk after its violation are discarded unjudged.
     """
     cfg = query.solver
     worst = {c["type"]: (kept or {}).get(c["type"]) for c in clauses}
     n_solved = n_vacuous = 0
-    for i in range(query.sample_budget):
-        x0 = _draw_initial(sys, _rng(query.seed, tag, *key, i), query,
-                           near, delta, project)
-        if x0 is None:
-            continue
+    draw = lambda i: _draw_initial(sys, _rng(query.seed, tag, *key, i), query,
+                                   near, delta, project)
+    for x0, arc in _solved_draws(sys, cfg, draw, query.sample_budget):
         n_solved += 1
         for c in (cfg, alt) if alt is not None else (cfg,):
-            arc = solve(sys, x0, c)
+            arc = arc if c is cfg else solve(sys, x0, c)
             if query.arc_hook:
                 query.arc_hook(sys, arc)
             margins, bad = [], None

@@ -114,19 +114,23 @@ class HybridArc:
         times = [np.atleast_1d(np.asarray(t, dtype=float)) for t in times]
         states = [np.atleast_2d(np.asarray(x, dtype=float)) for x in states]
         counts = [len(t) for t in times]
-        if not counts or counts != [len(x) for x in states]:
-            raise MalformedArc("arc needs intervals of as many times as states")
+        if not counts or counts != [len(x) for x in states] or \
+                len({x.shape[1:] for x in states}) > 1:
+            raise MalformedArc("arc needs intervals of as many times as states, of one state shape")
         self._store(np.concatenate(times), np.repeat(np.arange(len(counts)), counts),
                     np.concatenate(states), termination, meta)
 
     def _store(self, t, j, x, termination, meta) -> None:
-        """Check the (t, j, x) table and keep it as the arc: the jump counter
-        starts at 0 and steps by 0 or 1, each step opening an interval, and
-        the times strictly increase within an interval.  C order keeps
-        row-wise reductions bitwise independent of how the states were built."""
+        """Check the (t, j, x) table, of shapes (N,), (N,) and (N, n >= 1), and
+        keep it as the arc: the jump counter starts at 0 and steps by 0 or 1,
+        each step opening an interval, and the times strictly increase within
+        an interval.  C order keeps row-wise reductions bitwise independent of how x was built."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.ndim != 2 or not x.shape[1] or t.shape != j.shape or t.shape != x.shape[:1]:
+            raise MalformedArc(f"arc table of shapes t {t.shape}, j {j.shape}, "
+                               f"x {x.shape} is not (N,), (N,), (N, n >= 1)")
         if not len(j):
             raise MalformedArc("arc has no samples")
-        x = np.ascontiguousarray(x, dtype=float)
         step = np.diff(j, prepend=-1)
         ok = (step == 0) | (step == 1)
         ok[0] = step[0] == 1
@@ -260,14 +264,18 @@ class HybridArc:
 
     @staticmethod
     def from_json(text: str) -> "HybridArc":
-        payload = json.loads(text)
-        rows = payload["samples"]
-        return HybridArc._from_table(
-            np.array([row["t"] for row in rows], dtype=float),
-            np.array([row["j"] for row in rows]),
-            np.array([row["x"] for row in rows], dtype=float),
-            payload["termination"], payload.get("meta", {}),
-        )
+        try:
+            payload = json.loads(text)
+            rows, n = payload["samples"], payload["n"]
+            t = np.array([row["t"] for row in rows], dtype=float)
+            j = np.array([row["j"] for row in rows])
+            x = np.array([row["x"] for row in rows], dtype=float)
+            termination = payload["termination"]
+        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise MalformedArc(f"malformed arc JSON: {exc!r}") from None
+        if x.shape[1:] != (n,):
+            raise MalformedArc(f"sample states of shape {x.shape[1:]}, the arc's n is {n}")
+        return HybridArc._from_table(t, j, x, termination, payload.get("meta", {}))
 
 
 def _events(j: np.ndarray) -> np.ndarray:

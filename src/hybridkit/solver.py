@@ -11,15 +11,20 @@ priority on C n D, horizons, and the Zeno guard -- is implemented here too.
 Each step's stored samples are sized by the solution checker's residual
 floor, not by the long 8th-order step (``_sample_times``), and kept as one
 block per step, concatenated once per flow segment and once more into the
-arc's (t, j, x) table.  They are also its exit probes, tested in one batched
-flow-set membership call as the step is taken, and an exit bracket is
-narrowed by the same rule on the dense output (``_probe_step``); this
-subsumes sign bisection of a scalar guard and also copes with band sets and
-boundary starts.  At x0 and after each jump the
-state is tested against its deciding set first, D under jump priority and C
-under flow priority, and against the other set only when it is not in the
-deciding one (``_next_move``).  After a flow-set exit D is tested first
-under either priority.
+arc's (t, j, x) table.  They are also its exit probes, tested against C as
+the step is taken, and an exit bracket is narrowed by the same rule on the
+dense output (``_probe_step``); this subsumes sign bisection of a scalar guard
+and also copes with band sets and boundary starts.  At x0 and after each jump
+the state is tested against its deciding set first, D under jump priority and
+C under flow priority, and against the other set only when it is not in the
+deciding one (``_next_move``).  After a flow-set exit D is tested first under
+either priority.
+
+A solve (``_solve``) yields each membership test as ``(set, x)`` and each
+probe as ``(set, step, ts)``; ``_drive`` advances solves in lockstep rounds
+and answers all requests on one set per round with one dense pass and one
+``ClosedSet.member`` call, both elementwise, so an arc's bits do not depend
+on the solves beside it.  ``solve`` is the batch of one.
 
 Determinism contract: identical (system, x0, config) produce bitwise-identical
 arcs; no randomness is involved anywhere in the solve path.
@@ -28,6 +33,7 @@ arcs; no randomness is involved anywhere in the solve path.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace as _dc_replace
@@ -62,7 +68,7 @@ class SolverConfig:
     of each accepted step, and what keeps the independent solution checker's
     residual, as the step's dense output estimates it, under a tenth of its
     1e-3 tolerance.  The stored samples are the exit probes, tested by one
-    batched membership call per step; an exit is bracketed to ``event_tol / 8``.
+    batched membership call per round; an exit is bracketed to ``event_tol / 8``.
     """
 
     t_max: float = 50.0
@@ -332,7 +338,9 @@ def _dop853(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
 
 def _dense(step: _Step, t: np.ndarray) -> np.ndarray:
     """The step's interpolant at a 1-D array of times, shape (len(t), n), by
-    scipy's nested products."""
+    scipy's nested products.  The fields broadcast against the times: with
+    arrays of one row per time (t_old, t of shape (m,), y_old of (m, n) and F
+    of (7, m, n)) it evaluates many steps in one pass, with the same bits."""
     x = ((t - step.t_old) / (step.t - step.t_old))[:, None]
     factors = (x, 1 - x)
     y = (step.F[6] + 0.0) * x  # scipy adds F[6] to zeros, so -0.0 becomes 0.0
@@ -376,16 +384,15 @@ def _sample_times(step, b: float, store_max_dt: float) -> np.ndarray:
     return _grid(step.t_old, b, m)
 
 
-def _probe_step(step, member, cfg: SolverConfig):
-    """An accepted step's stored samples on (t_old, t], tested against C in
-    one batched ``member`` call as it is taken, and None; or, when a probe is
-    outside C, the samples on (t_old, lo] and the width of the exit bracket
-    [lo, hi], narrowed by grids of _PROBES probes to event_tol / 8, which
-    leaves slack in the 2 * event_tol budgets downstream.  ``step`` needs only
-    the t_old, t, y_old and F of a DOP853 dense output."""
+def _probe_step(step, flow_set, cfg: SolverConfig):
+    """An accepted step's stored samples on (t_old, t], yielded as one probe of
+    ``flow_set`` as the step is taken, and None; or, when a probe is outside
+    C, the samples on (t_old, lo] and the width of the exit bracket [lo, hi],
+    narrowed by grids of _PROBES probes to event_tol / 8, which leaves slack
+    in the 2 * event_tol budgets downstream.  ``step`` needs only the t_old,
+    t, y_old and F of a DOP853 dense output."""
     ts = _sample_times(step, step.t, cfg.store_max_dt)
-    xs = _dense(step, ts)
-    inside = member(xs)
+    xs, inside = yield flow_set, step, ts
     if inside.all():
         return ts, xs, None
     lo, probes = step.t_old, ts
@@ -395,7 +402,8 @@ def _probe_step(step, member, cfg: SolverConfig):
         if hi - lo <= cfg.event_tol / 8 or math.nextafter(lo, hi) == hi:
             break
         probes = _grid(lo, hi, _PROBES)  # ends at hi, which is outside C
-        inside = np.append(member(_dense(step, probes[:-1])), False)
+        _, inside = yield flow_set, step, probes[:-1]
+        inside = np.append(inside, False)
     ts = _sample_times(step, lo, cfg.store_max_dt) if lo > step.t_old else ts[:0]
     return ts, _dense(step, ts), hi - lo
 
@@ -407,8 +415,6 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
     (m, n), or two empty lists when nothing is stored.  The stored samples
     exclude (t0, x0) itself and end exactly at the segment end point.
     """
-    member = lambda pts: np.asarray(sys.flow_set.member(pts, cfg.tol_set), dtype=bool)
-
     fx0 = np.asarray(sys.flow_map(x0), dtype=float)
     if fx0.shape != x0.shape:
         raise DimensionMismatch(
@@ -431,7 +437,7 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
                         cfg.effective_max_step):
         if step is None or not np.isfinite(step.y).all():
             return segment_end("failed")
-        ts, xs, gap = _probe_step(step, member, cfg)
+        ts, xs, gap = yield from _probe_step(step, sys.flow_set, cfg)
         if len(ts):
             stored.append((ts, xs))
         if gap is not None:
@@ -439,7 +445,7 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
     return segment_end("horizon")
 
 
-def _next_move(sys: HybridSystem, x: np.ndarray, cfg: SolverConfig) -> str | None:
+def _next_move(sys: HybridSystem, x: np.ndarray, cfg: SolverConfig):
     """Whether the hybrid state x jumps or flows next: "jump", "flow", or None
     when x lies outside C u D (within tol_set).
 
@@ -451,24 +457,17 @@ def _next_move(sys: HybridSystem, x: np.ndarray, cfg: SolverConfig) -> str | Non
     else:
         moves = (sys.flow_set, "flow"), (sys.jump_set, "jump")
     for s, move in moves:
-        if bool(s.member(x, cfg.tol_set)):
+        if (yield s, x):
             return move
     return None
 
 
-def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
-    """Compute one maximal-up-to-horizon hybrid arc from x0.
-
-    Raises InitialConditionOutsideCD when x0 sits outside C u D (within
-    tol_set) and FlowMapEvaluationFailure when F cannot be evaluated at the
-    start of a flow segment; numerical breakdown mid-flow terminates the arc
-    with Termination.NUMERICAL_FAILURE instead.
-    """
-    cfg = cfg or SolverConfig()
+def _solve(sys: HybridSystem, x0, cfg: SolverConfig):
+    """The body of ``solve``, yielding its membership tests and probes."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (sys.dim,):
         raise DimensionMismatch(f"x0 has shape {x.shape}, system dim is {sys.dim}")
-    move = _next_move(sys, x, cfg)
+    move = yield from _next_move(sys, x, cfg)
     if move is None:
         raise InitialConditionOutsideCD(
             f"x0 = {x.tolist()} is outside C u D "
@@ -494,7 +493,7 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
             if t >= cfg.t_max:
                 termination = Termination.COMPLETE_T
                 break
-            seg_t, seg_x, end = _flow_segment(sys, t, x, cfg)
+            seg_t, seg_x, end = yield from _flow_segment(sys, t, x, cfg)
             if len(seg_t):
                 blocks.append((np.asarray(seg_t), np.asarray(seg_x), j))
             t, x = end.t, end.x
@@ -507,9 +506,9 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
             events.append({"kind": "flow_exit", "t": t, "j": j,
                            "bracket_gap": end.bracket_gap})
             # x has just left C, so D decides under either priority
-            if bool(sys.jump_set.member(x, cfg.tol_set)):
+            if (yield sys.jump_set, x):
                 move = "jump"
-            elif bool(sys.flow_set.member(x, cfg.tol_set)):
+            elif (yield sys.flow_set, x):
                 termination = Termination.NOT_EXTENDABLE
                 break
             else:
@@ -538,7 +537,7 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
                 termination = Termination.COMPLETE_J
                 break
             # a state outside C u D ends ESCAPED at the loop top
-            move = _next_move(sys, x, cfg)
+            move = yield from _next_move(sys, x, cfg)
 
     ts, xs, js = zip(*blocks)
     return HybridArc._from_table(
@@ -554,7 +553,76 @@ def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
     )
 
 
+def _answer(requests: list, tol: float) -> list:
+    """The replies to requests on one set, in order: a membership test's
+    boolean, and a probe's dense states and their booleans.  A group of one
+    is answered directly; a larger one by one dense pass over its probes'
+    steps, stacked one row per time, and one membership call."""
+    s = requests[0][0]
+    if len(requests) == 1:
+        if len(requests[0]) == 2:
+            return [s.member(requests[0][1], tol)]
+        xs = _dense(*requests[0][1:])
+        return [(xs, s.member(xs, tol))]
+    probes = [r[1:] for r in requests if len(r) == 3]
+    if probes:
+        steps, ts = zip(*probes)
+        counts = [len(t) for t in ts]
+        rows = lambda f, axis=0: np.array(
+            [getattr(st, f) for st in steps]).swapaxes(0, axis).repeat(counts, axis)
+        stacked = _Step(rows("t_old"), rows("t"), rows("y_old"), None, rows("F", 1))
+        xs = _dense(stacked, np.concatenate(ts))
+        dense = (xs[e - c:e] for c, e in zip(counts, itertools.accumulate(counts)))
+    points = [next(dense) if len(r) == 3 else r[1][None] for r in requests]
+    inside = s.member(np.concatenate(points), tol)
+    ends = itertools.accumulate(len(p) for p in points)
+    return [(p, inside[e - len(p):e]) if len(r) == 3 else inside[e - 1]
+            for r, p, e in zip(requests, points, ends)]
+
+
+def _drive(solves: list, tol: float) -> list:
+    """Run ``_solve`` generators in lockstep rounds: each round every live
+    solve makes one request, and the requests on one set are answered
+    together.  Returns the arcs in order, or raises the error of the first
+    solve, in order, that raised (a membership call's error at once)."""
+    arcs, replies, error = [None] * len(solves), [None] * len(solves), None
+    live = range(len(solves))
+    while live:
+        groups: dict[int, list] = {}
+        for i in live:
+            try:
+                request = solves[i].send(replies[i])
+            except StopIteration as stop:
+                arcs[i] = stop.value
+            except Exception as exc:
+                error = exc
+                break
+            else:
+                groups.setdefault(id(request[0]), []).append((i, request))
+        for group in groups.values():
+            for (i, _), reply in zip(group, _answer([r for _, r in group], tol)):
+                replies[i] = reply
+        live = sorted(i for group in groups.values() for i, _ in group)
+    if error is not None:
+        raise error
+    return arcs
+
+
+def solve(sys: HybridSystem, x0, cfg: SolverConfig | None = None) -> HybridArc:
+    """Compute one maximal-up-to-horizon hybrid arc from x0.
+
+    Raises InitialConditionOutsideCD when x0 sits outside C u D (within
+    tol_set) and FlowMapEvaluationFailure when F cannot be evaluated at the
+    start of a flow segment; numerical breakdown mid-flow terminates the arc
+    with Termination.NUMERICAL_FAILURE instead.
+    """
+    cfg = cfg or SolverConfig()
+    return _drive([_solve(sys, x0, cfg)], cfg.tol_set)[0]
+
+
 def solve_batch(sys: HybridSystem, x0s, cfg: SolverConfig | None = None) -> list:
-    """Elementwise solve, order preserving, independent of any partitioning;
-    the first failure propagates."""
-    return [solve(sys, x0, cfg) for x0 in x0s]
+    """``solve`` of each x0, in order, in lockstep rounds (``_drive``); each arc
+    has the bits ``solve`` gives it alone, and the error of the first x0, in
+    order, whose solve raises propagates."""
+    cfg = cfg or SolverConfig()
+    return _drive([_solve(sys, x0, cfg) for x0 in x0s], cfg.tol_set)

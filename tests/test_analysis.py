@@ -3,10 +3,14 @@ paper verdicts, witness replayability, budget monotonicity, determinism."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from conftest import assert_same_text
 
+from hybridkit import analysis, cli, geometry, solver
 from hybridkit.analysis import (
     CONSISTENT,
     FALSIFIED,
@@ -25,7 +29,7 @@ from hybridkit.analysis import (
 )
 from hybridkit.composition import with_output
 from hybridkit.core import HybridArc, HybridSystem, check_is_solution
-from hybridkit.errors import ApproximateDistance, ChainNotNested, ConfigError
+from hybridkit.errors import ApproximateDistance, ChainNotNested, ConfigError, DimensionMismatch
 from hybridkit.geometry import (Window, box_set, empty_set, full_space, inflate, intersect,
                                 point_set)
 from hybridkit.solver import SolverConfig
@@ -549,3 +553,120 @@ def test_campaign_that_solves_no_arc_raises(case):
                       window=Window.cube(2, 1.0))
     with pytest.raises(ConfigError, match="no initial condition in C u D"):
         _VACUOUS[case](sys, q)
+
+
+# -- campaigns solved in chunks ------------------------------------------------
+
+
+def _per_draw(sys, x0s, cfg=None):
+    """``solve_batch`` as the per-draw loop: one ``solve`` per initial condition."""
+    return [solver.solve(sys, x0, cfg) for x0 in x0s]
+
+
+_CIRCLES = ["--system", "circles", "--gamma", "gamma1", "--scope", "global", "--box", "preset"]
+_SEQUENTIAL_CASES = {
+    "circles-attractivity": [*_CIRCLES, "--check", "attractivity", "--budget", "20",
+                             "--tmax", "10"],
+    "circles-stability": [*_CIRCLES, "--check", "stability", "--budget", "12", "--tmax", "10"],
+    "sigma-bump-stability": ["--system", "sigma-bump", "--check", "stability", "--gamma",
+                             "gamma1", "--budget", "5", "--tmax", "10", "--eps", "0.25,0.5",
+                             "--delta-shrinks", "2"],
+    "observer-chain": ["--system", "observer", "--reduce-chain", "gamma1,gamma2,gamma3",
+                       "--scope", "global", "--box", "preset", "--budget", "2", "--eps",
+                       "1.0", "--delta-shrinks", "1", "--tmax", "8"],
+}
+
+
+@pytest.mark.parametrize("case", list(_SEQUENTIAL_CASES))
+def test_campaign_reports_match_the_sequential_loop(case, tmp_path, monkeypatch):
+    # every output byte and the x0 of every arc handed to arc_hook, in order,
+    # are those of solving one draw at a time
+    x0s: list = []
+    hook = lambda sys, arc: x0s.append(arc.meta["x0"])
+    monkeypatch.setattr(cli, "PropertyQuery",
+                        lambda **kw: PropertyQuery(arc_hook=hook, **kw))
+
+    def run(out, seed):
+        x0s.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["analyze", *_SEQUENTIAL_CASES[case], "--seed", str(seed),
+                             "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        return code, files, list(x0s)
+
+    verdicts = set()
+    for seed in range(5):
+        chunked = run(tmp_path / f"chunked{seed}", seed)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "solve_batch", _per_draw)
+            sequential = run(tmp_path / f"sequential{seed}", seed)
+        assert chunked[0] == sequential[0] and chunked[2] == sequential[2]
+        assert chunked[1].keys() == sequential[1].keys()
+        for name, text in chunked[1].items():
+            assert_same_text(text, sequential[1][name])
+        verdicts.add(chunked[0])
+    if case == "circles-stability":
+        assert verdicts == {1}  # falsified at every seed
+
+
+@pytest.mark.parametrize("bad,raises,falsified", [
+    (1, 3, True),   # different chunks
+    (3, 4, True),   # one chunk (indices 2-5): the raise after the violation is discarded
+    (4, 3, False),  # one chunk: the raise comes first, at its own draw
+])
+def test_campaign_returns_a_violation_that_precedes_a_raising_draw(
+        monkeypatch, bad, raises, falsified):
+    def flow(x):
+        if x[0] >= 4.0:
+            raise DimensionMismatch("raised at its own draw")
+        return -x
+
+    sys = HybridSystem(1, full_space(1), flow, empty_set(1), lambda x: x, name="decay")
+    x0 = {bad: np.array([2.0]), raises: np.array([5.0])}
+    # the draw's key is its index, and the draw of index i is x0[i], else 0.5
+    monkeypatch.setattr(analysis, "_rng", lambda seed, *ctx: ctx[-1])
+    monkeypatch.setattr(analysis, "_draw_initial",
+                        lambda sys, i, *a: x0.get(i, np.array([0.5])))
+    query = PropertyQuery(solver=SolverConfig(t_max=2.0), sample_budget=8)
+    hooked: list = []
+    query = query.replace(arc_hook=lambda sys, arc: hooked.append(arc.meta["x0"][0]))
+    clauses = [{"type": "stability_escape", "eps": 1.0}]
+    campaign = lambda: analysis._campaign(
+        sys, query, "t", clauses, on={"gamma": point_set([0.0])})
+    if not falsified:
+        with pytest.raises(DimensionMismatch, match="its own draw"):
+            campaign()
+        assert hooked == [0.5] * raises
+        return
+    run = campaign()
+    assert run.witness.meta["x0"] == [2.0] and run.n_total == bad + 1
+    assert hooked == [0.5] * bad + [2.0]
+
+
+def test_chunked_campaign_makes_an_eighth_of_the_membership_calls(cat, monkeypatch):
+    # the calls the solves make; the draws make the same calls either way
+    fx = cat["circles"]
+    query = q_for(fx, sample_budget=64, seed=0)
+    calls, drawing = [0], [False]
+    member, draw = geometry.ClosedSet.member, analysis._draw_initial
+
+    def counted(self, x, tol=None):
+        calls[0] += not drawing[0]
+        return member(self, x, tol)
+
+    def flagged(*args):
+        drawing[0] = True
+        try:
+            return draw(*args)
+        finally:
+            drawing[0] = False
+
+    monkeypatch.setattr(geometry.ClosedSet, "member", counted)
+    monkeypatch.setattr(analysis, "_draw_initial", flagged)
+    chunked = check_attractivity(fx.system, fx.gammas["gamma1"], query)
+    n_chunked, calls[0] = calls[0], 0
+    monkeypatch.setattr(analysis, "solve_batch", _per_draw)
+    sequential = check_attractivity(fx.system, fx.gammas["gamma1"], query)
+    assert chunked.to_json_dict() == sequential.to_json_dict()
+    assert chunked.measured["n_total"] == 64
+    assert 8 * n_chunked <= calls[0]

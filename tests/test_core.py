@@ -188,6 +188,42 @@ def test_json_jump_counter_skip_raises():
         HybridArc.from_json(json.dumps(payload))
 
 
+def test_arc_intervals_of_two_state_widths_raise_malformed_arc():
+    with pytest.raises(MalformedArc, match="state shape"):
+        HybridArc([np.array([0.0]), np.array([0.0])], [np.zeros((1, 2)), np.zeros((1, 3))],
+                  None)
+
+
+def test_arc_states_of_three_dimensions_raise_malformed_arc():
+    with pytest.raises(MalformedArc, match="not \\(N,\\), \\(N,\\), \\(N, n >= 1\\)"):
+        HybridArc([np.array([0.0, 1.0])], [np.zeros((2, 2, 2))], None)
+
+
+def _edited_arc_json(edit) -> str:
+    arc = HybridArc([np.array([0.0, 1.0])], [np.array([[1.0, 2.0], [0.5, 1.0]])],
+                    Termination.COMPLETE_T)
+    payload = json.loads(arc.to_json())
+    edit(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("text", [
+    # one sample's x of another length
+    _edited_arc_json(lambda p: p["samples"][1].update(x=[1.0])),
+    # a sample without "t", "j" or "x"
+    *(_edited_arc_json(lambda p, k=k: p["samples"][0].pop(k)) for k in ("t", "j", "x")),
+    # scalar states
+    _edited_arc_json(lambda p: [row.update(x=1.0) for row in p["samples"]]),
+    # rows of a width other than the payload's "n"
+    _edited_arc_json(lambda p: p.update(n=3)),
+    # not JSON
+    '{"schema_version": 1, "samples": [',
+], ids=["ragged-x", "no-t", "no-j", "no-x", "scalar-x", "width-not-n", "not-json"])
+def test_malformed_arc_json_raises_malformed_arc(text):
+    with pytest.raises(MalformedArc):
+        HybridArc.from_json(text)
+
+
 def test_csv_jump_rows_marked():
     arc = HybridArc([np.array([0.0, 1.0]), np.array([1.0, 2.0])],
                     [np.array([[1.0], [0.9]]), np.array([[0.45], [0.4]])],

@@ -171,6 +171,39 @@ def test_batch_raises_the_first_error(cat):
         solve_batch(fx.system, [good, bad, good], SolverConfig(t_max=2.0))
 
 
+@pytest.mark.parametrize("priority", [p.value for p in Priority])
+@pytest.mark.parametrize("name", list(catalog()))
+def test_batch_arcs_equal_solve_arcs_on_every_preset(cat, name, priority):
+    # each preset twice, shuffled among draws of the fixture's sampler: arcs
+    # whose probes share dense passes and membership calls keep their bits
+    fx = cat[name]
+    cfg = SolverConfig(**fx.solver_overrides, priority=priority)
+    x0s = [*fx.presets.values()] * 2
+    if fx.system.state_sampler is not None:
+        x0s += list(fx.system.state_sampler(np.random.default_rng(5), 3))
+    order = np.random.default_rng(len(name)).permutation(len(x0s))
+    arcs = solve_batch(fx.system, [x0s[i] for i in order], cfg)
+    for i, arc in zip(order, arcs):
+        assert_same_text(arc.to_json(), solve(fx.system, x0s[i], cfg).to_json())
+
+
+def test_batch_raises_the_first_error_in_order_not_in_time():
+    def flow(x):
+        if x[0] >= 4.0:
+            raise OverflowError("at once")
+        if x[0] >= 1.0:
+            raise ValueError("late")
+        return np.ones(1)
+
+    sys = HybridSystem(1, full_space(1), flow, empty_set(1), lambda x: x, name="ramp")
+    cfg = SolverConfig(t_max=5.0)
+    # x0 = 0 fails when the flow reaches 1, many rounds after x0 = 5 fails
+    with pytest.raises(ValueError, match="late"):
+        solve_batch(sys, [[0.0], [5.0]], cfg)
+    with pytest.raises(OverflowError, match="at once"):
+        solve_batch(sys, [[5.0], [0.0]], cfg)
+
+
 def test_default_max_step_tracks_horizon():
     cfg = SolverConfig(t_max=30.0)
     assert cfg.effective_max_step == pytest.approx(0.3)

@@ -44,7 +44,6 @@ def _dop853(flow_map, t0, x0, cfg: SolverConfig) -> DOP853:
 def _scipy_flow_segment(sys_, t0, x0, cfg):
     """solver._flow_segment with scipy's DOP853 taking the steps: each step's
     dense output goes through the solver's own probe and exit rule."""
-    member = lambda pts: np.asarray(sys_.flow_set.member(pts, cfg.tol_set), dtype=bool)
     rk = _dop853(sys_.flow_map, t0, x0, cfg)
     times, states = [], []
 
@@ -60,7 +59,7 @@ def _scipy_flow_segment(sys_, t0, x0, cfg):
             return end("failed")
         if rk.t == rk.t_old:
             continue
-        ts, xs, gap = solver._probe_step(rk.dense_output(), member, cfg)
+        ts, xs, gap = yield from solver._probe_step(rk.dense_output(), sys_.flow_set, cfg)
         times.extend(ts.tolist())
         states.extend(xs)
         if gap is not None:
@@ -189,11 +188,11 @@ def test_a_tail_step_of_3_ulps_stores_strictly_increasing_times(monkeypatch):
     t0 = t_max - 3 * math.ulp(t_max)
     cfg = SolverConfig(t_max=t_max)
     x0 = np.array([1.0, 0.5])
-    ts, xs, end = solver._flow_segment(_decay(), t0, x0, cfg)
+    ts, xs, end = solver._drive([solver._flow_segment(_decay(), t0, x0, cfg)], cfg.tol_set)[0]
     # the step spans 3 doubles, fewer than the 6 samples a step stores at least
     assert ts.tolist() == [math.nextafter(t0, 4.0), math.nextafter(t_max, 0.0), t_max]
     assert end.reason == "horizon" and end.t == t_max
-    ref = _scipy_flow_segment(_decay(), t0, x0, cfg)
+    ref = solver._drive([_scipy_flow_segment(_decay(), t0, x0, cfg)], cfg.tol_set)[0]
     assert ref[0] == ts.tolist() and _same_bits(ref[1], xs)
     assert _same_bits(solver._grid(t_max - 5 * math.ulp(t_max), t_max, 16),
                       t_max - math.ulp(t_max) * np.arange(4.0, -1.0, -1.0))
