@@ -67,9 +67,12 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def _affine_map(spec: dict, dim: int):
@@ -146,7 +149,10 @@ def _resolve_fixture(args, cfg: dict) -> tuple[Fixture | None, object]:
         name = sys_spec["fixture"]
     if name is not None:
         params = None
-        overrides = dict(sys_spec.get("params", {})) if isinstance(sys_spec, dict) else {}
+        overrides = sys_spec.get("params", {}) if isinstance(sys_spec, dict) else {}
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"system params must be a JSON object, got {overrides!r}")
+        overrides = dict(overrides)
         for kv in getattr(args, "param", None) or ():
             k, eq, v = kv.partition("=")
             if not eq:
@@ -176,7 +182,10 @@ def _resolve_fixture(args, cfg: dict) -> tuple[Fixture | None, object]:
 
 def _solver_config(args, cfg: dict, fixture: Fixture | None) -> SolverConfig:
     base = dict(fixture.solver_overrides) if fixture is not None else {}
-    base.update(cfg.get("solver", {}))
+    solver = cfg.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ConfigError(f"solver configuration must be a JSON object, got {solver!r}")
+    base.update(solver)
     if getattr(args, "tmax", None) is not None:
         base["t_max"] = args.tmax
     if getattr(args, "jmax", None) is not None:

@@ -578,6 +578,8 @@ def inflate(s: ClosedSet, c: float) -> ClosedSet:
 
 def set_from_config(cfg: dict) -> ClosedSet:
     """Rebuild a built-in set from its descriptor dictionary."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a set descriptor must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
     if kind == "point":
         return point_set(cfg["at"])

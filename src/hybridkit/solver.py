@@ -9,16 +9,15 @@ the same bits (``tests/test_stepper.py`` keeps scipy as the oracle).
 Everything hybrid -- flow-set exit location, jump application, flow/jump
 priority on C n D, horizons, and the Zeno guard -- is implemented here too.
 Each step's stored samples are sized by the solution checker's residual
-floor, not by the long 8th-order step (``_sample_times``), and kept as one
-block per step, concatenated once per flow segment and once more into the
-arc's (t, j, x) table.  They are also its exit probes, tested against C as
-the step is taken, and an exit bracket is narrowed by the same rule on the
-dense output (``_probe_step``); this subsumes sign bisection of a scalar guard
-and also copes with band sets and boundary starts.  At x0 and after each jump
-the state is tested against its deciding set first, D under jump priority and
-C under flow priority, and against the other set only when it is not in the
-deciding one (``_next_move``).  After a flow-set exit D is tested first under
-either priority.
+floor, not by the long 8th-order step (``_sample_times``), appended per step
+and concatenated once into the arc's (t, j, x) table.  They are also its exit
+probes, tested against C as the step is taken, and an exit bracket is
+narrowed by the same rule on the dense output (``_probe_step``); this
+subsumes sign bisection of a scalar guard and also copes with band sets and
+boundary starts.  Each hybrid state is tested against its deciding set first
+and against the other set only when it is not in the deciding one
+(``_next_move``): D under jump priority and C under flow priority at x0 and
+after each jump, and D under either priority after a flow-set exit.
 
 A solve (``_solve``) yields each membership test as ``(set, x)`` and each
 probe as ``(set, step, ts)``; ``_drive`` advances solves in lockstep rounds
@@ -94,7 +93,7 @@ class SolverConfig:
             raise ValueError("j_max must be >= 1")
         if self.zeno_k < 1 or not 0 <= self.zeno_dt_min < math.inf:
             raise ValueError("invalid zeno window")
-        if isinstance(self.priority, str):
+        if not isinstance(self.priority, Priority):
             object.__setattr__(self, "priority", Priority(self.priority))
 
     @property
@@ -111,18 +110,7 @@ class SolverConfig:
 
     @staticmethod
     def from_config(cfg: dict) -> "SolverConfig":
-        cfg = dict(cfg)
-        if "priority" in cfg:
-            cfg["priority"] = Priority(cfg["priority"])
         return SolverConfig(**cfg)
-
-
-@dataclass
-class _FlowEnd:
-    reason: str  # "exit" | "horizon" | "failed"
-    t: float
-    x: np.ndarray
-    bracket_gap: float = 0.0
 
 
 def _sparse(shape, rows: dict) -> np.ndarray:
@@ -408,12 +396,14 @@ def _probe_step(step, flow_set, cfg: SolverConfig):
     return ts, _dense(step, ts), hi - lo
 
 
-def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfig):
-    """Integrate the flow from (t0, x0 in C) until flow-set exit, t_max, or failure.
+def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfig,
+                  blocks: list, j: int):
+    """Integrate the flow from (t0, x0 in C) until flow-set exit, t_max, or failure,
+    appending each step's stored samples to ``blocks`` as one (ts, xs, j) block.
 
-    Returns (stored_times, stored_states, _FlowEnd): arrays of shapes (m,) and
-    (m, n), or two empty lists when nothing is stored.  The stored samples
-    exclude (t0, x0) itself and end exactly at the segment end point.
+    The samples exclude (t0, x0) itself and end exactly at the segment end
+    point.  Returns (termination, bracket_gap): None and the exit bracket's
+    width at a flow-set exit, else COMPLETE_T or NUMERICAL_FAILURE and None.
     """
     fx0 = np.asarray(sys.flow_map(x0), dtype=float)
     if fx0.shape != x0.shape:
@@ -424,35 +414,26 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
         raise FlowMapEvaluationFailure(
             f"flow map non-finite at segment start (t={t0:.6g})"
         )
-
-    stored: list[tuple[np.ndarray, np.ndarray]] = []  # one (ts, xs) block per step
-
-    def segment_end(reason: str, gap: float = 0.0):
-        if not stored:  # an exit before the first sample
-            return [], [], _FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
-        ts, xs = (np.concatenate(blocks) for blocks in zip(*stored))
-        return ts, xs, _FlowEnd(reason, float(ts[-1]), xs[-1], gap)
-
     for step in _dop853(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
                         cfg.effective_max_step):
         if step is None or not np.isfinite(step.y).all():
-            return segment_end("failed")
+            return Termination.NUMERICAL_FAILURE, None
         ts, xs, gap = yield from _probe_step(step, sys.flow_set, cfg)
         if len(ts):
-            stored.append((ts, xs))
+            blocks.append((ts, xs, j))
         if gap is not None:
-            return segment_end("exit", gap)
-    return segment_end("horizon")
+            return None, gap
+    return Termination.COMPLETE_T, None
 
 
-def _next_move(sys: HybridSystem, x: np.ndarray, cfg: SolverConfig):
-    """Whether the hybrid state x jumps or flows next: "jump", "flow", or None
-    when x lies outside C u D (within tol_set).
+def _next_move(sys: HybridSystem, x: np.ndarray, priority: Priority):
+    """Whether the hybrid state x jumps or flows next under ``priority``:
+    "jump", "flow", or None when x lies outside C u D (within tol_set).
 
-    The priority's own set decides (D under jump priority, C under flow
-    priority); the other set is tested only when x is not in it.
+    The priority's own set decides (D under JUMP, C under FLOW); the other
+    set is tested only when x is not in it.
     """
-    if cfg.priority is Priority.JUMP:
+    if priority is Priority.JUMP:
         moves = (sys.jump_set, "jump"), (sys.flow_set, "flow")
     else:
         moves = (sys.flow_set, "flow"), (sys.jump_set, "jump")
@@ -467,7 +448,7 @@ def _solve(sys: HybridSystem, x0, cfg: SolverConfig):
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (sys.dim,):
         raise DimensionMismatch(f"x0 has shape {x.shape}, system dim is {sys.dim}")
-    move = yield from _next_move(sys, x, cfg)
+    move = yield from _next_move(sys, x, cfg.priority)
     if move is None:
         raise InitialConditionOutsideCD(
             f"x0 = {x.tolist()} is outside C u D "
@@ -475,17 +456,16 @@ def _solve(sys: HybridSystem, x0, cfg: SolverConfig):
             f"{float(sys.jump_set.distance(x)):.3e})"
         )
 
-    # (times, states, jump counter) of each sample block, concatenated once
+    # (times, states, jump counter) of each sample block, concatenated once;
+    # the last block always ends at the current hybrid state
     blocks: list[tuple[np.ndarray, np.ndarray, int]] = [(np.zeros(1), np.array([x]), 0)]
     events: list[dict] = []
-    t = t_start = 0.0  # the current time and that of the current interval's start
-    j = 0
-    zeno_run = 0
-    termination: Termination | None = None
+    t_start = 0.0  # the time of the current flow interval's start
+    j = zeno_run = 0
 
-    while termination is None:
-        if move is None:
-            # the state escaped C u D
+    while True:
+        t, x = float(blocks[-1][0][-1]), blocks[-1][1][-1]
+        if move is None:  # the state escaped C u D
             termination = Termination.ESCAPED
             break
 
@@ -493,51 +473,38 @@ def _solve(sys: HybridSystem, x0, cfg: SolverConfig):
             if t >= cfg.t_max:
                 termination = Termination.COMPLETE_T
                 break
-            seg_t, seg_x, end = yield from _flow_segment(sys, t, x, cfg)
-            if len(seg_t):
-                blocks.append((np.asarray(seg_t), np.asarray(seg_x), j))
-            t, x = end.t, end.x
-            if end.reason == "horizon":
-                termination = Termination.COMPLETE_T
+            termination, gap = yield from _flow_segment(sys, t, x, cfg, blocks, j)
+            if termination is not None:
                 break
-            if end.reason == "failed":
-                termination = Termination.NUMERICAL_FAILURE
-                break
-            events.append({"kind": "flow_exit", "t": t, "j": j,
-                           "bracket_gap": end.bracket_gap})
-            # x has just left C, so D decides under either priority
-            if (yield sys.jump_set, x):
-                move = "jump"
-            elif (yield sys.flow_set, x):
+            t, x = float(blocks[-1][0][-1]), blocks[-1][1][-1]
+            events.append({"kind": "flow_exit", "t": t, "j": j, "bracket_gap": gap})
+            move = yield from _next_move(sys, x, Priority.JUMP)  # x just left C
+            if move == "flow":  # x is in C \ D and its flow leaves C: no solution extends
                 termination = Termination.NOT_EXTENDABLE
                 break
-            else:
-                termination = Termination.ESCAPED
-                break
+            continue
 
-        if move == "jump":
-            # close the current flow interval, applying the Zeno accounting
-            zeno_run = zeno_run + 1 if t - t_start < cfg.zeno_dt_min else 0
-            if zeno_run >= cfg.zeno_k:
-                termination = Termination.ZENO
-                break
-            x_new = np.atleast_1d(np.asarray(sys.jump_map(x), dtype=float))
-            if x_new.shape != x.shape:
-                raise DimensionMismatch(
-                    f"jump map returned shape {x_new.shape} for state {x.shape}"
-                )
-            events.append({"kind": "jump", "t": t, "j": j})
-            j += 1
-            blocks.append((np.array([t]), np.array([x_new]), j))
-            x, t_start = x_new, t
-            if not np.isfinite(x).all():
-                termination = Termination.NUMERICAL_FAILURE
-                break
-            if j >= cfg.j_max:
-                termination = Termination.COMPLETE_J
-                break
-            # a state outside C u D ends ESCAPED at the loop top
-            move = yield from _next_move(sys, x, cfg)
+        # close the current flow interval, applying the Zeno accounting
+        zeno_run = zeno_run + 1 if t - t_start < cfg.zeno_dt_min else 0
+        if zeno_run >= cfg.zeno_k:
+            termination = Termination.ZENO
+            break
+        x_new = np.atleast_1d(np.asarray(sys.jump_map(x), dtype=float))
+        if x_new.shape != x.shape:
+            raise DimensionMismatch(
+                f"jump map returned shape {x_new.shape} for state {x.shape}"
+            )
+        events.append({"kind": "jump", "t": t, "j": j})
+        j += 1
+        blocks.append((np.array([t]), np.array([x_new]), j))
+        t_start = t
+        if not np.isfinite(x_new).all():
+            termination = Termination.NUMERICAL_FAILURE
+            break
+        if j >= cfg.j_max:
+            termination = Termination.COMPLETE_J
+            break
+        move = yield from _next_move(sys, x_new, cfg.priority)
 
     ts, xs, js = zip(*blocks)
     return HybridArc._from_table(

@@ -153,6 +153,24 @@ def test_non_finite_solver_values_are_configuration_errors(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text,why", [
+    ('[1, 2]', "is not a JSON object"),
+    ('{"system": {"fixture": "observer", "params": 5}}', "params must be a JSON object"),
+    ('{"system": "circles", "solver": [1]}', "solver configuration must be a JSON object"),
+    ('{"system": {"dim": 1, "flow_set": 5}}', "set descriptor must be a JSON object"),
+    ('{"system": "circles", "solver": {"priority": 5}}', "5 is not a valid Priority"),
+], ids=["not-an-object", "params", "solver", "flow-set", "priority"])
+def test_malformed_config_files_are_configuration_errors(text, why, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--x0", "1", "--tmax", "1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and why in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("power,x0,tmax,why", [
     (-1, "0", "1", "flow map non-finite at segment start"),  # x' = 1/x at 0
     (2, "1", "2", "termination flag NumericalFailure"),  # x' = x^2 blows up at t = 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +309,34 @@ def test_each_hybrid_state_is_tested_against_its_deciding_set_first():
         assert (_state_calls(c_calls), _state_calls(d_calls)) == (n_c, n_d), priority
         if n_d == 0:
             assert not d_calls  # D is never asked, not even about a probe
+
+
+def test_a_flow_set_exit_state_is_asked_of_d_first_and_of_c_only_when_d_says_no():
+    # x' = 1 on C = [0, 1] from x0 = 0.5: the flow leaves C at x = 1, t = 0.5;
+    # D = [1, 2] holds that state (and G(x) = 0 restarts the ramp), D = {} not
+    for priority in Priority:
+        for d, termination in ((box_set([[1.0, 2.0]]), Termination.COMPLETE_T),
+                               (empty_set(1), Termination.NOT_EXTENDABLE)):
+            calls: list = []  # (set, point array) in the order the sets are asked
+
+            def log(tag):
+                return SimpleNamespace(append=lambda x: calls.append((tag, x)))
+
+            sys = HybridSystem(1, _record_member(box_set([[0.0, 1.0]]), log("C")),
+                               lambda x: np.ones(1), _record_member(d, log("D")),
+                               lambda x: 0 * x, name="ramp")
+            cfg = SolverConfig(t_max=1.2, priority=priority)
+            arc = solve(sys, [0.5], cfg)
+            assert arc.termination is termination
+            assert [e["kind"] for e in arc.meta["events"]][:1] == ["flow_exit"]
+            x_exit = arc.states[0][-1]
+            assert abs(x_exit[0] - 1.0) <= cfg.tol_set + cfg.event_tol  # in C within tol_set
+            asked = [tag for tag, x in calls if np.ndim(x) == 1 and np.array_equal(x, x_exit)]
+            if termination is Termination.COMPLETE_T:
+                assert asked == ["D"] and arc.n_jumps == 1, priority
+            else:
+                assert asked == ["D", "C"], priority
+                assert calls[-1][0] == "C" and np.array_equal(calls[-1][1], x_exit)
 
 
 def test_post_jump_states_on_the_toggle_plane_are_not_tested_against_c():

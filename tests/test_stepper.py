@@ -41,30 +41,22 @@ def _dop853(flow_map, t0, x0, cfg: SolverConfig) -> DOP853:
                   rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.effective_max_step)
 
 
-def _scipy_flow_segment(sys_, t0, x0, cfg):
+def _scipy_flow_segment(sys_, t0, x0, cfg, blocks, j):
     """solver._flow_segment with scipy's DOP853 taking the steps: each step's
     dense output goes through the solver's own probe and exit rule."""
     rk = _dop853(sys_.flow_map, t0, x0, cfg)
-    times, states = [], []
-
-    def end(reason, gap=0.0):
-        if times:
-            return times, states, solver._FlowEnd(reason, times[-1],
-                                                  np.asarray(states[-1]), gap)
-        return times, states, solver._FlowEnd(reason, t0, np.array(x0, dtype=float), gap)
-
     while rk.status != "finished":
         rk.step()
         if rk.status == "failed" or not np.all(np.isfinite(rk.y)):
-            return end("failed")
+            return Termination.NUMERICAL_FAILURE, None
         if rk.t == rk.t_old:
             continue
         ts, xs, gap = yield from solver._probe_step(rk.dense_output(), sys_.flow_set, cfg)
-        times.extend(ts.tolist())
-        states.extend(xs)
+        if len(ts):
+            blocks.append((ts, xs, j))
         if gap is not None:
-            return end("exit", gap)
-    return end("horizon")
+            return None, gap
+    return Termination.COMPLETE_T, None
 
 
 def _solve_with_scipy(monkeypatch, sys_, x0, cfg):
@@ -188,12 +180,20 @@ def test_a_tail_step_of_3_ulps_stores_strictly_increasing_times(monkeypatch):
     t0 = t_max - 3 * math.ulp(t_max)
     cfg = SolverConfig(t_max=t_max)
     x0 = np.array([1.0, 0.5])
-    ts, xs, end = solver._drive([solver._flow_segment(_decay(), t0, x0, cfg)], cfg.tol_set)[0]
+
+    def stored(flow_segment):
+        blocks = []
+        termination, _ = solver._drive([flow_segment(_decay(), t0, x0, cfg, blocks, 0)],
+                                       cfg.tol_set)[0]
+        ts, xs, _ = zip(*blocks)
+        return termination, np.concatenate(ts), np.concatenate(xs)
+
+    termination, ts, xs = stored(solver._flow_segment)
     # the step spans 3 doubles, fewer than the 6 samples a step stores at least
     assert ts.tolist() == [math.nextafter(t0, 4.0), math.nextafter(t_max, 0.0), t_max]
-    assert end.reason == "horizon" and end.t == t_max
-    ref = solver._drive([_scipy_flow_segment(_decay(), t0, x0, cfg)], cfg.tol_set)[0]
-    assert ref[0] == ts.tolist() and _same_bits(ref[1], xs)
+    assert termination is Termination.COMPLETE_T and ts[-1] == t_max
+    ref = stored(_scipy_flow_segment)
+    assert ref[1].tolist() == ts.tolist() and _same_bits(ref[2], xs)
     assert _same_bits(solver._grid(t_max - 5 * math.ulp(t_max), t_max, 16),
                       t_max - math.ulp(t_max) * np.arange(4.0, -1.0, -1.0))
 
