@@ -136,7 +136,7 @@ def _system_from_inline(spec: dict):
 def _observer_params(overrides: dict) -> ObserverParams:
     """The observer's default parameters with ``overrides`` applied."""
     try:
-        return ObserverParams(**{**ObserverParams().to_config(), **overrides})
+        return ObserverParams(**overrides)
     except (TypeError, HybridkitError) as exc:
         raise ConfigError(f"bad observer parameters: {exc}") from exc
 

@@ -184,13 +184,6 @@ class HybridArc:
         """The stored (t, j, x) table, as it is: for reading, not a copy."""
         return self._t, self._j, self._x
 
-    def samples(self) -> Iterator[tuple[float, int, np.ndarray]]:
-        t, j, x = self.table()
-        return zip(t.tolist(), j.tolist(), x)
-
-    def all_states(self) -> np.ndarray:
-        return self._x
-
     def final_state(self) -> np.ndarray:
         return self._x[-1]
 

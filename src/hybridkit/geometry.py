@@ -306,6 +306,8 @@ def point_set(p, *, name: str = "") -> ClosedSet:
 def box_set(bounds, *, name: str = "") -> ClosedSet:
     """Axis-aligned box given per-coordinate [lo, hi] (infinities allowed)."""
     arr = np.asarray(bounds, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"box bounds must be a list of [lo, hi] pairs, got {bounds!r}")
     cons = {i: (_INTERVAL, float(arr[i, 0]), float(arr[i, 1])) for i in range(arr.shape[0])}
     s = coords_set(arr.shape[0], cons, name=name or "box")
     s.descriptor = {"type": "box", "bounds": arr.tolist()}
@@ -594,8 +596,10 @@ def set_from_config(cfg: dict) -> ClosedSet:
     if kind == "affine":
         return affine_set(cfg["A"], cfg["b"])
     if kind == "coords":
-        cons = {int(i): tuple(c) for i, c in cfg["constraints"].items()}
-        return coords_set(int(cfg["dim"]), cons)
+        cons = cfg["constraints"]
+        if not isinstance(cons, dict):
+            raise ValueError(f"coords constraints must be a JSON object, got {cons!r}")
+        return coords_set(int(cfg["dim"]), {int(i): tuple(c) for i, c in cons.items()})
     if kind == "intersection":
         a, b = (set_from_config(p) for p in cfg["parts"])
         return intersect(a, b)

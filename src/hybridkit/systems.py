@@ -62,6 +62,9 @@ class ObserverParams:
     lam: float = 0.5
 
     def __post_init__(self):
+        for k, v in self.to_config().items():
+            if not math.isfinite(v):
+                raise InvalidParams(f"observer parameter {k} must be finite, got {v}")
         if not (0 < self.omega_m < self.omega < self.omega_M):
             raise InvalidParams("need 0 < omega_m < omega < omega_M")
         if not (0 < self.sigma < self.chi_m <= self.chi_M):
@@ -111,26 +114,21 @@ def h_frak(chi, sigma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _phase_residual(chi, tau, p: ObserverParams):
-    """H exp(S (pi/omega - tau)) chi, the rotating part of the synchronization
-    residual; the full residual subtracts h_frak(chi) * sigma."""
+def _advanced(chi, tau, p: ObserverParams):
+    """Both components of exp(S (pi/omega - tau)) chi.  The first, H times it,
+    is the rotating part of the synchronization residual (the full residual
+    subtracts h_frak(chi) * sigma); the sign of the second identifies which
+    threshold crossing the timer is synchronized to."""
     chi = np.asarray(chi, dtype=float)
     a = math.pi - p.omega * np.asarray(tau, dtype=float)
-    return np.cos(a) * chi[..., 0] - np.sin(a) * chi[..., 1]
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    return cos_a * chi[..., 0] - sin_a * chi[..., 1], sin_a * chi[..., 0] + cos_a * chi[..., 1]
 
 
 def rho(chi, tau, p: ObserverParams):
     """Synchronization residual; constant along flow, zero once the timer is
     locked to half-periods."""
-    return _phase_residual(chi, tau, p) - h_frak(chi, p.sigma) * p.sigma
-
-
-def _advanced_second(chi, tau, p: ObserverParams):
-    """Second component of exp(S (pi/omega - tau)) chi: its sign identifies
-    which threshold crossing the timer is synchronized to."""
-    chi = np.asarray(chi, dtype=float)
-    a = math.pi - p.omega * np.asarray(tau, dtype=float)
-    return np.sin(a) * chi[..., 0] + np.cos(a) * chi[..., 1]
+    return _advanced(chi, tau, p)[0] - h_frak(chi, p.sigma) * p.sigma
 
 
 def _rho_of_state(x, p: ObserverParams):
@@ -139,21 +137,19 @@ def _rho_of_state(x, p: ObserverParams):
     solutions).  Unlike the raw selector, q is continuous across the jump
     boundary, which keeps the surrogate well defined on located event samples."""
     x = np.asarray(x, dtype=float)
-    return _phase_residual(x[..., CHI], x[..., TAU_IDX], p) \
-        + x[..., Q_IDX] * p.sigma
+    return _advanced(x[..., CHI], x[..., TAU_IDX], p)[0] + x[..., Q_IDX] * p.sigma
 
 
-def _tau_roots(chi, p: ObserverParams, h: float) -> np.ndarray:
-    """Timer values in [0, tau_cap] solving the synchronization equation with
-    selector value ``h``."""
+def _valid_tau_roots(chi, q: float, p: ObserverParams) -> np.ndarray:
+    """Timer values in [0, pi/omega] solving the synchronization equation with
+    selector value -q, on the threshold crossing that q names."""
     chi = np.asarray(chi, dtype=float)
     r = float(np.linalg.norm(chi))
     if r < p.sigma:
         return np.empty(0)
-    gamma = math.acos(max(-1.0, min(1.0, h * p.sigma / r)))
+    gamma = math.acos(max(-1.0, min(1.0, -q * p.sigma / r)))
     phi = math.atan2(chi[1], chi[0])
-    period = TWO_PI / p.omega
-    roots = []
+    period, roots = p.period, []
     for s in (gamma, -gamma):
         base = (math.pi + phi - s) / p.omega
         m_lo = math.floor((base - p.tau_cap) / period) - 1
@@ -162,19 +158,16 @@ def _tau_roots(chi, p: ObserverParams, h: float) -> np.ndarray:
             tau = base - m * period
             if -1e-12 <= tau <= p.tau_cap + 1e-12:
                 roots.append(min(max(tau, 0.0), p.tau_cap))
-    return np.unique(np.asarray(roots))
+    return np.asarray([t for t in np.unique(np.asarray(roots))
+                       if t <= math.pi / p.omega + 1e-12
+                       and q * _advanced(chi, t, p)[1] >= -1e-9])
 
 
-def _valid_tau_roots(chi, q: float, p: ObserverParams) -> np.ndarray:
-    """Roots of the synchronization equation that also satisfy the branch and
-    timer constraints of the invariant core."""
-    roots = _tau_roots(chi, p, -q)
-    if roots.size == 0:
-        return roots
-    keep = [t for t in roots
-            if t <= math.pi / p.omega + 1e-12
-            and q * _advanced_second(np.asarray(chi, dtype=float), t, p) >= -1e-9]
-    return np.asarray(keep)
+def _plant_draws(rng: np.random.Generator, n: int, p: ObserverParams) -> np.ndarray:
+    """``n`` plant states, uniform in angle and in radius over the amplitude shell."""
+    ang = rng.uniform(0.0, TWO_PI, n)
+    rad = rng.uniform(p.chi_m, p.chi_M, n)
+    return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
 
 
 def xi_space(p: ObserverParams) -> ClosedSet:
@@ -255,11 +248,8 @@ def build_observer(p: ObserverParams | None = None) -> HybridSystem:
         return out
 
     def state_sampler(rng: np.random.Generator, n: int, window=None):
-        ang = rng.uniform(0.0, TWO_PI, n)
-        rad = rng.uniform(p.chi_m, p.chi_M, n)
         pts = np.empty((n, 7))
-        pts[:, 0] = rad * np.cos(ang)
-        pts[:, 1] = rad * np.sin(ang)
+        pts[:, CHI] = _plant_draws(rng, n, p)
         pts[:, 2:4] = rng.uniform(-p.chi_M, p.chi_M, (n, 2))
         pts[:, Q_IDX] = rng.choice([-1.0, 1.0], n)
         pts[:, T_IDX] = rng.uniform(p.t_min, p.t_max_period, n)
@@ -310,27 +300,28 @@ def gamma_sets(p: ObserverParams | None = None) -> tuple[ClosedSet, ClosedSet, C
     def resid_est(x):
         return _norm(x[..., CHIHAT] - x[..., CHI])
 
-    def member_factory(*resids):
-        xi_member = xi._member
+    distances = {
+        1: resid_rho,
+        2: lambda x: np.hypot(resid_rho(x), resid_T(x)),
+        3: lambda x: np.sqrt(resid_rho(x) ** 2 + resid_T(x) ** 2 + resid_est(x) ** 2),
+    }
+    xi_member = xi._member
+
+    def target(level: int) -> ClosedSet:
+        """Xi points with the first ``level`` residuals zero: from level 2 the
+        period is correct, at level 3 the estimate is locked to the plant."""
+        resids = (resid_rho, resid_T, resid_est)[:level]
 
         def member(x, tol):
             ok = np.asarray(xi_member(x, tol), dtype=bool)
             for r in resids:
                 ok = ok & (r(x) <= tol)
             return ok
-        return member
 
-    def sampler_factory(fix_period: bool, tie_estimate: bool):
         def sample(rng: np.random.Generator, n: int, window=None):
-            out = np.empty((0, 7))
-            tries = 0
-            while out.shape[0] < n and tries < 200:
-                m = max(n, 8)
-                ang = rng.uniform(0.0, TWO_PI, m)
-                rad = rng.uniform(p.chi_m, p.chi_M, m)
-                chi = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-                rows = []
-                for c in chi:
+            rows, tries = [], 0
+            while len(rows) < n and tries < 200:
+                for c in _plant_draws(rng, max(n, 8), p):
                     q = float(rng.choice([-1.0, 1.0]))
                     if q * c[0] < -p.sigma:
                         q = -q  # keep the draw out of the jump-set interior
@@ -338,22 +329,16 @@ def gamma_sets(p: ObserverParams | None = None) -> tuple[ClosedSet, ClosedSet, C
                     if roots.size == 0:
                         continue
                     tau = float(roots[rng.integers(0, roots.size)])
-                    T = period if fix_period else float(
-                        rng.uniform(p.t_min, p.t_max_period))
-                    chihat = c if tie_estimate else rng.uniform(-p.chi_M, p.chi_M, 2)
+                    T = period if level > 1 else float(rng.uniform(p.t_min, p.t_max_period))
+                    chihat = c if level > 2 else rng.uniform(-p.chi_M, p.chi_M, 2)
                     rows.append(np.concatenate([c, chihat, [q, T, tau]]))
-                if rows:
-                    out = np.vstack([out] + [np.asarray(rows)])
                 tries += 1
-            if out.shape[0] < n:
+            if len(rows) < n:
                 raise ValueError("synchronized-set sampler starved")
-            return out[:n]
-        return sample
+            return np.asarray(rows)[:n]
 
-    def project_factory(fix_period: bool, tie_estimate: bool):
         def project(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            out = np.array(x, copy=True)
+            out = np.array(np.atleast_2d(x), dtype=float)
             for row in out:
                 chi = row[CHI]
                 r = np.linalg.norm(chi)
@@ -368,51 +353,26 @@ def gamma_sets(p: ObserverParams | None = None) -> tuple[ClosedSet, ClosedSet, C
                 roots = _valid_tau_roots(chi, row[Q_IDX], p)
                 if roots.size:
                     row[TAU_IDX] = roots[np.argmin(np.abs(roots - row[TAU_IDX]))]
-                if fix_period:
-                    row[T_IDX] = period
-                else:
-                    row[T_IDX] = np.clip(row[T_IDX], p.t_min, p.t_max_period)
-                if tie_estimate:
+                row[T_IDX] = period if level > 1 else np.clip(row[T_IDX], p.t_min, p.t_max_period)
+                if level > 2:
                     row[CHIHAT] = chi
-            return out if np.asarray(x).ndim > 1 else out[0]
-        return project
+            return out
 
-    gamma3 = ClosedSet(
-        7,
-        resid_rho,
-        member=member_factory(resid_rho),
-        descriptor={"type": "custom", "name": "timer-synchronized"},
-        distance_kind="declared",
-        member_tol=1e-7,
-        sample=sampler_factory(False, False),
-        project=project_factory(False, False),
-        name="gamma3",
-    )
-    gamma2 = ClosedSet(
-        7,
-        lambda x: np.hypot(resid_rho(x), resid_T(x)),
-        member=member_factory(resid_rho, resid_T),
-        descriptor={"type": "custom", "name": "timer-synchronized, correct period"},
-        distance_kind="declared",
-        member_tol=1e-7,
-        sample=sampler_factory(True, False),
-        project=project_factory(True, False),
-        name="gamma2",
-    )
-    gamma1 = ClosedSet(
-        7,
-        lambda x: np.sqrt(resid_rho(x) ** 2 + resid_T(x) ** 2 + resid_est(x) ** 2),
-        member=member_factory(resid_rho, resid_T, resid_est),
-        descriptor={"type": "custom",
-                    "name": "timer-synchronized, correct period, locked estimate"},
-        distance_kind="declared",
-        member_tol=1e-7,
-        sample=sampler_factory(True, True),
-        project=project_factory(True, True),
-        bounded=True,
-        name="gamma1",
-    )
-    return gamma1, gamma2, gamma3
+        return ClosedSet(
+            7,
+            distances[level],
+            member=member,
+            descriptor={"type": "custom", "name": ", ".join(
+                ("timer-synchronized", "correct period", "locked estimate")[:level])},
+            distance_kind="declared",
+            member_tol=1e-7,
+            sample=sample,
+            project=project,
+            bounded=level == 3,
+            name=f"gamma{4 - level}",
+        )
+
+    return target(3), target(2), target(1)
 
 
 @dataclass
@@ -483,31 +443,24 @@ def _circles_system() -> HybridSystem:
                         state_sampler=state_sampler, discrete_coords=(3,))
 
 
-def _limit_circles_system() -> HybridSystem:
-    def flow(x):
-        s = x[1] ** 2 + x[2] ** 2
-        return np.array([-s * x[1], s * x[0], -x[2] ** 3])
-
-    return HybridSystem(3, full_space(3), flow, empty_set(3),
-                        lambda x: x, name="limit-circles")
+def _flow_only(dim: int, flow, name: str) -> HybridSystem:
+    """A system that flows everywhere and never jumps."""
+    return HybridSystem(dim, full_space(dim), flow, empty_set(dim), lambda x: x, name=name)
 
 
-def _sigma_bump_system() -> HybridSystem:
-    def flow(x):
-        b = smoothstep_bump(x[0])
-        return np.array([-x[0] * (1.0 - b) + x[1] ** 2, b * x[1]])
-
-    return HybridSystem(2, full_space(2), flow, empty_set(2),
-                        lambda x: x, name="sigma-bump")
+def _limit_circles_flow(x):
+    s = x[1] ** 2 + x[2] ** 2
+    return np.array([-s * x[1], s * x[0], -x[2] ** 3])
 
 
-def _polar_system() -> HybridSystem:
+def _sigma_bump_flow(x):
+    b = smoothstep_bump(x[0])
+    return np.array([-x[0] * (1.0 - b) + x[1] ** 2, b * x[1]])
+
+
+def _polar_flow(x):
     # angle theta wraps mod 2*pi; its target sets use the circle metric
-    def flow(x):
-        return np.array([math.sin(x[0] / 2.0) ** 2 + (1.0 - x[1]) ** 2, 0.0])
-
-    return HybridSystem(2, full_space(2), flow, empty_set(2),
-                        lambda x: x, name="polar")
+    return np.array([math.sin(x[0] / 2.0) ** 2 + (1.0 - x[1]) ** 2, 0.0])
 
 
 def _cascade_ex1_spec() -> CascadeSpec:
@@ -527,9 +480,7 @@ def _cascade_ex1_spec() -> CascadeSpec:
 
 def _lti_system(a_matrix, name: str) -> HybridSystem:
     a = np.asarray(a_matrix, dtype=float)
-    return HybridSystem(a.shape[0], full_space(a.shape[0]),
-                        lambda x: a @ x, empty_set(a.shape[0]),
-                        lambda x: x, name=name)
+    return _flow_only(a.shape[0], lambda x: a @ x, name)
 
 
 @dataclass
@@ -613,7 +564,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
 
     fixtures["polar"] = Fixture(
         name="polar",
-        system=_polar_system(),
+        system=_flow_only(2, _polar_flow, "polar"),
         gammas={
             "gamma1": coords_set(2, {0: ("angle", 0.0, TWO_PI),
                                      1: ("interval", 1.0, 1.0)}, name="gamma1"),
@@ -628,7 +579,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
 
     fixtures["sigma-bump"] = Fixture(
         name="sigma-bump",
-        system=_sigma_bump_system(),
+        system=_flow_only(2, _sigma_bump_flow, "sigma-bump"),
         gammas={
             "origin": point_set([0.0, 0.0], name="origin"),
             "gamma1": point_set([0.0, 0.0], name="gamma1"),
@@ -643,7 +594,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
 
     fixtures["limit-circles"] = Fixture(
         name="limit-circles",
-        system=_limit_circles_system(),
+        system=_flow_only(3, _limit_circles_flow, "limit-circles"),
         gammas={
             "gamma1": coords_set(3, {1: ("interval", 0.0, 0.0),
                                      2: ("interval", 0.0, 0.0)}, name="gamma1"),

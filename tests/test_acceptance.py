@@ -278,7 +278,7 @@ def test_criterion_6_solver_oracles(cat):
     _register(lti, arc, "criterion6-lti", keep=True)
     worst = max(float(np.linalg.norm(
         x - np.array([math.exp(-t) * (1 + t), math.exp(-t)])))
-        for t, j, x in arc.samples())
+        for t, j, x in zip(*arc.table()))
     assert worst < 1e-6, f"LTI deviation {worst:.2e}"
 
     # rotation preserves the amplitude
@@ -288,7 +288,7 @@ def test_criterion_6_solver_oracles(cat):
     arc_r = solve(rot, [2.0, 0.0], SolverConfig(t_max=10.0))
     _register(rot, arc_r, "criterion6-rotation", keep=True)
     drift = float(np.max(np.abs(
-        np.linalg.norm(arc_r.all_states(), axis=1) - 2.0)))
+        np.linalg.norm(arc_r.table()[2], axis=1) - 2.0)))
     assert drift < 1e-6, f"amplitude drift {drift:.2e}"
 
     # halving jumps are applied exactly

@@ -114,6 +114,8 @@ def test_simulate_rejects_bad_input(tmp_path):
     ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2",
      "--gamma2", "gamma2"],
     ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2", "--gamma", "gamma1"],
+    ["simulate", "--system", "observer", "--preset", "fig3", "--param", "chi_M=inf"],
+    ["simulate", "--system", "observer", "--preset", "fig3", "--param", "omega_M=inf"],
 ])
 def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     cfg = _inline_config(tmp_path, DRIFT)
@@ -159,7 +161,12 @@ def test_non_finite_solver_values_are_configuration_errors(tmp_path, capsys):
     ('{"system": "circles", "solver": [1]}', "solver configuration must be a JSON object"),
     ('{"system": {"dim": 1, "flow_set": 5}}', "set descriptor must be a JSON object"),
     ('{"system": "circles", "solver": {"priority": 5}}', "5 is not a valid Priority"),
-], ids=["not-an-object", "params", "solver", "flow-set", "priority"])
+    ('{"system": {"dim": 1, "flow_set": {"type": "coords", "dim": 1, "constraints": [1]}}}',
+     "coords constraints must be a JSON object"),
+    ('{"system": {"dim": 1, "flow_set": {"type": "box", "bounds": 5}}}',
+     "box bounds must be a list of [lo, hi] pairs"),
+], ids=["not-an-object", "params", "solver", "flow-set", "priority", "coords-constraints",
+        "box-bounds"])
 def test_malformed_config_files_are_configuration_errors(text, why, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

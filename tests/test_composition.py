@@ -90,7 +90,7 @@ def test_restricted_observer_error_matches_matrix_exponential(cat, obs_params):
     a = np.array([[-2 * om, -om], [om, 0.0]])
     eta0 = x0[CHIHAT] - x0[CHI]
     t0 = None
-    for t, j, x in arc.samples():
+    for t, j, x in zip(*arc.table()):
         eta = x[CHIHAT] - x[CHI]
         exact = expm(a * t) @ eta0
         assert np.linalg.norm(eta - exact) < 1e-5
@@ -134,14 +134,14 @@ def test_trivial_cascade_freezes_zero_block():
     arc = solve(casc, [1.0, 0.0], SolverConfig(t_max=3.0))
     h1 = solve(subsystem_h1(spec), [1.0], SolverConfig(t_max=3.0))
     assert arc.termination is Termination.COMPLETE_T
-    assert np.max(np.abs(arc.all_states()[:, 1])) < 1e-9
+    assert np.max(np.abs(arc.table()[2][:, 1])) < 1e-9
     assert abs(arc.final_state()[0] - h1.final_state()[0]) < 1e-8
 
 
 def test_lti_cascade_matches_variation_of_constants():
     casc = build_cascade(_lti_cascade_spec())
     arc = solve(casc, [1.0, 1.0], SolverConfig(t_max=6.0))
-    for t, j, x in arc.samples():
+    for t, j, x in zip(*arc.table()):
         exact = np.array([math.exp(-t) * (1.0 + t), math.exp(-t)])
         assert np.linalg.norm(x - exact) < 1e-6
 

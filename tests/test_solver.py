@@ -30,7 +30,7 @@ def test_lti_flow_matches_closed_form_along_arc():
     sys = HybridSystem(2, full_space(2), lambda x: a @ x, empty_set(2),
                        lambda x: x, name="lti")
     arc = solve(sys, [1.0, 1.0], SolverConfig(t_max=10.0))
-    for t, j, x in arc.samples():
+    for t, j, x in zip(*arc.table()):
         exact = np.array([math.exp(-t) * (1.0 + t), math.exp(-t)])
         assert np.linalg.norm(x - exact) < 1e-6
 

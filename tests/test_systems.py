@@ -3,6 +3,7 @@ and residual functions, bump function, per-fixture smoke runs."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -38,6 +39,9 @@ def test_observer_params_validation():
         ObserverParams(sigma=1.5)          # not below chi_m
     with pytest.raises(InvalidParams):
         ObserverParams(lam=1.0)
+    for bad in ({"chi_M": math.inf}, {"omega_M": math.inf}, {"lam": math.nan}):
+        with pytest.raises(InvalidParams, match="must be finite"):
+            ObserverParams(**bad)
     p = ObserverParams()
     assert p.t_min < PERIOD < p.t_max_period
 
@@ -114,6 +118,55 @@ def test_gamma2_distance_in_period_coordinate(obs_params):
     assert float(g3.distance(xi)) < 1e-9  # period estimate is free in gamma3
 
 
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+#: sha256 of each observer target's samples at seeds 0, 1 and 2, then of its
+#: projection, distance and membership on 64 window draws (membership also on
+#: their projections); the samplers and projections drive the timer-root solver
+PINNED_GAMMA_BITS = {
+    "gamma1": ["29487a89d9bfb977b54bf8fe111ed0b0174566997dd446facbe1a51b0bd3d5eb",
+               "18dc7209d53549ac7b4a4ca15293b02f9d86f1265a28cd59a5fef90c049a360b",
+               "bba9ef1422e5ec18ab7e31f0d5ef6c2ac3f74389d79ca70c74c88c276d5a30f6",
+               "3f6dee4ee44ddc0fb6da56eb4307a2d8945cf32bc9eb88d741fbcb3075868cee",
+               "d047b93d8e48cf3be2048a03929a56df966f85f0d1b8236cc855bee9cec75d15",
+               "5dd416a7d99de1b0a4b66db11cac119ac4603f81f93d2bc2ff0299488077d5f2"],
+    "gamma2": ["c618a24d013594c7413876f98aa9b6c0d2eff7b996a4717be99f1dff8c47d4c7",
+               "e3fee250fe8a37623983dd22eb8e9dc2893f04b1a0c2a08b0ac75ed8f724387f",
+               "fdc52357e8f93fc2d841ce1e95155f6965aca63ea120c069ed6208582ddf86fe",
+               "f937c106f83b87253d111b501da8864739c5bf962636d6e66a2e3d368e5abc61",
+               "81753ef9b752ca6eea2a749c208c2c103f0f1123977d774ff493806d9650a578",
+               "5dd416a7d99de1b0a4b66db11cac119ac4603f81f93d2bc2ff0299488077d5f2"],
+    "gamma3": ["c777a889ede4be6b6ed0f94be913891f37511a7558143e20da3457c30aa9130d",
+               "d4bcce2ea9c3b395d5374e3312254f16c0bae88b8ccf912e853c84a15ed31254",
+               "86c7d06c1abd371258d9474e6c521befe639fb414b68aabeabef3404c0609041",
+               "346f861a85bfb6291e3aa32cc0dadfe18ce34051b71f475bb3bb71ecf175cd1a",
+               "0291c0f4a3e7c0e34d465ec9ca062358b398170361c53ba9dfac8733ba58849c",
+               "5dd416a7d99de1b0a4b66db11cac119ac4603f81f93d2bc2ff0299488077d5f2"],
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_GAMMA_BITS))
+def test_observer_target_bits_are_pinned(cat, name):
+    fx = cat["observer"]
+    g = fx.gammas[name]
+    pts = fx.window.uniform(np.random.default_rng(5), 64)
+    got = [_sha256(g.sample(np.random.default_rng(s), 64)) for s in (0, 1, 2)]
+    got += [_sha256(g.project(pts)), _sha256(g.distance(pts)),
+            _sha256(g.member(np.vstack([pts, g.project(pts)])))]
+    assert got == PINNED_GAMMA_BITS[name]
+
+
+def test_observer_state_draws_and_fig3_residual_are_pinned(cat):
+    fx = cat["observer"]
+    draws = fx.system.state_sampler(np.random.default_rng(0), 64)
+    assert _sha256(draws) == "dfb9e9ce02729b6ffce56bb1b1ff3b0923083d4f405322fa9d2881122522d37e"
+    arc = solve(fx.system, fx.presets["fig3"], SolverConfig(**fx.solver_overrides))
+    assert _sha256(estimator_diagnostics(arc).rho) == \
+        "54141e57c4c3f5d41130f59c7a005fc69c80355404a4b383c14f4ac5035f34cf"
+
+
 def test_observer_period_update_recursion(cat, obs_params):
     # geometric recursion oracle: T_{k+1} = lam*T_k + (1-lam)*2*(pi/omega)
     fx = cat["observer"]
@@ -147,7 +200,7 @@ def test_amplitude_is_preserved(cat, obs_params):
     gen = np.random.default_rng(47)
     x0 = fx.system.state_sampler(gen, 1)[0]
     arc = solve(fx.system, x0, SolverConfig(t_max=20.0))
-    norms = np.linalg.norm(arc.all_states()[:, CHI], axis=1)
+    norms = np.linalg.norm(arc.table()[2][:, CHI], axis=1)
     assert np.max(np.abs(norms - norms[0])) < 1e-6
 
 
@@ -159,7 +212,7 @@ def test_selector_never_queried_on_undefined_segment(cat, obs_params):
     for x0 in fx.system.state_sampler(gen, 5):
         arc = solve(fx.system, x0, SolverConfig(t_max=15.0))
         estimator_diagnostics(arc, obs_params)
-        chi = arc.all_states()[:, CHI]
+        chi = arc.table()[2][:, CHI]
         strip = np.abs(chi[:, 0]) < obs_params.sigma
         assert not np.any(strip & (chi[:, 1] == 0.0))
 
@@ -195,7 +248,7 @@ def test_circles_flow_keeps_sign_consistency(cat):
     fx = cat["circles"]
     arc = solve(fx.system, [1.0, 0.2, 0.5, 1.0],
                 SolverConfig(t_max=10.0, store_max_dt=0.01))
-    states = arc.all_states()
+    states = arc.table()[2]
     assert np.min(states[:, 3] * states[:, 0]) >= -1e-8
 
 
@@ -205,7 +258,7 @@ def test_limit_circles_closed_form_decay(cat):
     fx = cat["limit-circles"]
     x0 = np.array([1.0, 0.0, 0.8])
     arc = solve(fx.system, x0, SolverConfig(t_max=60.0, store_max_dt=0.004))
-    states = arc.all_states()
+    states = arc.table()[2]
     radius = np.hypot(states[:, 0], states[:, 1])
     assert np.max(np.abs(radius - 1.0)) < 1e-6
     t_end = arc.final_time()[0]
