@@ -76,15 +76,21 @@ def _load_config(path: str | None) -> dict:
 
 
 def _affine_map(spec: dict, dim: int):
+    """x -> A x + b, for one state and for rows of states."""
     a = np.asarray(spec["A"], dtype=float)
     b = np.asarray(spec.get("b", np.zeros(dim)), dtype=float)
     if a.shape != (dim, dim) or b.shape != (dim,):
         raise ValueError(f"affine A must have shape ({dim}, {dim}) and b ({dim},), "
                          f"got {a.shape} and {b.shape}")
-    return lambda x: a @ x + b
+    return (lambda x: a @ x + b), (lambda x: x @ a.T + b)
+
+
+#: a pole (x' = 1/x at 0) gives inf/nan, which the solver reports itself
+_POLE_ERRSTATE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 def _poly_map(spec: list, dim: int):
+    """A polynomial map, for one state and for rows of states."""
     # terms: [{"target": i, "terms": [{"c": coef, "powers": [e_1..e_n]}]}]
     rows = {int(r["target"]): r["terms"] for r in spec}
     if not all(0 <= i < dim for i in rows) or \
@@ -93,8 +99,7 @@ def _poly_map(spec: list, dim: int):
 
     def fn(x):
         out = np.zeros(dim)
-        # a pole (x' = 1/x at 0) gives inf/nan, which the solver reports itself
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(**_POLE_ERRSTATE):
             for i, terms in rows.items():
                 acc = 0.0
                 for t in terms:
@@ -102,12 +107,21 @@ def _poly_map(spec: list, dim: int):
                 out[i] = acc
         return out
 
-    return fn
+    def batch(x):
+        out = np.zeros(x.shape)
+        with np.errstate(**_POLE_ERRSTATE):
+            for i, terms in rows.items():
+                for t in terms:
+                    out[:, i] += t["c"] * np.prod(x ** np.asarray(t["powers"], dtype=float), axis=1)
+        return out
+
+    return fn, batch
 
 
 def _map_from_config(spec: dict | None, dim: int):
+    """A config block's map, for one state and for rows of states."""
     if spec is None:
-        return lambda x: x
+        return (lambda x: x), (lambda x: x)
     if "affine" in spec:
         return _affine_map(spec["affine"], dim)
     if "poly" in spec:
@@ -125,12 +139,12 @@ def _system_from_inline(spec: dict):
             else full_space(dim)
         jump_set = set_from_config(spec["jump_set"]) if "jump_set" in spec \
             else empty_set(dim)
-        flow_map = _map_from_config(spec.get("flow"), dim)
-        jump_map = _map_from_config(spec.get("jump"), dim)
+        flow_map, flow_batch = _map_from_config(spec.get("flow"), dim)
+        jump_map, _ = _map_from_config(spec.get("jump"), dim)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad inline system: {exc}") from exc
     return HybridSystem(dim, flow_set, flow_map, jump_set, jump_map,
-                        name=spec.get("name", "inline"))
+                        name=spec.get("name", "inline"), flow_map_batch=flow_batch)
 
 
 def _observer_params(overrides: dict) -> ObserverParams:
@@ -266,12 +280,12 @@ _TRACKS = ("y", "q", "T", "chihat")
 
 def _fig3_panels(arc: HybridArc) -> dict[str, str]:
     """Three plot-data CSVs in hybrid-time order: (y, q), (T), and the
-    estimate-vs-plant states."""
-    t, j, x = arc.table()
-    panels = (("panel_y_q.csv", "t,j,y,q", [0, 4]),
-              ("panel_T.csv", "t,j,T", [5]),
-              ("panel_states.csv", "t,j,chihat_1,chihat_2,chi_1,chi_2", [2, 3, 0, 1]))
-    return {name: _csv_text(header, [t, j, *x[:, cols].T])
+    estimate-vs-plant states, written from the arc's column text."""
+    panels = (("panel_y_q.csv", "t,j,y,q", ["x_1", "x_5"]),
+              ("panel_T.csv", "t,j,T", ["x_6"]),
+              ("panel_states.csv", "t,j,chihat_1,chihat_2,chi_1,chi_2",
+               ["x_3", "x_4", "x_1", "x_2"]))
+    return {name: _csv_text(header, [arc.column_text(c) for c in ["t", "j", *cols]])
             for name, header, cols in panels}
 
 
@@ -299,10 +313,12 @@ def cmd_simulate(args) -> int:
         return EXIT_SOLVER
 
     out = Path(args.out)
-    if args.format in ("csv", "both"):
-        _write(out / "arc.csv", arc.to_csv())
+    # the JSON mirror first, so that its text is not built while the arc
+    # holds the column text it keeps for the CSV and the panels
     if args.format in ("json", "both"):
         _write(out / "arc.json", arc.to_json())
+    if args.format in ("csv", "both"):
+        _write(out / "arc.csv", arc.to_csv())
     meta = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "system": system.name,

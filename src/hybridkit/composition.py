@@ -38,6 +38,7 @@ def restrict(sys: HybridSystem, gamma: ClosedSet) -> HybridSystem:
         name=f"{sys.name}|{gamma.name}",
         state_sampler=sys.state_sampler,
         discrete_coords=sys.discrete_coords,
+        flow_map_batch=sys.flow_map_batch,
     )
 
 

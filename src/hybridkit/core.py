@@ -53,7 +53,10 @@ class HybridSystem:
 
     ``state_sampler(rng, n, window)`` and ``discrete_coords`` are optional
     hooks the sampling-based analyses use; they are not part of the solution
-    semantics.
+    semantics.  ``flow_map_batch``, also optional, maps an (m, n) array of
+    states to the (m, n) array of their flow-map values.  Only the solution
+    checker calls it: it rounds differently from ``flow_map``, which the solver
+    calls one state at a time.
     """
 
     dim: int
@@ -64,6 +67,7 @@ class HybridSystem:
     name: str = "hybrid-system"
     state_sampler: Callable | None = None
     discrete_coords: tuple[int, ...] = ()
+    flow_map_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -123,8 +127,9 @@ class HybridArc:
     def _store(self, t, j, x, termination, meta) -> None:
         """Check the (t, j, x) table, of shapes (N,), (N,) and (N, n >= 1), and
         keep it as the arc: the jump counter starts at 0 and steps by 0 or 1,
-        each step opening an interval, and the times strictly increase within
-        an interval.  C order keeps row-wise reductions bitwise independent of how x was built."""
+        each step opening an interval that starts at the time the previous one
+        ended, and the times strictly increase within an interval.  C order
+        keeps row-wise reductions bitwise independent of how x was built."""
         x = np.ascontiguousarray(x, dtype=float)
         if x.ndim != 2 or not x.shape[1] or t.shape != j.shape or t.shape != x.shape[:1]:
             raise MalformedArc(f"arc table of shapes t {t.shape}, j {j.shape}, "
@@ -138,13 +143,18 @@ class HybridArc:
             raise MalformedArc(f"jump counter out of order at j={j[np.argmin(ok)]}")
         if not (np.diff(t)[step[1:] == 0] > 0).all():
             raise MalformedArc("sample times not strictly increasing")
+        cuts = np.flatnonzero(step[1:]) + 1  # the first row after each jump
+        moved = t[cuts] != t[cuts - 1]
+        if moved.any():
+            k = cuts[np.argmax(moved)]
+            raise MalformedArc(f"interval {j[k]} starts at {t[k]}, previous ended at {t[k - 1]}")
         try:
             self.termination = Termination(Termination.NOT_EXTENDABLE if termination is None
                                            else termination)
         except ValueError:
             raise MalformedArc(f"unknown termination {termination!r}") from None
-        self._t, self._j, self._x = t, j, x
-        self._cuts = np.flatnonzero(step[1:]) + 1  # the first row after each jump
+        self._t, self._j, self._x, self._cuts = t, j, x, cuts
+        self._text: dict[str, list[str]] = {}
         self.meta = dict(meta or {})
 
     @staticmethod
@@ -206,12 +216,30 @@ class HybridArc:
 
     # -- serialization ---------------------------------------------------------
 
+    def column_text(self, name: str) -> list[str]:
+        """The CSV text of one column, ``t``, ``j``, ``x_1`` .. ``x_n`` or
+        ``event``: one string per sample, ``%.17g`` for t and x (the bytes of
+        ``f"{v:.17g}"``, nan and inf included), ``%d`` for j and ``%s`` for the
+        event.  Each column is formatted once per arc and kept, so every file
+        written from the arc shares its text; the table must not change after."""
+        text = self._text.get(name)
+        if text is None:
+            if name == "j":
+                text = list(map("%d".__mod__, self._j.tolist()))
+            elif name == "event":
+                text = _events(self._j).tolist()
+            else:
+                col = self._t if name == "t" else self._x[:, int(name.removeprefix("x_")) - 1]
+                text = list(map("%.17g".__mod__, col.tolist()))
+            self._text[name] = text
+        return text
+
     def to_csv(self) -> str:
         """Columns (t, j, x_1..x_n, event); first sample of interval j>0 is the
-        jump event.  Column order is part of the golden-file contract."""
-        t, j, x = self.table()
-        header = ",".join(["t", "j", *(f"x_{i + 1}" for i in range(self.dim)), "event"])
-        return _csv_text(header, [t, j, *x.T, _events(j)])
+        jump event.  Column order is part of the golden-file contract.  The
+        cells are the arc's ``column_text``, formatted once per arc."""
+        header = ["t", "j", *(f"x_{i + 1}" for i in range(self.dim)), "event"]
+        return _csv_text(",".join(header), [self.column_text(c) for c in header])
 
     @staticmethod
     def from_csv(text: str, termination: Termination | str | None = None,
@@ -276,15 +304,11 @@ def _events(j: np.ndarray) -> np.ndarray:
     return np.where(np.diff(j, prepend=0) > 0, "jump", "flow")
 
 
-def _csv_text(header: str, columns: list[np.ndarray]) -> str:
+def _csv_text(header: str, columns: list[list[str]]) -> str:
     """CSV text: ``header``, then one line per row of the equal-length
-    ``columns``, written by one ``%``-format per row.  Integer columns print
-    as ``%d``, float columns as ``%.17g`` (the bytes of ``f"{v:.17g}"``, nan
-    and inf included) and any other column as ``%s``."""
-    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" if c.dtype.kind == "f"
-                   else "%s" for c in columns) + "\n"
-    rows = zip(*(c.tolist() for c in columns))
-    return header + "\n" + "".join([fmt % row for row in rows])
+    ``columns`` of cell text, such as an arc's ``column_text``, joined by
+    commas.  Every arc file and plot panel is written here."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _jsonable(obj):
@@ -333,55 +357,88 @@ def check_is_solution(
     C within ``tol_set`` (the final sample before a jump may sit just past the
     located boundary and is exempt).
 
-    Per flow interval: one flow-set membership call, one flow-map call per
-    positive-length gap in time order, and array operations for the rest.
+    Per flow interval: one flow-set membership call, and the flow map at the
+    midpoints of its positive-length gaps.  A system that declares
+    ``flow_map_batch`` gets one batched call on all of an interval's
+    midpoints, whose first row must agree with ``flow_map`` at the same
+    midpoint to 1e-9 relative (else ValueError), so that the map checked is
+    the map the solver integrated; a system without one gets one ``flow_map``
+    call per midpoint, in time order.  Per arc: one jump-set membership call
+    on the pre-jump states, one jump-map call per jump, and array operations
+    for the rest.  Violations are listed interval by interval (flow-set ones
+    first, then residuals, each in time order), then jump by jump.
     """
     if not 0 < tol < math.inf:  # False for NaN
         raise ValueError("tol must be finite and strictly positive")
-    arc.domain  # raises MalformedArc on bad structure
     if arc.dim != sys.dim:
         raise DimensionMismatch(f"arc dim {arc.dim} != system dim {sys.dim}")
+    t, j, x = arc.table()
+    cuts = arc._cuts
 
-    out: list[Violation] = []
-    for j, (t, x) in enumerate(zip(arc.times, arc.states)):
-        # (c) flow-set membership on [min I_j, sup I_j): the right endpoint of
-        # every interval is exempt, and degenerate intervals impose nothing
-        check = x[:-1]
-        if check.shape[0]:
-            inside = np.asarray(sys.flow_set.member(check, tol_set), dtype=bool)
-            for k in np.flatnonzero(~inside):
-                out.append(Violation(
-                    "FlowOutsideC", float(t[k]), j,
-                    float(sys.flow_set.distance(check[k])),
-                    "flow sample outside the flow set",
-                ))
-        # (a) finite-difference flow residuals at the midpoint states of the
-        # positive-length gaps, one flow-map call per midpoint, in order
-        dt = np.diff(t)
-        ks = np.flatnonzero(dt > 0)
-        mids = 0.5 * (x[ks] + x[ks + 1])
-        flow = np.empty_like(mids)
-        for i, mid in enumerate(mids):
-            flow[i] = sys.flow_map(mid)
-        mags = np.linalg.norm((x[ks + 1] - x[ks]) / dt[ks, None] - flow, axis=1)
-        bad = mags > tol
-        for k, mag in zip(ks[bad].tolist(), mags[bad].tolist()):
-            out.append(Violation(
-                "FlowResidual", float(t[k]), j, mag,
-                f"|dx/dt - F| = {mag:.3e} over dt = {dt[k]:.3e}",
-            ))
+    # (c) flow-set membership on [min I_j, sup I_j): the right endpoint of
+    # every interval is exempt, and degenerate intervals impose nothing
+    inside = np.ones(len(t), dtype=bool)
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(t)]):
+        if b - a > 1:
+            inside[a:b - 1] = sys.flow_set.member(x[a:b - 1], tol_set)
+    flow_viol = [(j[k], 0, k, Violation(
+        "FlowOutsideC", float(t[k]), int(j[k]), float(sys.flow_set.distance(x[k])),
+        "flow sample outside the flow set")) for k in np.flatnonzero(~inside).tolist()]
 
-    for t, j, pre, post in arc.jump_transitions():
-        if not bool(sys.jump_set.member(pre, tol_set)):
+    # (a) finite-difference flow residuals at the midpoint states of the
+    # positive-length gaps within an interval
+    dt = np.diff(t)
+    ks = np.flatnonzero((dt > 0) & (np.diff(j) == 0))
+    mids = 0.5 * (x[ks] + x[ks + 1])
+    flow = np.concatenate([_flow_at(sys, m) for m in np.split(mids, np.searchsorted(ks, cuts))])
+    mags = np.linalg.norm((x[ks + 1] - x[ks]) / dt[ks, None] - flow, axis=1)
+    bad = mags > tol
+    flow_viol += [(j[k], 1, k, Violation(
+        "FlowResidual", float(t[k]), int(j[k]), mag,
+        f"|dx/dt - F| = {mag:.3e} over dt = {dt[k]:.3e}"))
+        for k, mag in zip(ks[bad].tolist(), mags[bad].tolist())]
+    out = [v for *_, v in sorted(flow_viol, key=lambda e: e[:3])]
+
+    # (b) jumps: x+ = G(x) from a point of D
+    if not len(cuts):
+        return out
+    pre, post = x[cuts - 1], x[cuts]
+    in_d = np.asarray(sys.jump_set.member(pre, tol_set), dtype=bool)
+    errs = np.linalg.norm(post - _per_row(sys.jump_map, pre), axis=1)
+    for i, (k, ok, err) in enumerate(zip((cuts - 1).tolist(), in_d.tolist(), errs.tolist())):
+        if not ok:
             out.append(Violation(
-                "JumpOutsideD", t, j, float(sys.jump_set.distance(pre)),
+                "JumpOutsideD", float(t[k]), i, float(sys.jump_set.distance(pre[i])),
                 "jump taken from a point outside the jump set",
             ))
-        image = np.asarray(sys.jump_map(pre), dtype=float)
-        err = float(np.linalg.norm(post - image))
         if err > tol:
             out.append(Violation(
-                "JumpMapMismatch", t, j, err,
+                "JumpMapMismatch", float(t[k]), i, err,
                 f"|x+ - G(x)| = {err:.3e}",
             ))
+    return out
+
+
+def _flow_at(sys: HybridSystem, mids: np.ndarray) -> np.ndarray:
+    """The flow map at each row of ``mids``, for ``check_is_solution``: one
+    batched call, checked against ``flow_map`` on the first row, or one call
+    per row."""
+    if sys.flow_map_batch is None or not len(mids):
+        return _per_row(sys.flow_map, mids)
+    flow = np.asarray(sys.flow_map_batch(mids), dtype=float)
+    if flow.shape != mids.shape:
+        raise DimensionMismatch(
+            f"flow_map_batch returned shape {flow.shape} for states of shape {mids.shape}")
+    first = np.asarray(sys.flow_map(mids[0]), dtype=float)
+    if np.linalg.norm(flow[0] - first) > 1e-9 * np.linalg.norm(first):
+        raise ValueError(f"flow_map_batch gives {flow[0].tolist()} at {mids[0].tolist()}, "
+                         f"flow_map gives {first.tolist()}")
+    return flow
+
+
+def _per_row(fn, xs: np.ndarray) -> np.ndarray:
+    """``fn`` at each row of ``xs``, one call per row, in order."""
+    out = np.empty_like(xs)
+    for i, x in enumerate(xs):
+        out[i] = fn(x)
     return out

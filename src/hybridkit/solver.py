@@ -470,9 +470,8 @@ def _solve(sys: HybridSystem, x0, cfg: SolverConfig):
             break
 
         if move == "flow":
-            if t >= cfg.t_max:
-                termination = Termination.COMPLETE_T
-                break
+            # t < t_max: a flow exit is stored at its bracket's low end, below
+            # the step end and so below t_max, and a jump keeps the time
             termination, gap = yield from _flow_segment(sys, t, x, cfg, blocks, j)
             if termination is not None:
                 break

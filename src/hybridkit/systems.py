@@ -12,7 +12,7 @@ sign(y), resets the timer, and blends T toward twice the measured half-period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -220,9 +220,9 @@ def build_observer(p: ObserverParams | None = None) -> HybridSystem:
     flow_half, jump_half = _threshold_sets(p)
 
     def flow(x):
-        chi1, chi2, ch1, ch2 = x[0], x[1], x[2], x[3]
-        T = x[T_IDX]
-        w_hat = TWO_PI / T
+        # one read of the state; Python floats round as numpy's scalars do
+        chi1, chi2, ch1, ch2, _, T, _ = x.tolist()
+        w_hat = TWO_PI / T if T else math.copysign(math.inf, T)  # numpy's 2*pi/0
         gain = 2.0 * w_hat  # 4*pi/T
         y = chi1
         return np.array([
@@ -234,6 +234,16 @@ def build_observer(p: ObserverParams | None = None) -> HybridSystem:
             0.0,
             1.0,
         ])
+
+    def flow_batch(x):
+        w_hat = TWO_PI / x[:, T_IDX]
+        out = np.zeros_like(x)
+        out[:, 0] = -om * x[:, 1]
+        out[:, 1] = om * x[:, 0]
+        out[:, 2] = -w_hat * x[:, 3] + 2.0 * w_hat * (x[:, 0] - x[:, 2])
+        out[:, 3] = w_hat * x[:, 2]
+        out[:, TAU_IDX] = 1.0
+        return out
 
     def jump(x):
         y = x[0]
@@ -265,6 +275,7 @@ def build_observer(p: ObserverParams | None = None) -> HybridSystem:
         name="observer",
         state_sampler=state_sampler,
         discrete_coords=(Q_IDX,),
+        flow_map_batch=flow_batch,
     )
 
 
@@ -338,8 +349,8 @@ def gamma_sets(p: ObserverParams | None = None) -> tuple[ClosedSet, ClosedSet, C
             return np.asarray(rows)[:n]
 
         def project(x):
-            out = np.array(np.atleast_2d(x), dtype=float)
-            for row in out:
+            out = np.array(x, dtype=float)
+            for row in out.reshape(-1, 7):
                 chi = row[CHI]
                 r = np.linalg.norm(chi)
                 if r < 1e-12:
@@ -428,6 +439,10 @@ def _circles_system() -> HybridSystem:
     def flow(x):
         return np.array([x[3] * x[1], -x[3] * x[0], x[0] ** 2 - x[2], 0.0])
 
+    def flow_batch(x):
+        x1, x2, x3, q = x.T
+        return np.stack([q * x2, -q * x1, x1 ** 2 - x3, np.zeros_like(q)], axis=1)
+
     def jump(x):
         return np.array([x[0], x[1], 0.5 * x[2], -x[3]])
 
@@ -439,13 +454,17 @@ def _circles_system() -> HybridSystem:
         pts[:, 0] = q * np.abs(pts[:, 0])
         return pts
 
-    return HybridSystem(4, c, flow, d, jump, name="circles",
-                        state_sampler=state_sampler, discrete_coords=(3,))
+    return HybridSystem(4, c, flow, d, jump, name="circles", state_sampler=state_sampler,
+                        discrete_coords=(3,), flow_map_batch=flow_batch)
 
 
-def _flow_only(dim: int, flow, name: str) -> HybridSystem:
+def _flow_only(dim: int, flow, flow_batch, name: str) -> HybridSystem:
     """A system that flows everywhere and never jumps."""
-    return HybridSystem(dim, full_space(dim), flow, empty_set(dim), lambda x: x, name=name)
+    return HybridSystem(dim, full_space(dim), flow, empty_set(dim), lambda x: x, name=name,
+                        flow_map_batch=flow_batch)
+
+
+# each flow-only fixture's flow map, for one state and for rows of states
 
 
 def _limit_circles_flow(x):
@@ -453,14 +472,31 @@ def _limit_circles_flow(x):
     return np.array([-s * x[1], s * x[0], -x[2] ** 3])
 
 
+def _limit_circles_flow_batch(x):
+    x1, x2, x3 = x.T
+    s = x2 ** 2 + x3 ** 2
+    return np.stack([-s * x2, s * x1, -x3 ** 3], axis=1)
+
+
 def _sigma_bump_flow(x):
     b = smoothstep_bump(x[0])
     return np.array([-x[0] * (1.0 - b) + x[1] ** 2, b * x[1]])
 
 
+def _sigma_bump_flow_batch(x):
+    x1, x2 = x.T
+    b = smoothstep_bump(x1)
+    return np.stack([-x1 * (1.0 - b) + x2 ** 2, b * x2], axis=1)
+
+
 def _polar_flow(x):
     # angle theta wraps mod 2*pi; its target sets use the circle metric
     return np.array([math.sin(x[0] / 2.0) ** 2 + (1.0 - x[1]) ** 2, 0.0])
+
+
+def _polar_flow_batch(x):
+    theta, r = x.T
+    return np.stack([np.sin(theta / 2.0) ** 2 + (1.0 - r) ** 2, np.zeros_like(r)], axis=1)
 
 
 def _cascade_ex1_spec() -> CascadeSpec:
@@ -480,7 +516,7 @@ def _cascade_ex1_spec() -> CascadeSpec:
 
 def _lti_system(a_matrix, name: str) -> HybridSystem:
     a = np.asarray(a_matrix, dtype=float)
-    return _flow_only(a.shape[0], lambda x: a @ x, name)
+    return _flow_only(a.shape[0], lambda x: a @ x, lambda x: x @ a.T, name)
 
 
 @dataclass
@@ -553,7 +589,9 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
     spec = _cascade_ex1_spec()
     fixtures["cascade-ex1"] = Fixture(
         name="cascade-ex1",
-        system=build_cascade(spec),
+        # F = (1, x2), one row per state
+        system=replace(build_cascade(spec), flow_map_batch=lambda x: np.stack(
+            [np.ones(len(x)), x[:, 1]], axis=1)),
         gammas={"origin": point_set([0.0, 0.0], name="origin")},
         window=Window.from_bounds([[0.0, 2.0], [-2.0, 2.0]]),
         presets={"default": np.array([1.0, 0.7])},
@@ -564,7 +602,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
 
     fixtures["polar"] = Fixture(
         name="polar",
-        system=_flow_only(2, _polar_flow, "polar"),
+        system=_flow_only(2, _polar_flow, _polar_flow_batch, "polar"),
         gammas={
             "gamma1": coords_set(2, {0: ("angle", 0.0, TWO_PI),
                                      1: ("interval", 1.0, 1.0)}, name="gamma1"),
@@ -579,7 +617,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
 
     fixtures["sigma-bump"] = Fixture(
         name="sigma-bump",
-        system=_flow_only(2, _sigma_bump_flow, "sigma-bump"),
+        system=_flow_only(2, _sigma_bump_flow, _sigma_bump_flow_batch, "sigma-bump"),
         gammas={
             "origin": point_set([0.0, 0.0], name="origin"),
             "gamma1": point_set([0.0, 0.0], name="gamma1"),
@@ -594,7 +632,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
 
     fixtures["limit-circles"] = Fixture(
         name="limit-circles",
-        system=_flow_only(3, _limit_circles_flow, "limit-circles"),
+        system=_flow_only(3, _limit_circles_flow, _limit_circles_flow_batch, "limit-circles"),
         gammas={
             "gamma1": coords_set(3, {1: ("interval", 0.0, 0.0),
                                      2: ("interval", 0.0, 0.0)}, name="gamma1"),

@@ -17,7 +17,7 @@ from conftest import assert_same_text
 
 import hybridkit
 from hybridkit.analysis import clause_margin
-from hybridkit.cli import _resolve_gamma, main
+from hybridkit.cli import _resolve_gamma, _system_from_inline, main
 from hybridkit.core import HybridArc
 from hybridkit.solver import SolverConfig, solve
 from hybridkit.systems import catalog
@@ -360,6 +360,24 @@ def test_inline_polynomial_dynamics(tmp_path):
     rows = (out / "arc.csv").read_text().strip().splitlines()
     x_end = float(rows[-1].split(",")[2])
     assert x_end == pytest.approx(1.0 / math.sqrt(1 + 2 * 4.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("flow", [
+    {"affine": {"A": [[-0.2, -1.0, 0.5], [1.0, -0.2, 0.0], [0.3, 0.0, 2.0]],
+                "b": [0.1, -1.0, 0.0]}},
+    {"poly": [{"target": 0, "terms": [{"c": -1.0, "powers": [3, 0, 0]},
+                                      {"c": 2.5, "powers": [1, -1, 2]}]},
+              {"target": 2, "terms": [{"c": 0.5, "powers": [0, 0.5, -2]}]}]},
+], ids=["affine", "poly"])
+def test_inline_flow_maps_declare_an_equal_batched_map(flow):
+    sys = _system_from_inline({"dim": 3, "flow": flow})
+    x = np.random.default_rng(2).uniform(-2.0, 2.0, (256, 3))
+    x[:2] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]  # poles of the poly terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # both maps run under the same errstate
+        rows = np.array([sys.flow_map(row) for row in x])
+        batch = sys.flow_map_batch(x)
+    np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("flow", [

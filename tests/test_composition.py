@@ -186,3 +186,34 @@ def test_circles_output_converges(cat):
     arc = solve(fx.system, [1.0, 0.3, 0.8, 1.0], SolverConfig(t_max=15.0))
     assert arc.termination is Termination.ZENO
     assert abs(float(osys.output(arc.final_state())[0])) < 1e-9
+
+
+def test_cascade_jump_map_applies_each_block():
+    # x1 climbs at unit rate and resets to 0 at 1, carrying the decaying
+    # driver x2 across the jump unchanged
+    spec = CascadeSpec(
+        n1=1, n2=1,
+        f1=lambda x1, x2: np.ones(1),
+        f2=lambda x2: -x2,
+        g1=lambda x1, x2: np.zeros(1),
+        g2=lambda x2: x2,
+        c1=box_set([[-1.0, 1.0]]), c2=full_space(1),
+        d1=box_set([[1.0, 2.0]]), d2=full_space(1),
+        name="sawtooth",
+    )
+    casc = build_cascade(spec)
+    assert casc.jump_map(np.array([1.0, 0.25])).tolist() == [0.0, 0.25]
+    arc = solve(casc, [0.0, 1.0], SolverConfig(t_max=2.5))
+    assert arc.termination is Termination.COMPLETE_T
+    assert arc.n_jumps == 2
+    for t, j, pre, post in arc.jump_transitions():
+        assert t == pytest.approx(j + 1.0, abs=1e-8)  # each exit within tol_set of C
+        assert post[0] == 0.0 and post[1] == pre[1]
+        assert post[1] == pytest.approx(math.exp(-t), rel=1e-6)
+    assert check_is_solution(casc, arc, 1e-3) == []
+
+
+def test_restriction_carries_the_batched_flow_map(cat):
+    fx = cat["observer"]
+    restricted = restrict(fx.system, fx.gammas["gamma1"])
+    assert restricted.flow_map_batch is fx.system.flow_map_batch

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -26,9 +27,9 @@ from hybridkit.core import (
     hybrid_time_lt,
     is_complete,
 )
-from hybridkit.errors import MalformedArc
+from hybridkit.errors import DimensionMismatch, MalformedArc
 from hybridkit.geometry import box_set, coords_set, empty_set, full_space
-from hybridkit.solver import SolverConfig, solve
+from hybridkit.solver import Priority, SolverConfig, solve
 from hybridkit.systems import catalog
 
 PRESETS = [(name, preset) for name, fx in catalog().items() for preset in fx.presets]
@@ -99,6 +100,25 @@ def test_arc_sample_times_must_increase():
     with pytest.raises(MalformedArc):
         HybridArc([np.array([0.0, 0.0])], [np.zeros((2, 1))],
                   Termination.NOT_EXTENDABLE)
+
+
+def test_every_constructor_refuses_an_interval_that_starts_after_the_jump_time():
+    # interval 1 starts at t = 0.5, but interval 0 ended at t = 1
+    rows = [(0.0, 0, 0.0), (1.0, 0, 1.0), (0.5, 1, 0.0), (2.0, 1, 1.0)]
+    text = "t,j,x_1,event\n" + "".join(
+        f"{t!r},{j},{x!r},{'jump' if k == 2 else 'flow'}\n" for k, (t, j, x) in enumerate(rows))
+    payload = json.dumps({"schema_version": ARC_SCHEMA_VERSION, "n": 1,
+                          "termination": "CompleteByHorizonT",
+                          "samples": [{"t": t, "j": j, "x": [x], "event": "flow"}
+                                      for t, j, x in rows]})
+    match = "interval 1 starts at 0.5, previous ended at 1.0"
+    with pytest.raises(MalformedArc, match=match):
+        HybridArc.from_csv(text)
+    with pytest.raises(MalformedArc, match=match):
+        HybridArc.from_json(payload)
+    with pytest.raises(MalformedArc, match=match):
+        HybridArc([np.array([0.0, 1.0]), np.array([0.5, 2.0])],
+                  [np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]])], None)
 
 
 def test_is_complete_flags():
@@ -471,3 +491,120 @@ def test_to_json_equals_json_dumps_reference_on_extreme_values():
     for a, b in zip(back.states + back.times, arc.states + arc.times):
         assert np.array_equal(a, b, equal_nan=True)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# -- column text: each column formatted once per arc, the bytes of the
+# row-template writer it replaced --------------------------------------------
+
+def _csv_per_row(arc):
+    """``to_csv`` as one ``%``-format per row, the writer before column text."""
+    t, j, x = arc.table()
+    fmt = ",".join(["%.17g", "%d", *["%.17g"] * arc.dim, "%s"]) + "\n"
+    header = ",".join(["t", "j", *(f"x_{i + 1}" for i in range(arc.dim)), "event"])
+    rows = zip(t.tolist(), j.tolist(), *x.T.tolist(), _events(j).tolist())
+    return header + "\n" + "".join([fmt % row for row in rows])
+
+
+@pytest.mark.parametrize("name,preset", PRESETS)
+def test_to_csv_equals_the_per_row_writer_on_presets(name, preset):
+    _, arc = _preset_arc(name, preset)
+    assert_same_text(arc.to_csv(), _csv_per_row(arc))
+
+
+def test_to_csv_equals_the_per_row_writer_on_extreme_values():
+    arc = HybridArc(
+        [np.array([0.0, 5e-324, 1.0]), np.array([1.0, np.inf])],
+        [np.array([[np.nan, -0.0], [np.inf, -np.inf], [1e300, 5e-324]]),
+         np.array([[-1e300, 0.1], [np.nan, 1.0]])],
+        Termination.COMPLETE_T)
+    assert_same_text(arc.to_csv(), _csv_per_row(arc))
+
+
+def test_each_column_is_formatted_once_per_arc():
+    arc = HybridArc([np.array([0.0, 0.5]), np.array([0.5])],
+                    [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0]])],
+                    Termination.COMPLETE_J)
+    text = arc.to_csv()
+    columns = {name: arc.column_text(name) for name in ("t", "j", "x_1", "x_2", "event")}
+    assert columns == {"t": ["0", "0.5", "0.5"], "j": ["0", "0", "1"],
+                       "x_1": ["1", "3", "5"], "x_2": ["2", "4", "6"],
+                       "event": ["flow", "flow", "jump"]}
+    assert all(arc.column_text(name) is col for name, col in columns.items())
+    assert arc.to_csv() == text
+
+
+# -- the batched flow map in the checker -------------------------------------
+
+def _per_row_system(sys):
+    return dataclasses.replace(sys, flow_map_batch=None)
+
+
+def _assert_batched_equals_per_row(sys, arc, tol, abs_tol=0.0):
+    assert sys.flow_map_batch is not None
+    got, ref = check_is_solution(sys, arc, tol), check_is_solution(_per_row_system(sys), arc, tol)
+    assert [(v.kind, v.t, v.j) for v in got] == [(v.kind, v.t, v.j) for v in ref]
+    for g, r in zip(got, ref):
+        assert math.isclose(g.magnitude, r.magnitude, rel_tol=1e-12, abs_tol=abs_tol)
+    return got
+
+
+@pytest.mark.parametrize("priority", list(Priority))
+@pytest.mark.parametrize("name,preset", PRESETS)
+def test_batched_checker_equals_per_row_checker_on_presets(name, preset, priority):
+    fx = catalog()[name]
+    cfg = SolverConfig(**{**fx.solver_overrides, "priority": priority})
+    arc = solve(fx.system, fx.presets[preset], cfg)
+    assert _assert_batched_equals_per_row(fx.system, arc, 1e-3) == []
+    # below the residual floor nearly every gap is reported (all but the
+    # exact ones of a linear flow); such a residual is a difference of nearly
+    # equal terms, so the two maps' last-bit differences are compared absolutely
+    _assert_batched_equals_per_row(fx.system, arc, 1e-12, abs_tol=1e-12)
+
+
+def test_batched_checker_equals_per_row_checker_on_a_corrupted_arc():
+    sys, arc = _preset_arc("observer", "fig3")
+    gen = np.random.default_rng(1)
+    bad = HybridArc(list(arc.times),
+                    [s + gen.normal(scale=1e-3, size=s.shape) for s in arc.states],
+                    arc.termination)
+    v = _assert_batched_equals_per_row(sys, bad, 1e-3)
+    kinds = {viol.kind for viol in v}
+    assert {"FlowResidual", "JumpMapMismatch", "FlowOutsideC"} <= kinds
+
+
+def test_checker_makes_one_batched_call_per_interval():
+    times = [np.linspace(0.0, 1.0, 11), np.array([1.0]), np.linspace(1.0, 1.5, 7),
+             np.array([1.5, 2.0])]
+    arc = _decay_arc(times, noise=0.0)
+    maps, batches = [], []
+    sys = _decay_system(lambda x: maps.append(1) or -x)
+    sys = dataclasses.replace(sys, flow_map_batch=lambda x: batches.append(len(x)) or -x)
+    assert check_is_solution(sys, arc, 1e-3) == []
+    assert batches == [10, 6, 1]  # intervals with a positive-length gap
+    assert len(maps) == 3  # the first midpoint of each batch
+
+
+def test_checker_refuses_a_batched_map_that_is_not_the_flow_map():
+    arc = _decay_arc([np.linspace(0.0, 1.0, 11)], noise=0.0)
+    sys = _decay_system()
+    with pytest.raises(ValueError, match="flow_map_batch gives"):
+        check_is_solution(dataclasses.replace(sys, flow_map_batch=lambda x: -1.001 * x),
+                          arc, 1e-3)
+    with pytest.raises(DimensionMismatch, match="flow_map_batch returned shape"):
+        check_is_solution(dataclasses.replace(sys, flow_map_batch=lambda x: -x[:, 0]),
+                          arc, 1e-3)
+
+
+def test_a_raising_batched_map_leaves_solve_unaffected(cat):
+    fx = cat["observer"]
+
+    def refuse(x):
+        raise RuntimeError("the solver called flow_map_batch")
+
+    cfg = SolverConfig(**{**fx.solver_overrides, "t_max": 3.0})
+    sys = dataclasses.replace(fx.system, flow_map_batch=refuse)
+    arc = solve(sys, fx.presets["fig3"], cfg)
+    assert_same_text(arc.to_csv(), solve(fx.system, fx.presets["fig3"], cfg).to_csv())
+    with pytest.raises(RuntimeError, match="called flow_map_batch"):
+        check_is_solution(sys, arc, 1e-3)
+

@@ -495,3 +495,33 @@ def test_flow_stops_at_a_gap_between_sample_probes():
     arc = solve(sys, [0.0, 0.0], SolverConfig(t_max=5.0))
     assert arc.termination is Termination.NOT_EXTENDABLE
     assert arc.final_state()[0] == pytest.approx(0.9995, abs=1e-6)
+
+
+def test_a_jump_just_before_the_horizon_ends_complete_by_flowing_to_it():
+    # C = {x <= 1} is left 1e-9 before t_max; the jump resets x into C and the
+    # remaining ~1e-12 of flow ends the arc at t_max.  Every flow segment
+    # starts before t_max: an exit is stored at its bracket's low end, below
+    # the step end, and a jump keeps the time.
+    t_max = 1.0 + 1e-9
+    sys = HybridSystem(1, box_set([[-5.0, 1.0]]), lambda x: np.ones(1),
+                       box_set([[1.0, 5.0]]), lambda x: np.zeros(1), name="reset")
+    arc = solve(sys, [0.0], SolverConfig(t_max=t_max))
+    assert arc.termination is Termination.COMPLETE_T
+    assert arc.n_jumps == 1
+    (t_jump, _, pre, post), = arc.jump_transitions()
+    assert t_max - 1e-10 < t_jump < t_max
+    assert pre[0] == pytest.approx(1.0, abs=2e-9) and post[0] == 0.0  # C within tol_set
+    assert arc.final_time() == (t_max, 1)
+    assert len(arc.times[1]) > 1
+    assert check_is_solution(sys, arc, 1e-3) == []
+
+
+def test_a_non_finite_jump_image_ends_in_numerical_failure_with_the_row_stored():
+    sys = HybridSystem(1, box_set([[-5.0, 1.0]]), lambda x: np.ones(1),
+                       box_set([[1.0, 5.0]]), lambda x: np.array([np.nan]), name="nan-jump")
+    arc = solve(sys, [0.0], SolverConfig(t_max=5.0))
+    assert arc.termination is Termination.NUMERICAL_FAILURE
+    t, j, x = arc.table()
+    assert arc.n_jumps == 1 and j[-1] == 1 and t[-1] == t[-2]
+    assert np.isnan(x[-1, 0]) and np.isfinite(x[:-1]).all()
+    assert [e["kind"] for e in arc.meta["events"]] == ["flow_exit", "jump"]

@@ -282,3 +282,43 @@ def test_jump_map_guards_small_output(cat):
     bad = np.array([1e-6, 2.0, 0.0, 0.0, 1.0, 2.5, 0.1])
     with pytest.raises(UndefinedAtPoint):
         fx.system.jump_map(bad)
+
+
+def test_every_catalog_fixture_declares_a_batched_flow_map_equal_to_its_flow_map(cat):
+    for name, fx in cat.items():
+        x = fx.window.uniform(np.random.default_rng(7), 512)
+        batch = fx.system.flow_map_batch(x)
+        rows = np.array([fx.system.flow_map(row) for row in x])
+        assert batch.shape == x.shape, name
+        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_observer_flow_map_keeps_the_bits_of_numpy_scalar_arithmetic(obs_params):
+    # the map before it read its state once, as a reference
+    def reference(x):
+        chi1, chi2, ch1, ch2, T = x[0], x[1], x[2], x[3], x[T_IDX]
+        w_hat = 2.0 * math.pi / T
+        return np.array([-OM * chi2, OM * chi1, -w_hat * ch2 + 2.0 * w_hat * (chi1 - ch1),
+                         w_hat * ch1, 0.0, 0.0, 1.0])
+
+    flow = build_observer(obs_params).flow_map
+    gen = np.random.default_rng(3)
+    x = gen.uniform(-3.0, 3.0, (20000, 7))
+    x[:, T_IDX] = gen.uniform(2.0, 6.3, len(x))
+    x[:3, T_IDX] = [0.0, -0.0, np.inf]  # a NaN's sign bit is not compared
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = np.array([reference(row) for row in x])
+    got = np.array([flow(row) for row in x])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_projections_keep_the_input_shape(cat):
+    for name, fx in cat.items():
+        x = fx.window.uniform(np.random.default_rng(5), 6)
+        for gname, gamma in fx.gammas.items():
+            if not gamma.can_project:
+                continue
+            assert gamma.project(x).shape == x.shape, (name, gname)
+            one = gamma.project(x[0])
+            assert one.shape == x[0].shape, (name, gname)
+            assert np.array_equal(one, gamma.project(x[:1])[0]), (name, gname)
