@@ -471,14 +471,13 @@ def check_attractivity(sys: HybridSystem, gamma: ClosedSet, query: PropertyQuery
 
 
 def check_local_stability_near(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
-                               r: float, query: PropertyQuery,
-                               project: Callable | None = None) -> AnalysisReport:
+                               r: float, query: PropertyQuery) -> AnalysisReport:
     """Conditional epsilon-delta check: prefixes confined to B_r(g1) must stay
     within B_eps(g2)."""
     _require_distance(g1)
     _require_distance(g2)
     found, run = _eps_delta(sys, g1, query, "lsn", "local_stability_escape",
-                            {"gamma": g1, "g2": g2}, project, r=r)
+                            {"gamma": g1, "g2": g2}, r=r)
     return _report("LocalStabilityNear", sys, query,
                    {"r": r, "delta_for_eps": found}, run,
                    target=g1, relative_to=g2)

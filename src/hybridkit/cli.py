@@ -82,7 +82,7 @@ def _affine_map(spec: dict, dim: int):
     if a.shape != (dim, dim) or b.shape != (dim,):
         raise ValueError(f"affine A must have shape ({dim}, {dim}) and b ({dim},), "
                          f"got {a.shape} and {b.shape}")
-    return (lambda x: a @ x + b), (lambda x: x @ a.T + b)
+    return lambda x: x @ a.T + b
 
 
 #: a pole (x' = 1/x at 0) gives inf/nan, which the solver reports itself
@@ -92,36 +92,27 @@ _POLE_ERRSTATE = dict(divide="ignore", invalid="ignore", over="ignore")
 def _poly_map(spec: list, dim: int):
     """A polynomial map, for one state and for rows of states."""
     # terms: [{"target": i, "terms": [{"c": coef, "powers": [e_1..e_n]}]}]
-    rows = {int(r["target"]): r["terms"] for r in spec}
+    rows = {int(r["target"]): [(t["c"], np.asarray(t["powers"], dtype=float))
+                               for t in r["terms"]] for r in spec}
     if not all(0 <= i < dim for i in rows) or \
-            any(len(t["powers"]) != dim for terms in rows.values() for t in terms):
+            any(p.shape != (dim,) for terms in rows.values() for _, p in terms):
         raise ValueError(f"poly targets must lie in [0, {dim}) and powers have {dim} entries")
 
-    def fn(x):
-        out = np.zeros(dim)
-        with np.errstate(**_POLE_ERRSTATE):
-            for i, terms in rows.items():
-                acc = 0.0
-                for t in terms:
-                    acc += t["c"] * float(np.prod(x ** np.asarray(t["powers"], dtype=float)))
-                out[i] = acc
-        return out
-
-    def batch(x):
+    def poly(x):
         out = np.zeros(x.shape)
         with np.errstate(**_POLE_ERRSTATE):
             for i, terms in rows.items():
-                for t in terms:
-                    out[:, i] += t["c"] * np.prod(x ** np.asarray(t["powers"], dtype=float), axis=1)
+                for c, p in terms:
+                    out[..., i] += c * np.prod(x ** p, axis=-1)
         return out
 
-    return fn, batch
+    return poly
 
 
 def _map_from_config(spec: dict | None, dim: int):
     """A config block's map, for one state and for rows of states."""
     if spec is None:
-        return (lambda x: x), (lambda x: x)
+        return lambda x: x
     if "affine" in spec:
         return _affine_map(spec["affine"], dim)
     if "poly" in spec:
@@ -139,12 +130,12 @@ def _system_from_inline(spec: dict):
             else full_space(dim)
         jump_set = set_from_config(spec["jump_set"]) if "jump_set" in spec \
             else empty_set(dim)
-        flow_map, flow_batch = _map_from_config(spec.get("flow"), dim)
-        jump_map, _ = _map_from_config(spec.get("jump"), dim)
+        flow_map = _map_from_config(spec.get("flow"), dim)
+        jump_map = _map_from_config(spec.get("jump"), dim)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad inline system: {exc}") from exc
     return HybridSystem(dim, flow_set, flow_map, jump_set, jump_map,
-                        name=spec.get("name", "inline"), flow_map_batch=flow_batch)
+                        name=spec.get("name", "inline"), flow_map_batch=flow_map)
 
 
 def _observer_params(overrides: dict) -> ObserverParams:
@@ -467,10 +458,14 @@ def cmd_analyze(args) -> int:
 def cmd_replay(args) -> int:
     arc_path = Path(args.arc)
     meta_path = Path(args.meta) if args.meta else arc_path.with_suffix(".json")
+    read = lambda path: json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     try:
         arc_text = arc_path.read_text(encoding="utf-8")
-        meta = json.loads(meta_path.read_text(encoding="utf-8")) \
-            if meta_path.exists() else {}
+        meta = read(meta_path)
+        if args.meta is None and isinstance(meta, dict) and "samples" in meta:
+            # <stem>.json is the arc's JSON mirror; its run's metadata is run.json
+            meta_path = arc_path.with_name("run.json")
+            meta = read(meta_path)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         print(f"cannot read arc/meta: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -492,9 +487,12 @@ def cmd_replay(args) -> int:
     fixture = cat[name]
 
     system = fixture.system
+    # the run's solver settings: its tol_set for the checker, all of them to regenerate
+    solver = meta.get("solver")
+    scfg = _solver_config(args, {} if solver is None else {"solver": solver}, None)
     tol = meta.get("check_tol", WITNESS_CHECK_TOL)
     try:
-        violations = check_is_solution(system, arc, float(tol))
+        violations = check_is_solution(system, arc, float(tol), scfg.tol_set)
     except (TypeError, ValueError) as exc:
         raise ConfigError(
             f"cannot check the arc at check_tol {tol!r}: {exc}") from exc
@@ -502,7 +500,6 @@ def cmd_replay(args) -> int:
     _say(f"check_is_solution: {'clean' if ok_solution else violations[:3]}")
 
     clause = meta.get("clause")
-    reproduced = None
     if clause:
         gname, g2name = meta.get("gamma"), meta.get("gamma2")
         gamma = _resolve_gamma(fixture, gname, system.dim) if gname else None
@@ -518,20 +515,14 @@ def cmd_replay(args) -> int:
 
     # plain arc: optionally regenerate and compare bitwise
     bitwise = None
-    if meta.get("x0") is not None and meta.get("solver") is not None:
-        scfg = _solver_config(args, {"solver": meta["solver"]}, None)
+    if meta.get("x0") is not None and solver is not None:
         try:
             x0 = np.asarray(meta["x0"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad x0 {meta['x0']!r} in metadata: {exc}") from exc
-        arc2 = solve(system, x0, scfg)
-        bitwise = arc2.to_csv() == arc_text
+        bitwise = solve(system, x0, scfg).to_csv() == arc_text
         _say(f"bitwise match after regeneration: {bitwise}")
-    if not ok_solution:
-        return EXIT_FALSIFIED
-    if bitwise is False:
-        return EXIT_FALSIFIED
-    return EXIT_OK
+    return EXIT_OK if ok_solution and bitwise is not False else EXIT_FALSIFIED
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def hybrid_time_lt(a: tuple[float, int], b: tuple[float, int]) -> bool:
 class HybridSystem:
     """The 4-tuple (C, flow map, D, jump map) plus state dimension and label.
 
-    ``state_sampler(rng, n, window)`` and ``discrete_coords`` are optional
+    ``state_sampler(rng, n)`` and ``discrete_coords`` are optional
     hooks the sampling-based analyses use; they are not part of the solution
     semantics.  ``flow_map_batch``, also optional, maps an (m, n) array of
     states to the (m, n) array of their flow-map values.  Only the solution
@@ -242,8 +242,7 @@ class HybridArc:
         return _csv_text(",".join(header), [self.column_text(c) for c in header])
 
     @staticmethod
-    def from_csv(text: str, termination: Termination | str | None = None,
-                 meta: dict | None = None) -> "HybridArc":
+    def from_csv(text: str, termination: Termination | str | None = None) -> "HybridArc":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
             raise MalformedArc("empty arc file")
@@ -262,9 +261,7 @@ class HybridArc:
             x = np.array([[float(v) for v in cells[k::n]] for k in range(2, n - 1)])
         except ValueError as exc:
             raise MalformedArc(f"non-numeric arc cell: {exc}") from None
-        if termination is None:
-            termination = (meta or {}).get("termination")
-        return HybridArc._from_table(t, j, x.T.reshape(len(rows), n - 3), termination, meta)
+        return HybridArc._from_table(t, j, x.T.reshape(len(rows), n - 3), termination, None)
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps({schema_version, n, termination, samples,

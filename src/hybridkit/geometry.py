@@ -198,7 +198,6 @@ def coords_set(
     constraints: dict[int, tuple],
     *,
     name: str = "",
-    member_tol: float = DEFAULT_MEMBER_TOL,
 ) -> ClosedSet:
     """Set defined by independent per-coordinate constraints.
 
@@ -276,7 +275,7 @@ def coords_set(
     )
     desc = {"type": "coords", "dim": dim, "constraints": {str(i): list(c) for i, c in items}}
     return ClosedSet(
-        dim, dist, descriptor=desc, member_tol=member_tol,
+        dim, dist, descriptor=desc,
         sample=sample, project=project, bounded=bounded, name=name or "coords",
     )
 

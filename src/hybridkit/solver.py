@@ -14,10 +14,12 @@ and concatenated once into the arc's (t, j, x) table.  They are also its exit
 probes, tested against C as the step is taken, and an exit bracket is
 narrowed by the same rule on the dense output (``_probe_step``); this
 subsumes sign bisection of a scalar guard and also copes with band sets and
-boundary starts.  Each hybrid state is tested against its deciding set first
-and against the other set only when it is not in the deciding one
-(``_next_move``): D under jump priority and C under flow priority at x0 and
-after each jump, and D under either priority after a flow-set exit.
+boundary starts.  At x0 and after each jump, a hybrid state is tested against
+its deciding set first and against the other set only when it is not in the
+deciding one (``_next_move``): D under jump priority, C under flow priority.
+A flow-set exit state is tested against D alone: it lies in C, and its flow
+leaves C, so it jumps if it is in D and ends the arc ``NotExtendable`` if
+not.
 
 A solve (``_solve``) yields each membership test as ``(set, x)`` and each
 probe as ``(set, step, ts)``; ``_drive`` advances solves in lockstep rounds
@@ -427,11 +429,13 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
 
 
 def _next_move(sys: HybridSystem, x: np.ndarray, priority: Priority):
-    """Whether the hybrid state x jumps or flows next under ``priority``:
-    "jump", "flow", or None when x lies outside C u D (within tol_set).
+    """Whether the hybrid state x, at x0 or after a jump, jumps or flows next
+    under ``priority``: "jump", "flow", or None when x lies outside C u D
+    (within tol_set).
 
     The priority's own set decides (D under JUMP, C under FLOW); the other
-    set is tested only when x is not in it.
+    set is tested only when x is not in it.  A flow-set exit state is not
+    asked here: ``_solve`` tests it against D alone.
     """
     if priority is Priority.JUMP:
         moves = (sys.jump_set, "jump"), (sys.flow_set, "flow")
@@ -477,10 +481,12 @@ def _solve(sys: HybridSystem, x0, cfg: SolverConfig):
                 break
             t, x = float(blocks[-1][0][-1]), blocks[-1][1][-1]
             events.append({"kind": "flow_exit", "t": t, "j": j, "bracket_gap": gap})
-            move = yield from _next_move(sys, x, Priority.JUMP)  # x just left C
-            if move == "flow":  # x is in C \ D and its flow leaves C: no solution extends
+            # x is in C (the last probe found there, or the segment start) and
+            # its flow leaves C: only a jump from D extends the solution
+            if not (yield sys.jump_set, x):
                 termination = Termination.NOT_EXTENDABLE
                 break
+            move = "jump"
             continue
 
         # close the current flow interval, applying the Zeno accounting

@@ -257,7 +257,7 @@ def build_observer(p: ObserverParams | None = None) -> HybridSystem:
         out[TAU_IDX] = 0.0
         return out
 
-    def state_sampler(rng: np.random.Generator, n: int, window=None):
+    def state_sampler(rng: np.random.Generator, n: int):
         pts = np.empty((n, 7))
         pts[:, CHI] = _plant_draws(rng, n, p)
         pts[:, 2:4] = rng.uniform(-p.chi_M, p.chi_M, (n, 2))
@@ -425,6 +425,10 @@ def smoothstep_bump(s):
     return u * u * (3.0 - 2.0 * u)
 
 
+#: where circles' state sampler draws, and its fixture's sampling window
+_CIRCLES_WINDOW = Window.from_bounds([[-1.5, 1.5]] * 3 + [[-1.0, 1.0]])
+
+
 def _circles_system() -> HybridSystem:
     # planar rotation whose direction flag q keeps x1 sign-consistent; hitting
     # {x1 = 0} toggles q and halves x3
@@ -446,9 +450,8 @@ def _circles_system() -> HybridSystem:
     def jump(x):
         return np.array([x[0], x[1], 0.5 * x[2], -x[3]])
 
-    def state_sampler(rng, n, window=None):
-        w = window or Window.from_bounds([[-1.5, 1.5]] * 3 + [[-1, 1]])
-        pts = w.uniform(rng, n)
+    def state_sampler(rng, n):
+        pts = _CIRCLES_WINDOW.uniform(rng, n)
         q = rng.choice([-1.0, 1.0], n)
         pts[:, 3] = q
         pts[:, 0] = q * np.abs(pts[:, 0])
@@ -516,7 +519,8 @@ def _cascade_ex1_spec() -> CascadeSpec:
 
 def _lti_system(a_matrix, name: str) -> HybridSystem:
     a = np.asarray(a_matrix, dtype=float)
-    return _flow_only(a.shape[0], lambda x: a @ x, lambda x: x @ a.T, name)
+    flow = lambda x: x @ a.T  # one state or rows of states
+    return _flow_only(a.shape[0], flow, flow, name)
 
 
 @dataclass
@@ -579,7 +583,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
             "gamma2": coords_set(4, {0: ("interval", 0.0, 0.0),
                                      3: ("values", (-1.0, 1.0))}, name="gamma2"),
         },
-        window=Window.from_bounds([[-1.5, 1.5]] * 3 + [[-1.0, 1.0]]),
+        window=_CIRCLES_WINDOW,
         presets={"default": np.array([1.0, 0.0, 1.0, 1.0])},
         solver_overrides={"t_max": 25.0, "store_max_dt": 0.01},
         output=lambda x: np.array([x[0]]),

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -17,8 +18,9 @@ from conftest import assert_same_text
 
 import hybridkit
 from hybridkit.analysis import clause_margin
-from hybridkit.cli import _resolve_gamma, _system_from_inline, main
-from hybridkit.core import HybridArc
+from hybridkit.cli import _build_parser, _resolve_gamma, _system_from_inline, main
+from hybridkit.core import HybridArc, HybridSystem, Termination, check_is_solution
+from hybridkit.geometry import coords_set, empty_set
 from hybridkit.solver import SolverConfig, solve
 from hybridkit.systems import catalog
 
@@ -299,13 +301,104 @@ def test_replay_resolves_witness_target_like_analyze(tmp_path, capsys):
 
 def test_replay_regenerated_arc_matches_bitwise(tmp_path, capsys):
     out = tmp_path / "run"
-    run(["simulate", "--system", "circles", "--x0", "1,0,1,1",
-         "--out", str(out), "--format", "csv"])
+    run(["simulate", "--system", "circles", "--x0", "1,0,1,1", "--out", str(out)])
+    # without --meta the JSON file beside arc.csv is the arc's JSON mirror,
+    # arc.json, so replay reads the run's metadata from run.json
+    for meta in (["--meta", str(out / "run.json")], []):
+        capsys.readouterr()
+        assert run(["replay", "--arc", str(out / "arc.csv"), *meta]) == 0
+        assert "bitwise match after regeneration: True" in capsys.readouterr().out
+
+
+def test_replay_checks_the_arc_at_its_run_tol_set(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"tol_set": 1e-6}}))
+    out = tmp_path / "run"
+    assert run(["simulate", "--system", "circles", "--x0", "1,0,1,1", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["solver"]["tol_set"] == 1e-6
+    received = []
+
+    def check(system, arc, tol, tol_set=1e-9):
+        received.append(tol_set)
+        return check_is_solution(system, arc, tol, tol_set)
+
+    monkeypatch.setattr(hybridkit.cli, "check_is_solution", check)
     capsys.readouterr()
-    code = run(["replay", "--arc", str(out / "arc.csv"),
-                "--meta", str(out / "run.json")])
-    assert code == 0
+    assert run(["replay", "--arc", str(out / "arc.csv"), "--meta", str(out / "run.json")]) == 0
+    assert received == [1e-6]
     assert "bitwise match after regeneration: True" in capsys.readouterr().out
+
+
+def test_an_arc_within_its_run_tol_set_of_c_is_clean_only_at_that_tol_set():
+    # a circle of radius 1 about (0, -r0) on C = {x2 <= 0}: the arc peaks at
+    # x2 = 1 - r0 = 5e-7, inside C within the run's tol_set 1e-6, and the solver
+    # flows on to the horizon; at the checker's default tol_set it leaves C
+    r0 = 1 - 5e-7
+    system = HybridSystem(2, coords_set(2, {1: ("interval", -np.inf, 0.0)}),
+                          lambda x: np.array([-(x[1] + r0), x[0]]), empty_set(2), lambda x: x)
+    cfg = SolverConfig(t_max=1, tol_set=1e-6, rtol=1e-12, atol=1e-14)
+    arc = solve(system, [math.sin(0.5), math.cos(0.5) - r0], cfg)
+    assert arc.termination is Termination.COMPLETE_T
+    assert np.max(arc.table()[2][:, 1]) == pytest.approx(5e-7, rel=1e-6)
+    assert [v.kind for v in check_is_solution(system, arc, 1e-3)] == ["FlowOutsideC"]
+    assert check_is_solution(system, arc, 1e-3, cfg.tol_set) == []
+
+
+def _corrupt(csv_text: str, row: int) -> str:
+    """The arc CSV with x_1 of one sample moved by 0.1."""
+    lines = csv_text.splitlines(keepends=True)
+    cells = lines[row].split(",")
+    cells[2] = repr(float(cells[2]) + 0.1)
+    lines[row] = ",".join(cells)
+    return "".join(lines)
+
+
+#: replay's verdict on a stored arc: its exit code and the line that says why
+_REPLAY_VERDICTS = {
+    "clause-not-reproduced": (1, "violation reproduced: False"),
+    "witness-not-a-solution": (2, "check_is_solution: [Violation("),
+    "run-arc-not-a-solution": (1, "check_is_solution: [Violation("),
+    "run-x0-edited": (1, "bitwise match after regeneration: False"),
+}
+
+
+@pytest.mark.parametrize("case", _REPLAY_VERDICTS)
+def test_replay_verdict_exit_codes(case, tmp_path, capsys):
+    code, line = _REPLAY_VERDICTS[case]
+    x0 = [1.0, 0.0, 1.0, 1.0]
+    cfg = SolverConfig(t_max=3.0)
+    arc = solve(catalog()["circles"].system, x0, cfg)
+    text = arc.to_csv()
+    meta = {"system": "circles", "termination": arc.termination.value}
+    if case.startswith("run"):
+        meta.update(x0=x0, solver=cfg.to_config())
+        if case == "run-x0-edited":
+            meta["x0"] = [1.0, 0.0, 1.001, 1.0]
+    else:
+        # the arc leaves the 1.6-ball around the origin, not the one around gamma1
+        meta.update(clause={"type": "stability_escape", "eps": 1.6}, check_tol=1e-3,
+                    gamma="gamma1" if case == "clause-not-reproduced" else "origin")
+    if case.endswith("not-a-solution"):
+        text = _corrupt(text, 10)
+    (tmp_path / "a.csv").write_text(text)
+    (tmp_path / "a.json").write_text(json.dumps(meta))
+    assert run(["replay", "--arc", str(tmp_path / "a.csv")]) == code
+    assert line in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    # every `hybridkit ...` line of README's sh blocks, continuations joined and
+    # comments stripped, is accepted by the CLI's parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+    lines = [ln.split("#", 1)[0].strip()
+             for ln in "\n".join(blocks).replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("hybridkit ")]
+    assert len(commands) >= 8
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_seed_determines_reports_byte_for_byte(tmp_path):

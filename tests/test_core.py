@@ -427,9 +427,9 @@ def test_array_checker_equals_per_row_reference_on_odd_intervals():
         arc = _decay_arc(times, noise=1e-3)
         assert any(v.kind == "FlowResidual" for v in _assert_same_violations(sys, arc, 1e-3))
     # a repeated time sample (dt = 0) is skipped by both; the arc constructor
-    # refuses one, so it is put in afterwards
+    # refuses one, so it is written afterwards, on purpose, into the arc's
+    # stored table through the view ``times`` returns
     arc = _decay_arc(times, noise=1e-3)
-    arc.times[0] = arc.times[0].copy()
     arc.times[0][5] = arc.times[0][4]
     v = _assert_same_violations(scalar, arc, 1e-3)
     assert sum(viol.kind == "FlowResidual" and viol.j == 0 for viol in v) == 39
@@ -453,8 +453,9 @@ def test_checker_makes_one_membership_call_per_interval_and_one_map_call_per_gap
     times = [np.linspace(0.0, 1.0, 11), np.array([1.0]), np.linspace(1.0, 1.5, 7),
              np.array([1.5, 2.0])]
     arc = _decay_arc(times, noise=0.0)
-    arc.times[0] = arc.times[0].copy()
-    arc.times[0][3] = arc.times[0][2]  # one zero-length gap
+    # one zero-length gap, written on purpose into the stored table through
+    # the view ``times`` returns (the arc constructor refuses one)
+    arc.times[0][3] = arc.times[0][2]
     maps = []
     sys = _decay_system(lambda x: maps.append(1) or -x)
     members = []

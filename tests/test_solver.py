@@ -311,9 +311,10 @@ def test_each_hybrid_state_is_tested_against_its_deciding_set_first():
             assert not d_calls  # D is never asked, not even about a probe
 
 
-def test_a_flow_set_exit_state_is_asked_of_d_first_and_of_c_only_when_d_says_no():
+def test_a_flow_set_exit_state_is_asked_of_d_alone():
     # x' = 1 on C = [0, 1] from x0 = 0.5: the flow leaves C at x = 1, t = 0.5;
-    # D = [1, 2] holds that state (and G(x) = 0 restarts the ramp), D = {} not
+    # D = [1, 2] holds that state (and G(x) = 0 restarts the ramp), D = {} not.
+    # The exit state lies in C, so only D decides whether the arc goes on.
     for priority in Priority:
         for d, termination in ((box_set([[1.0, 2.0]]), Termination.COMPLETE_T),
                                (empty_set(1), Termination.NOT_EXTENDABLE)):
@@ -332,11 +333,11 @@ def test_a_flow_set_exit_state_is_asked_of_d_first_and_of_c_only_when_d_says_no(
             x_exit = arc.states[0][-1]
             assert abs(x_exit[0] - 1.0) <= cfg.tol_set + cfg.event_tol  # in C within tol_set
             asked = [tag for tag, x in calls if np.ndim(x) == 1 and np.array_equal(x, x_exit)]
+            assert asked == ["D"], priority
             if termination is Termination.COMPLETE_T:
-                assert asked == ["D"] and arc.n_jumps == 1, priority
+                assert arc.n_jumps == 1, priority
             else:
-                assert asked == ["D", "C"], priority
-                assert calls[-1][0] == "C" and np.array_equal(calls[-1][1], x_exit)
+                assert calls[-1][0] == "D" and np.array_equal(calls[-1][1], x_exit)
 
 
 def test_post_jump_states_on_the_toggle_plane_are_not_tested_against_c():
