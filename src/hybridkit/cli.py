@@ -196,7 +196,7 @@ def _solver_config(args, cfg: dict, fixture: Fixture | None) -> SolverConfig:
     if getattr(args, "jmax", None) is not None:
         base["j_max"] = args.jmax
     try:
-        return SolverConfig.from_config(base)
+        return SolverConfig(**base)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver configuration: {exc}") from exc
 
@@ -258,10 +258,9 @@ def _parse_x0(fixture: Fixture | None, args, dim: int) -> np.ndarray:
         if x0.size != dim:
             raise ConfigError(f"--x0 has {x0.size} entries, system dim is {dim}")
         return x0
-    if fixture is not None and "default" in fixture.presets:
-        return np.array(fixture.presets["default"], dtype=float)
-    if fixture is not None and "fig3" in fixture.presets:
-        return np.array(fixture.presets["fig3"], dtype=float)
+    if fixture is not None and len(fixture.presets) == 1:
+        (preset,) = fixture.presets.values()
+        return np.array(preset, dtype=float)
     raise ConfigError("no initial condition: use --x0 or --preset")
 
 
@@ -462,8 +461,9 @@ def cmd_replay(args) -> int:
     try:
         arc_text = arc_path.read_text(encoding="utf-8")
         meta = read(meta_path)
-        if args.meta is None and isinstance(meta, dict) and "samples" in meta:
-            # <stem>.json is the arc's JSON mirror; its run's metadata is run.json
+        if args.meta is None and (not meta_path.exists()
+                                  or isinstance(meta, dict) and "samples" in meta):
+            # no <stem>.json, or the arc's JSON mirror: the run's metadata is run.json
             meta_path = arc_path.with_name("run.json")
             meta = read(meta_path)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
@@ -602,7 +602,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-validate a stored arc or witness")
     p.add_argument("--arc", required=True, help="arc CSV path")
     p.add_argument("--meta", default=None,
-                   help="witness/run metadata JSON (default: arc path with .json)")
+                   help="witness/run metadata JSON (default: arc path with .json, "
+                        "else run.json beside the arc)")
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("list-systems", help="show the fixture catalog")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -29,17 +29,8 @@ def restrict(sys: HybridSystem, gamma: ClosedSet) -> HybridSystem:
         )
     band_set = inflate(gamma, RESTRICTION_BAND)
     band_set.name = f"band[{gamma.name}]"
-    return HybridSystem(
-        dim=sys.dim,
-        flow_set=intersect(sys.flow_set, band_set),
-        flow_map=sys.flow_map,
-        jump_set=intersect(sys.jump_set, band_set),
-        jump_map=sys.jump_map,
-        name=f"{sys.name}|{gamma.name}",
-        state_sampler=sys.state_sampler,
-        discrete_coords=sys.discrete_coords,
-        flow_map_batch=sys.flow_map_batch,
-    )
+    return replace(sys, flow_set=intersect(sys.flow_set, band_set),
+                   jump_set=intersect(sys.jump_set, band_set), name=f"{sys.name}|{gamma.name}")
 
 
 @dataclass(frozen=True)
@@ -70,30 +61,28 @@ class CascadeSpec:
                 raise DimensionMismatch(f"{label} has dim {s.dim}, expected {n}")
 
 
+def _vec(v) -> np.ndarray:
+    """A block map's value as a 1-D float array."""
+    return np.atleast_1d(np.asarray(v, dtype=float))
+
+
 def build_cascade(spec: CascadeSpec) -> HybridSystem:
     """Stacked system on R^{n1+n2}: product sets, block-triangular maps."""
     n1 = spec.n1
 
-    def flow(x):
-        x1, x2 = x[:n1], x[n1:]
-        return np.concatenate([
-            np.atleast_1d(np.asarray(spec.f1(x1, x2), dtype=float)),
-            np.atleast_1d(np.asarray(spec.f2(x2), dtype=float)),
-        ])
-
-    def jump(x):
-        x1, x2 = x[:n1], x[n1:]
-        return np.concatenate([
-            np.atleast_1d(np.asarray(spec.g1(x1, x2), dtype=float)),
-            np.atleast_1d(np.asarray(spec.g2(x2), dtype=float)),
-        ])
+    def stacked(m1, m2):
+        """x -> (m1(x1, x2), m2(x2)), the form of both F and G."""
+        def block_map(x):
+            x1, x2 = x[:n1], x[n1:]
+            return np.concatenate([_vec(m1(x1, x2)), _vec(m2(x2))])
+        return block_map
 
     return HybridSystem(
         dim=n1 + spec.n2,
         flow_set=product(spec.c1, spec.c2),
-        flow_map=flow,
+        flow_map=stacked(spec.f1, spec.f2),
         jump_set=product(spec.d1, spec.d2),
-        jump_map=jump,
+        jump_map=stacked(spec.g1, spec.g2),
         name=spec.name,
     )
 
@@ -101,19 +90,12 @@ def build_cascade(spec: CascadeSpec) -> HybridSystem:
 def subsystem_h1(spec: CascadeSpec) -> HybridSystem:
     """Driven block with the driver frozen at zero: (C1, F1(.,0), D1, G1(.,0))."""
     zero = np.zeros(spec.n2)
-
-    def flow(x1):
-        return np.atleast_1d(np.asarray(spec.f1(x1, zero), dtype=float))
-
-    def jump(x1):
-        return np.atleast_1d(np.asarray(spec.g1(x1, zero), dtype=float))
-
     return HybridSystem(
         dim=spec.n1,
         flow_set=spec.c1,
-        flow_map=flow,
+        flow_map=lambda x1: _vec(spec.f1(x1, zero)),
         jump_set=spec.d1,
-        jump_map=jump,
+        jump_map=lambda x1: _vec(spec.g1(x1, zero)),
         name=f"{spec.name}-h1",
     )
 
@@ -123,9 +105,9 @@ def subsystem_h2(spec: CascadeSpec) -> HybridSystem:
     return HybridSystem(
         dim=spec.n2,
         flow_set=spec.c2,
-        flow_map=lambda x2: np.atleast_1d(np.asarray(spec.f2(x2), dtype=float)),
+        flow_map=lambda x2: _vec(spec.f2(x2)),
         jump_set=spec.d2,
-        jump_map=lambda x2: np.atleast_1d(np.asarray(spec.g2(x2), dtype=float)),
+        jump_map=lambda x2: _vec(spec.g2(x2)),
         name=f"{spec.name}-h2",
     )
 

@@ -55,8 +55,8 @@ class HybridSystem:
     hooks the sampling-based analyses use; they are not part of the solution
     semantics.  ``flow_map_batch``, also optional, maps an (m, n) array of
     states to the (m, n) array of their flow-map values.  Only the solution
-    checker calls it: it rounds differently from ``flow_map``, which the solver
-    calls one state at a time.
+    checker calls it: it may round differently from ``flow_map``, which the
+    solver calls one state at a time.  One function may serve as both.
     """
 
     dim: int
@@ -357,9 +357,9 @@ def check_is_solution(
     Per flow interval: one flow-set membership call, and the flow map at the
     midpoints of its positive-length gaps.  A system that declares
     ``flow_map_batch`` gets one batched call on all of an interval's
-    midpoints, whose first row must agree with ``flow_map`` at the same
-    midpoint to 1e-9 relative (else ValueError), so that the map checked is
-    the map the solver integrated; a system without one gets one ``flow_map``
+    midpoints; unless it is ``flow_map`` itself, its first row must agree with
+    ``flow_map`` to 1e-9 relative (else ValueError), so that the map checked
+    is the map the solver integrated; a system without one gets one ``flow_map``
     call per midpoint, in time order.  Per arc: one jump-set membership call
     on the pre-jump states, one jump-map call per jump, and array operations
     for the rest.  Violations are listed interval by interval (flow-set ones
@@ -418,14 +418,16 @@ def check_is_solution(
 
 def _flow_at(sys: HybridSystem, mids: np.ndarray) -> np.ndarray:
     """The flow map at each row of ``mids``, for ``check_is_solution``: one
-    batched call, checked against ``flow_map`` on the first row, or one call
-    per row."""
+    batched call, checked against a separate ``flow_map`` on the first row, or
+    one call per row."""
     if sys.flow_map_batch is None or not len(mids):
         return _per_row(sys.flow_map, mids)
     flow = np.asarray(sys.flow_map_batch(mids), dtype=float)
     if flow.shape != mids.shape:
         raise DimensionMismatch(
             f"flow_map_batch returned shape {flow.shape} for states of shape {mids.shape}")
+    if sys.flow_map_batch is sys.flow_map:
+        return flow
     first = np.asarray(sys.flow_map(mids[0]), dtype=float)
     if np.linalg.norm(flow[0] - first) > 1e-9 * np.linalg.norm(first):
         raise ValueError(f"flow_map_batch gives {flow[0].tolist()} at {mids[0].tolist()}, "

@@ -599,15 +599,9 @@ def set_from_config(cfg: dict) -> ClosedSet:
         if not isinstance(cons, dict):
             raise ValueError(f"coords constraints must be a JSON object, got {cons!r}")
         return coords_set(int(cfg["dim"]), {int(i): tuple(c) for i, c in cons.items()})
-    if kind == "intersection":
+    if kind in ("intersection", "union", "product"):
         a, b = (set_from_config(p) for p in cfg["parts"])
-        return intersect(a, b)
-    if kind == "union":
-        a, b = (set_from_config(p) for p in cfg["parts"])
-        return union(a, b)
-    if kind == "product":
-        a, b = (set_from_config(p) for p in cfg["parts"])
-        return product(a, b)
+        return {"intersection": intersect, "union": union, "product": product}[kind](a, b)
     if kind == "inflation":
         return inflate(set_from_config(cfg["of"]), cfg["c"])
     raise ValueError(f"cannot rebuild set of type {kind!r} from config")

@@ -110,10 +110,6 @@ class SolverConfig:
         d["priority"] = self.priority.value
         return d
 
-    @staticmethod
-    def from_config(cfg: dict) -> "SolverConfig":
-        return SolverConfig(**cfg)
-
 
 def _sparse(shape, rows: dict) -> np.ndarray:
     out = np.zeros(shape)

@@ -235,6 +235,7 @@ def build_observer(p: ObserverParams | None = None) -> HybridSystem:
             1.0,
         ])
 
+    # a second map for rows: one-state calls are fastest through the tolist() read
     def flow_batch(x):
         w_hat = TWO_PI / x[:, T_IDX]
         out = np.zeros_like(x)
@@ -443,6 +444,7 @@ def _circles_system() -> HybridSystem:
     def flow(x):
         return np.array([x[3] * x[1], -x[3] * x[0], x[0] ** 2 - x[2], 0.0])
 
+    # a second map for rows: over x.T the one-state call is slower, and toggle makes many
     def flow_batch(x):
         x1, x2, x3, q = x.T
         return np.stack([q * x2, -q * x1, x1 ** 2 - x3, np.zeros_like(q)], axis=1)
@@ -467,31 +469,23 @@ def _flow_only(dim: int, flow, flow_batch, name: str) -> HybridSystem:
                         flow_map_batch=flow_batch)
 
 
-# each flow-only fixture's flow map, for one state and for rows of states
+# each flow-only fixture's flow map: one function serves one state and rows
+# of states, as x.T unpacks into scalars or columns
 
 
 def _limit_circles_flow(x):
-    s = x[1] ** 2 + x[2] ** 2
-    return np.array([-s * x[1], s * x[0], -x[2] ** 3])
-
-
-def _limit_circles_flow_batch(x):
     x1, x2, x3 = x.T
     s = x2 ** 2 + x3 ** 2
-    return np.stack([-s * x2, s * x1, -x3 ** 3], axis=1)
+    return np.array([-s * x2, s * x1, -x3 ** 3]).T
 
 
 def _sigma_bump_flow(x):
-    b = smoothstep_bump(x[0])
-    return np.array([-x[0] * (1.0 - b) + x[1] ** 2, b * x[1]])
-
-
-def _sigma_bump_flow_batch(x):
     x1, x2 = x.T
     b = smoothstep_bump(x1)
-    return np.stack([-x1 * (1.0 - b) + x2 ** 2, b * x2], axis=1)
+    return np.array([-x1 * (1.0 - b) + x2 ** 2, b * x2]).T
 
 
+# polar keeps a second map for rows: over x.T its one-state call is 4x slower
 def _polar_flow(x):
     # angle theta wraps mod 2*pi; its target sets use the circle metric
     return np.array([math.sin(x[0] / 2.0) ** 2 + (1.0 - x[1]) ** 2, 0.0])
@@ -593,7 +587,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
     spec = _cascade_ex1_spec()
     fixtures["cascade-ex1"] = Fixture(
         name="cascade-ex1",
-        # F = (1, x2), one row per state
+        # F = (1, x2), one row per state; the spec's blocks take one state
         system=replace(build_cascade(spec), flow_map_batch=lambda x: np.stack(
             [np.ones(len(x)), x[:, 1]], axis=1)),
         gammas={"origin": point_set([0.0, 0.0], name="origin")},
@@ -621,7 +615,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
 
     fixtures["sigma-bump"] = Fixture(
         name="sigma-bump",
-        system=_flow_only(2, _sigma_bump_flow, _sigma_bump_flow_batch, "sigma-bump"),
+        system=_flow_only(2, _sigma_bump_flow, _sigma_bump_flow, "sigma-bump"),
         gammas={
             "origin": point_set([0.0, 0.0], name="origin"),
             "gamma1": point_set([0.0, 0.0], name="gamma1"),
@@ -636,7 +630,7 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
 
     fixtures["limit-circles"] = Fixture(
         name="limit-circles",
-        system=_flow_only(3, _limit_circles_flow, _limit_circles_flow_batch, "limit-circles"),
+        system=_flow_only(3, _limit_circles_flow, _limit_circles_flow, "limit-circles"),
         gammas={
             "gamma1": coords_set(3, {1: ("interval", 0.0, 0.0),
                                      2: ("interval", 0.0, 0.0)}, name="gamma1"),

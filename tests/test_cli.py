@@ -310,6 +310,26 @@ def test_replay_regenerated_arc_matches_bitwise(tmp_path, capsys):
         assert "bitwise match after regeneration: True" in capsys.readouterr().out
 
 
+def test_replay_of_a_csv_only_run_reads_its_run_json(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--system", "circles", "--x0", "1,0,1,1", "--format", "csv",
+                "--out", str(out)]) == 0
+    assert not (out / "arc.json").exists()
+    capsys.readouterr()
+    assert run(["replay", "--arc", str(out / "arc.csv")]) == 0
+    assert "bitwise match after regeneration: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_simulate_without_an_initial_state_takes_the_one_preset(name, tmp_path):
+    (preset,) = catalog()[name].presets
+    args = ["simulate", "--system", name, "--tmax", "1", "--format", "csv"]
+    assert run([*args, "--out", str(tmp_path / "plain")]) == 0
+    assert run([*args, "--preset", preset, "--out", str(tmp_path / "preset")]) == 0
+    assert_same_text((tmp_path / "plain" / "arc.csv").read_text(),
+                     (tmp_path / "preset" / "arc.csv").read_text())
+
+
 def test_replay_checks_the_arc_at_its_run_tol_set(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"tol_set": 1e-6}}))

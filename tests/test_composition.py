@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -217,3 +218,42 @@ def test_restriction_carries_the_batched_flow_map(cat):
     fx = cat["observer"]
     restricted = restrict(fx.system, fx.gammas["gamma1"])
     assert restricted.flow_map_batch is fx.system.flow_map_batch
+
+
+def test_restriction_replaces_only_the_sets_and_the_name(cat):
+    # H|Gamma = (C n Gamma, F, D n Gamma, G): every other field is carried over
+    replaced = {"flow_set", "jump_set", "name"}
+    for name, fx in cat.items():
+        for gname, gamma in fx.gammas.items():
+            restricted = restrict(fx.system, gamma)
+            assert restricted.name == f"{fx.system.name}|{gamma.name}"
+            for f in dataclasses.fields(HybridSystem):
+                if f.name not in replaced:
+                    assert getattr(restricted, f.name) is getattr(fx.system, f.name), \
+                        (name, gname, f.name)
+
+
+def test_subsystem_jump_maps_apply_their_own_block():
+    # the sawtooth cascade: h1 jumps by g1(x1, 0), h2 by g2(x2)
+    driver_seen = []
+    spec = CascadeSpec(
+        n1=1, n2=1,
+        f1=lambda x1, x2: np.ones(1),
+        f2=lambda x2: -x2,
+        g1=lambda x1, x2: driver_seen.append(x2.tolist()) or np.zeros(1),
+        g2=lambda x2: x2,
+        c1=box_set([[-1.0, 1.0]]), c2=full_space(1),
+        d1=box_set([[1.0, 2.0]]), d2=full_space(1),
+        name="sawtooth",
+    )
+    h1, h2 = subsystem_h1(spec), subsystem_h2(spec)
+    for got, want in ((h1.jump_map(np.array([1.0])), [0.0]),
+                      (h2.jump_map(np.array([1])), [1.0]),
+                      (h2.jump_map(0.25), [0.25])):
+        assert got.dtype == np.float64 and got.ndim == 1
+        assert got.tolist() == want
+    assert driver_seen == [[0.0]]
+    arc = solve(h1, [0.0], SolverConfig(t_max=2.5))
+    assert arc.n_jumps == 2
+    assert [post.tolist() for *_, post in arc.jump_transitions()] == [[0.0], [0.0]]
+    assert check_is_solution(h1, arc, 1e-3) == []

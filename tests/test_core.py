@@ -585,6 +585,21 @@ def test_checker_makes_one_batched_call_per_interval():
     assert len(maps) == 3  # the first midpoint of each batch
 
 
+def test_checker_calls_a_map_serving_both_shapes_once_per_interval(cat):
+    # a batched map that is the flow map itself is not checked against itself
+    fx = cat["drift-line"]
+    arc = solve(fx.system, fx.presets["default"], SolverConfig(t_max=2.0))
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return fx.system.flow_map(x)
+
+    sys = dataclasses.replace(fx.system, flow_map=counting, flow_map_batch=counting)
+    assert check_is_solution(sys, arc, 1e-3) == []
+    assert arc.n_jumps == 0 and calls == [(len(arc.table()[0]) - 1, 2)]
+
+
 def test_checker_refuses_a_batched_map_that_is_not_the_flow_map():
     arc = _decay_arc([np.linspace(0.0, 1.0, 11)], noise=0.0)
     sys = _decay_system()

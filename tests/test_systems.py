@@ -293,6 +293,15 @@ def test_every_catalog_fixture_declares_a_batched_flow_map_equal_to_its_flow_map
         np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0, err_msg=name)
 
 
+def test_only_the_named_fixtures_keep_a_separate_batched_flow_map(cat):
+    # observer: its tolist() read is the fast one-state path; circles and
+    # polar: written over x.T, their one-state calls are slower; cascade-ex1:
+    # its spec's blocks take one state
+    separate = {name for name, fx in cat.items()
+                if fx.system.flow_map_batch is not fx.system.flow_map}
+    assert separate == {"observer", "circles", "polar", "cascade-ex1"}
+
+
 def test_observer_flow_map_keeps_the_bits_of_numpy_scalar_arithmetic(obs_params):
     # the map before it read its state once, as a reference
     def reference(x):
@@ -310,6 +319,14 @@ def test_observer_flow_map_keeps_the_bits_of_numpy_scalar_arithmetic(obs_params)
         ref = np.array([reference(row) for row in x])
     got = np.array([flow(row) for row in x])
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_observer_targets_project_a_zero_plant_state_onto_the_inner_circle(obs_params):
+    x = np.array([0.0, 0.0, 0.3, -0.2, 1.0, 4.0, 0.5])
+    for gamma in gamma_sets(obs_params):
+        image = gamma.project(x)
+        assert image[CHI].tolist() == [obs_params.chi_m, 0.0], gamma.name
+        assert gamma.member(image, 1e-7), gamma.name
 
 
 def test_projections_keep_the_input_shape(cat):
