@@ -9,12 +9,20 @@ index), so growing the budget replays the same early samples and can never
 flip Falsified back to consistent, and verdicts are independent of scheduling.
 No verdict rests on zero arcs: a campaign none of whose draws lands in C u D
 raises ConfigError.
+
+The checks of a reduction, chain or detectability report stand alone, so
+they run side by side in one pool of forked workers per report, and inline
+on one CPU or with an ``arc_hook``; the report's bytes are the same either
+way.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import zlib
 from dataclasses import dataclass, field, replace as _dc_replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -536,11 +544,12 @@ def check_output_convergence(osys: OutputSystem, query: PropertyQuery) -> Analys
 # ---------------------------------------------------------------------------
 
 
-def _relative_reports(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
-                      query: PropertyQuery, scope: str,
-                      tag: str = "rel") -> tuple[AnalysisReport, AnalysisReport]:
-    """(G)AS of g1 relative to g2, as the pair (stability, attractivity) of g1
-    for the restriction, sampling through g2 (projection when available)."""
+def _relative_checks(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
+                     query: PropertyQuery, scope: str,
+                     tag: str = "rel") -> tuple[Callable, Callable]:
+    """(G)AS of g1 relative to g2, as the pair (stability, attractivity) of
+    checks of g1 for the restriction, sampling through g2 (projection when
+    available); each check is a zero-argument callable."""
     if scope not in ("local", "global"):
         raise ValueError("scope must be 'local' or 'global'")
     rsys, project, amb_sampler = sys, None, None
@@ -550,13 +559,68 @@ def _relative_reports(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
         if g2.can_sample:
             amb_sampler = lambda rng, n: g2.sample(rng, n, query.window)
     sub = query.child(tag, sampler=None)
-    stab = check_stability(rsys, g1, sub, project=project)
+    stab = partial(check_stability, rsys, g1, sub, project=project)
     if scope == "global":
-        attr = check_attractivity(rsys, g1, sub.replace(sampler=amb_sampler),
-                                  project=project)
+        attr = partial(check_attractivity, rsys, g1, sub.replace(sampler=amb_sampler),
+                       project=project)
     else:
-        attr = check_attractivity(rsys, g1, sub, project=project, near=g1)
+        attr = partial(check_attractivity, rsys, g1, sub, project=project, near=g1)
     return stab, attr
+
+
+#: the checks a forked worker of ``_run_checks`` runs, by index; set in the
+#: worker alone, by the pool's initializer
+_adopted: list[Callable] = []
+
+
+def _adopt(checks: list[Callable]) -> None:
+    global _adopted
+    _adopted = checks
+
+
+def _run_adopted(i: int) -> bytes | None:
+    """The pickled report of check ``i``, or None when it raised: the parent
+    runs it again to raise the error, so no exception crosses processes."""
+    try:
+        return pickle.dumps(_adopted[i]())
+    except Exception:  # noqa: BLE001 - re-raised by the parent's own run
+        return None
+
+
+def _run_checks(sub: dict[str, Callable], conclusions: dict[str, Callable],
+                hooked: bool) -> tuple[dict[str, AnalysisReport], dict[str, AnalysisReport]]:
+    """The reports of a bundle's hypothesis checks ``sub`` and of its
+    conclusion checks, each a zero-argument callable, keyed as declared.
+
+    The checks share no state and are seeded by their own keys, so they run
+    side by side, in one pool of forked workers with one per usable CPU, up
+    to one per check; the conclusions are dispatched first, because the one
+    on the unrestricted system is the longest check measured.  The workers
+    are forked because a check holds what cannot be pickled, such as a
+    user's lambda flow map.  The checks run inline instead on fewer than 2 CPUs, where fork is missing, and when
+    ``hooked``: an ``arc_hook`` must see every arc in this process.  A check
+    that raised in a worker runs again inline, in the declared order, so the
+    first error surfaces as it does inline.  The pool is joined before the
+    reports return.
+    """
+    declared = [*sub.values(), *conclusions.values()]
+    done: list[AnalysisReport | None] = [None] * len(declared)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = 0 if hooked else min(cpus, len(declared))
+    if workers >= 2:
+        # imported here, not with the module, so that importing
+        # ``hybridkit.cli``, which every command does, does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            order = [*range(len(sub), len(declared)), *range(len(sub))]
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_adopt, initargs=(declared,)) as pool:
+                for i, report in zip(order, pool.map(_run_adopted, order)):
+                    done[i] = None if report is None else pickle.loads(report)
+    reports = [f() if r is None else r for r, f in zip(done, declared)]
+    return dict(zip(sub, reports)), dict(zip(conclusions, reports[len(sub):]))
 
 
 @dataclass
@@ -626,12 +690,15 @@ class ReductionReport:
 
 
 def _bundle(scope: str, sys: HybridSystem, query: PropertyQuery,
-            sub: dict[str, AnalysisReport], conclusions: dict[str, AnalysisReport],
+            sub: dict[str, Callable], conclusions: dict[str, Callable],
             theorems: list[tuple], **names) -> ReductionReport:
     """The report of a theorem bundle: the hypothesis checks ``sub``, the
-    conclusion checks, and each theorem declared as ``(name, hypothesis
-    keys, conclusion keys)``, where omitted keys mean all of them.  ``names``
-    names the sets in the provenance, as in _report."""
+    conclusion checks, both zero-argument callables run by _run_checks, and
+    each theorem declared as ``(name, hypothesis keys, conclusion keys)``,
+    where omitted keys mean all of them.  ``names`` names the sets in the
+    provenance, as in _report."""
+    sub, conclusions = _run_checks(sub, conclusions, query.arc_hook is not None)
+
     def verdicts(reports: dict, keys) -> dict[str, str]:
         return {k: reports[k].verdict for k in (reports if keys is None else keys)}
 
@@ -644,13 +711,12 @@ def _bundle(scope: str, sys: HybridSystem, query: PropertyQuery,
 
 
 def _conclusions(sys: HybridSystem, g1: ClosedSet, query: PropertyQuery,
-                 scope: str) -> dict[str, AnalysisReport]:
+                 scope: str) -> dict[str, Callable]:
     """The conclusion checks on the innermost target of a reduction."""
     return {
-        "stability": check_stability(sys, g1, query.child("conc-s")),
-        "attractivity": check_attractivity(
-            sys, g1, query.child("conc-a"),
-            near=None if scope == "global" else g1),
+        "stability": partial(check_stability, sys, g1, query.child("conc-s")),
+        "attractivity": partial(check_attractivity, sys, g1, query.child("conc-a"),
+                                near=None if scope == "global" else g1),
     }
 
 
@@ -660,21 +726,21 @@ def reduction_report(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet,
     stability/attractivity conditions within ``query.radius`` of g1, and the
     conclusion checks on g1, with the implication directions evaluated for
     soundness."""
-    sub: dict[str, AnalysisReport] = {}
-    sub["relative_stability"], sub["relative_attractivity"] = _relative_reports(
+    sub: dict[str, Callable] = {}
+    sub["relative_stability"], sub["relative_attractivity"] = _relative_checks(
         sys, g1, g2, query, scope)
-    sub["local_stability_near"] = check_local_stability_near(
-        sys, g1, g2, query.radius, query.child("lsn-seed"))
+    sub["local_stability_near"] = partial(
+        check_local_stability_near, sys, g1, g2, query.radius, query.child("lsn-seed"))
     relative = ("relative_stability", "relative_attractivity")
     if scope == "local":
-        sub["local_attractivity_near"] = check_attractivity(
-            sys, g2, query.child("lan-seed"), near=g1)
+        sub["local_attractivity_near"] = partial(
+            check_attractivity, sys, g2, query.child("lan-seed"), near=g1)
         theorems = [("stability", (*relative, "local_stability_near"), ("stability",)),
                     ("asymptotic_stability",)]
     else:
-        sub["global_attractivity_gamma2"] = check_attractivity(
-            sys, g2, query.child("ga2-seed"))
-        sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
+        sub["global_attractivity_gamma2"] = partial(
+            check_attractivity, sys, g2, query.child("ga2-seed"))
+        sub["boundedness"] = partial(check_boundedness, sys, query.child("bnd-seed"))
         theorems = [("attractivity", (*relative, "global_attractivity_gamma2",
                                       "boundedness"), ("attractivity",)),
                     ("global_asymptotic_stability",)]
@@ -688,7 +754,7 @@ def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
     boundedness at global scope, against the conclusion on the innermost set."""
     if not chain:
         raise ValueError("empty chain")
-    # sampled nesting check
+    # sampled nesting check, before any other
     rng = _rng(query.seed, "nest")
     for i in range(len(chain) - 1):
         if not chain[i].can_sample:
@@ -702,15 +768,15 @@ def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
                 f"{chain[i + 1].name}: {bad.tolist()}"
             )
 
-    sub: dict[str, AnalysisReport] = {}
+    sub: dict[str, Callable] = {}
     for i, g in enumerate(chain):
         amb = chain[i + 1] if i + 1 < len(chain) else None
         label = amb.name if amb is not None else "statespace"
-        stab, attr = _relative_reports(sys, g, amb, query, scope, tag=f"link{i}")
+        stab, attr = _relative_checks(sys, g, amb, query, scope, tag=f"link{i}")
         sub[f"link{i + 1}_stability_rel_{label}"] = stab
         sub[f"link{i + 1}_attractivity_rel_{label}"] = attr
     if scope == "global":
-        sub["boundedness"] = check_boundedness(sys, query.child("bnd-seed"))
+        sub["boundedness"] = partial(check_boundedness, sys, query.child("bnd-seed"))
     attr_hyps = [k for k in sub if not k.startswith(f"link{len(chain)}_stability")]
     return _bundle(scope, sys, query, sub, _conclusions(sys, chain[0], query, scope),
                    [("asymptotic_stability",),
@@ -723,11 +789,13 @@ def detectability_report(osys: OutputSystem, g1: ClosedSet,
     g1 inside the declared zero-output invariant set, and the global
     attractivity conclusion on g1."""
     sys = osys.sys
-    sub = {"boundedness": check_boundedness(sys, query.child("det-b")),
-           "output_convergence": check_output_convergence(osys, query.child("det-o"))}
-    sub["relative_stability"], sub["relative_attractivity"] = _relative_reports(
+    sub = {"boundedness": partial(check_boundedness, sys, query.child("det-b")),
+           "output_convergence": partial(check_output_convergence, osys,
+                                         query.child("det-o"))}
+    sub["relative_stability"], sub["relative_attractivity"] = _relative_checks(
         sys, g1, g2_declared, query, "global", tag="det")
-    conclusions = {"global_attractivity": check_attractivity(sys, g1, query.child("det-c"))}
+    conclusions = {"global_attractivity": partial(check_attractivity, sys, g1,
+                                                  query.child("det-c"))}
     return _bundle("global", sys, query, sub, conclusions,
                    [("detectability_attractivity",)],
                    gamma1=g1, gamma2_declared=g2_declared)

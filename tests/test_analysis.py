@@ -5,11 +5,18 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assert_same_text
 
+import hybridkit
 from hybridkit import analysis, cli, geometry, solver
 from hybridkit.analysis import (
     CONSISTENT,
@@ -670,3 +677,121 @@ def test_chunked_campaign_makes_an_eighth_of_the_membership_calls(cat, monkeypat
     assert chunked.to_json_dict() == sequential.to_json_dict()
     assert chunked.measured["n_total"] == 64
     assert 8 * n_chunked <= calls[0]
+
+
+# -- bundles run side by side ---------------------------------------------------
+
+
+def _on_cpus(monkeypatch, n: int) -> None:
+    """The process may use ``n`` CPUs, as far as a bundle can tell."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _small_bundle(cat, name: str, **kw):
+    """A small catalog bundle, with ``kw`` added to its query."""
+    if name == "reduction-local":  # the local attractivity parts are falsified
+        fx = cat["settle-line"]
+        q = q_for(fx, sample_budget=3, eps_grid=(0.5,), delta_shrinks=2,
+                  solver=SolverConfig(t_max=10.0), **kw)
+        return reduction_report(fx.system, fx.gammas["origin"], fx.gammas["gamma2"], q,
+                                scope="local")
+    if name == "reduction-global":
+        fx = cat["sigma-bump"]
+        q = q_for(fx, sample_budget=4, eps_grid=(0.25, 0.5), delta_shrinks=2,
+                  solver=SolverConfig(t_max=10.0), **kw)
+        return reduction_report(fx.system, fx.gammas["gamma1"], fx.gammas["gamma2"], q,
+                                scope="global")
+    if name == "chain":
+        fx = cat["circles"]
+        q = q_for(fx, sample_budget=3, eps_grid=(0.5,), delta_shrinks=1,
+                  solver=SolverConfig(t_max=10.0), **kw)
+        return recursive_reduction_report(
+            fx.system, [fx.gammas["gamma1"], fx.gammas["gamma2"]], q, scope="global")
+    fx = cat["limit-circles"]
+    q = q_for(fx, sample_budget=4, eps_grid=(0.5,), delta_shrinks=2,
+              solver=SolverConfig(t_max=20.0), **kw)
+    return detectability_report(with_output(fx.system, fx.output), fx.gammas["gamma1"],
+                                fx.gammas["gamma2"], q)
+
+
+def _report_bytes(rep) -> tuple[str, dict]:
+    """A bundle's report JSON and the CSV of each witness arc."""
+    witnesses = {(section, k): r.witness.to_csv()
+                 for section in ("sub_reports", "conclusions")
+                 for k, r in getattr(rep, section).items() if r.witness is not None}
+    return json.dumps(rep.to_json_dict()), witnesses
+
+
+@pytest.mark.parametrize("name", ["reduction-local", "reduction-global", "chain",
+                                  "detectability"])
+def test_a_bundle_in_a_pool_reports_the_bytes_it_reports_inline(cat, name, monkeypatch,
+                                                                 tmp_path):
+    # each campaign records the process it ran in, so that the pooled run is
+    # seen to have run checks outside this one
+    pids = tmp_path / "pids"
+    campaign = analysis._campaign
+
+    def recorded(*args, **kw):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return campaign(*args, **kw)
+
+    monkeypatch.setattr(analysis, "_campaign", recorded)
+    runs = {}
+    for cpus in (2, 1):
+        _on_cpus(monkeypatch, cpus)
+        pids.write_text("")
+        rep = _small_bundle(cat, name)
+        runs[cpus] = _report_bytes(rep), set(pids.read_text().split())
+    (pooled, pooled_pids), (inline, inline_pids) = runs[2], runs[1]
+    assert_same_text(pooled[0], inline[0])
+    assert pooled[1].keys() == inline[1].keys() and pooled[1]  # a witness, at least
+    for key, text in pooled[1].items():
+        assert_same_text(text, inline[1][key])
+    assert inline_pids == {str(os.getpid())}
+    assert pooled_pids - inline_pids
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("name", ["chain", "detectability"])
+def test_a_bundle_with_an_arc_hook_hands_it_every_arc_in_this_process(cat, name,
+                                                                      monkeypatch):
+    # the hook is a callback into this process, so a hooked bundle runs inline
+    # even where it could run side by side
+    x0s = {}
+    for cpus in (2, 1):
+        _on_cpus(monkeypatch, cpus)
+        seen: list = []
+        _small_bundle(cat, name, arc_hook=lambda sys, arc: seen.append(arc.meta["x0"]))
+        x0s[cpus] = seen
+    assert x0s[2] and x0s[2] == x0s[1]
+
+
+def test_a_pooled_bundle_raises_the_error_of_its_first_declared_failing_check(monkeypatch):
+    # no draw of the window lands in C: the relative attractivity (on the
+    # restriction to R^n) is the first declared check to raise, though the
+    # conclusion's attractivity is dispatched before it and raises as well
+    sys = HybridSystem(2, _UNIT_BOX, lambda x: -x, empty_set(2), lambda x: x,
+                       name="unit-box-decay")
+    q = PropertyQuery(solver=SolverConfig(t_max=2.0), sample_budget=4, seed=3,
+                      window=_MISSES_C)
+    errors = {}
+    for cpus in (2, 1):
+        _on_cpus(monkeypatch, cpus)
+        with pytest.raises(ConfigError, match="drew no initial condition") as info:
+            reduction_report(sys, point_set([0.0, 0.0]), full_space(2), q, scope="global")
+        errors[cpus] = (type(info.value), str(info.value))
+        assert not multiprocessing.active_children()
+    assert errors[2] == errors[1]
+    assert "'unit-box-decay|R^n'" in errors[2][1]
+
+
+def test_importing_the_cli_and_building_the_catalog_leaves_multiprocessing_unimported():
+    # a bundle imports it when it first runs side by side, so that every
+    # command does not pay for the import
+    src = str(Path(hybridkit.__file__).resolve().parents[1])
+    code = ("import sys, hybridkit.cli, hybridkit.systems as s; s.catalog(); "
+            "print('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"

@@ -498,6 +498,32 @@ def test_flow_stops_at_a_gap_between_sample_probes():
     assert arc.final_state()[0] == pytest.approx(0.9995, abs=1e-6)
 
 
+def _enters_d_inside_c() -> HybridSystem:
+    # C = R, D = {x >= 1}, x' = 1, G(x) = 0: D is entered in the interior of C
+    return HybridSystem(1, full_space(1), lambda x: np.ones(1),
+                        coords_set(1, {0: ("interval", 1.0, math.inf)}),
+                        lambda x: np.zeros(1), name="enter-d")
+
+
+@pytest.mark.xfail(strict=True, reason="the flow stops only where it leaves C, so D "
+                   "entered inside C is flowed through under jump priority (ROADMAP item 7)")
+def test_jump_priority_jumps_where_the_flow_enters_d():
+    cfg = SolverConfig(t_max=5.0)
+    arc = solve(_enters_d_inside_c(), [0.2], cfg)
+    assert arc.termination is Termination.COMPLETE_T
+    jump_times = [t for t, *_ in arc.jump_transitions()]
+    assert len(jump_times) == 5
+    assert jump_times == pytest.approx([0.8 + k for k in range(5)], abs=cfg.event_tol)
+
+
+def test_flow_priority_flows_through_d_inside_c():
+    arc = solve(_enters_d_inside_c(), [0.2], SolverConfig(t_max=5.0, priority=Priority.FLOW))
+    assert arc.termination is Termination.COMPLETE_T
+    assert arc.n_jumps == 0
+    assert arc.final_time() == (5.0, 0)
+    assert arc.final_state()[0] == pytest.approx(5.2, abs=1e-9)
+
+
 def test_a_jump_just_before_the_horizon_ends_complete_by_flowing_to_it():
     # C = {x <= 1} is left 1e-9 before t_max; the jump resets x into C and the
     # remaining ~1e-12 of flow ends the arc at t_max.  Every flow segment
