@@ -597,11 +597,11 @@ def _run_checks(sub: dict[str, Callable], conclusions: dict[str, Callable],
     to one per check; the conclusions are dispatched first, because the one
     on the unrestricted system is the longest check measured.  The workers
     are forked because a check holds what cannot be pickled, such as a
-    user's lambda flow map.  The checks run inline instead on fewer than 2 CPUs, where fork is missing, and when
-    ``hooked``: an ``arc_hook`` must see every arc in this process.  A check
-    that raised in a worker runs again inline, in the declared order, so the
-    first error surfaces as it does inline.  The pool is joined before the
-    reports return.
+    user's lambda flow map.  The checks run inline instead on fewer than 2
+    CPUs, where fork is missing, and when ``hooked``: an ``arc_hook`` must
+    see every arc in this process.  A check that raised in a worker runs
+    again inline, in the declared order, so the first error surfaces as it
+    does inline.  The pool is joined before the reports return.
     """
     declared = [*sub.values(), *conclusions.values()]
     done: list[AnalysisReport | None] = [None] * len(declared)

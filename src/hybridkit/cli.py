@@ -30,9 +30,9 @@ from .analysis import (
     summarize,
 )
 from .composition import with_output
-from .core import HybridArc, Termination, _csv_text, check_is_solution
+from .core import HybridArc, HybridSystem, Termination, _csv_text, check_is_solution
 from .errors import ConfigError, HybridkitError
-from .geometry import ClosedSet, Window, box_set, full_space, point_set, set_from_config
+from .geometry import ClosedSet, Window, empty_set, full_space, point_set, set_from_config
 from .solver import SolverConfig, solve
 from .systems import Fixture, ObserverParams, catalog
 
@@ -62,16 +62,31 @@ def _say(line: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+#: the keys a run configuration file may hold: at its top level, in a catalog
+#: fixture's system block, and in an inline system block
+_CONFIG_KEYS = {"config": ("system", "solver"), "fixture block": ("fixture", "params"),
+                "inline system": ("name", "dim", "flow", "jump", "flow_set", "jump_set")}
+
+
+def _load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} is not a JSON object")
+    block = cfg.get("system")
+    kind = "fixture block" if isinstance(block, dict) and "fixture" in block else "inline system"
+    for where, node in (("config", cfg), (kind, block)):
+        unknown = sorted(set(node) - set(_CONFIG_KEYS[where])) if isinstance(node, dict) else []
+        if unknown:
+            raise ConfigError(f"config {path}: unknown {where} key(s) {unknown}; "
+                              f"allowed: {', '.join(_CONFIG_KEYS[where])}")
+    params = block.get("params", {}) if kind == "fixture block" else {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"system params must be a JSON object, got {params!r}")
+    if not isinstance(cfg.get("solver", {}), dict):
+        raise ConfigError(f"solver configuration must be a JSON object, got {cfg['solver']!r}")
     return cfg
 
 
@@ -121,9 +136,6 @@ def _map_from_config(spec: dict | None, dim: int):
 
 
 def _system_from_inline(spec: dict):
-    from .core import HybridSystem
-    from .geometry import empty_set
-
     try:
         dim = int(spec["dim"])
         flow_set = set_from_config(spec["flow_set"]) if "flow_set" in spec \
@@ -138,65 +150,57 @@ def _system_from_inline(spec: dict):
                         name=spec.get("name", "inline"), flow_map_batch=flow_map)
 
 
-def _observer_params(overrides: dict) -> ObserverParams:
-    """The observer's default parameters with ``overrides`` applied."""
-    try:
-        return ObserverParams(**overrides)
-    except (TypeError, HybridkitError) as exc:
-        raise ConfigError(f"bad observer parameters: {exc}") from exc
-
-
-def _resolve_fixture(args, cfg: dict) -> tuple[Fixture | None, object]:
-    """Returns (fixture | None, system); inline configs have no fixture."""
-    sys_spec = cfg.get("system")
-    name = args.system or (sys_spec if isinstance(sys_spec, str) else None)
-    if name is None and isinstance(sys_spec, dict) and "fixture" in sys_spec:
-        name = sys_spec["fixture"]
+def _run_inputs(args) -> dict:
+    """A run's system block and solver block: the config file's, with
+    ``--system``, ``--param``, ``--tmax`` and ``--jmax`` applied."""
+    cfg = _load_config(args.config) if args.config else {}
+    block = cfg.get("system")
+    name = args.system or (block if isinstance(block, str) else None)
+    if name is None and isinstance(block, dict) and "fixture" in block:
+        name = block["fixture"]
     if name is not None:
-        params = None
-        overrides = sys_spec.get("params", {}) if isinstance(sys_spec, dict) else {}
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"system params must be a JSON object, got {overrides!r}")
-        overrides = dict(overrides)
-        for kv in getattr(args, "param", None) or ():
+        params = dict(block.get("params", {})) if isinstance(block, dict) else {}
+        for kv in args.param or ():
             k, eq, v = kv.partition("=")
             if not eq:
                 raise ConfigError(f"--param needs key=value, got {kv!r}")
             try:
-                overrides[k] = float(v)
+                params[k] = float(v)
             except ValueError:
                 raise ConfigError(f"--param {kv!r}: value is not a number") from None
-        if name == "observer" and overrides:
-            params = _observer_params(overrides)
-        cat = catalog(params)
-        if name not in cat:
-            raise ConfigError(
-                f"unknown system {name!r}; try: {', '.join(sorted(cat))}")
-        if overrides and name != "observer":
-            raise ConfigError(
-                f"system {name!r} takes no parameters, got {sorted(overrides)}")
-        fx = cat[name]
-        return fx, fx.system
-    if isinstance(sys_spec, dict):
-        if getattr(args, "param", None):
-            raise ConfigError("--param sets catalog fixture parameters; "
-                              "an inline system takes none")
-        return None, _system_from_inline(sys_spec)
-    raise ConfigError("no system given: use --system NAME or a config file")
+        block = {"fixture": name, "params": params}
+    elif not isinstance(block, dict):
+        raise ConfigError("no system given: use --system NAME or a config file")
+    elif args.param:
+        raise ConfigError("--param sets catalog fixture parameters; "
+                          "an inline system takes none")
+    horizon = {"t_max": args.tmax, "j_max": args.jmax}
+    solver = {**cfg.get("solver", {}), **{k: v for k, v in horizon.items() if v is not None}}
+    return {"system": block, "solver": solver}
 
 
-def _solver_config(args, cfg: dict, fixture: Fixture | None) -> SolverConfig:
-    base = dict(fixture.solver_overrides) if fixture is not None else {}
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError(f"solver configuration must be a JSON object, got {solver!r}")
-    base.update(solver)
-    if getattr(args, "tmax", None) is not None:
-        base["t_max"] = args.tmax
-    if getattr(args, "jmax", None) is not None:
-        base["j_max"] = args.jmax
+def _resolve(spec: dict) -> tuple[Fixture | None, object, SolverConfig]:
+    """(fixture | None, system, solver configuration) of a run: the one place
+    a system block becomes a system and a fixture's ``solver_overrides`` apply."""
+    block = spec["system"]
+    if "fixture" in block:
+        name, params = block["fixture"], block.get("params", {})
+        try:
+            observer = ObserverParams(**params) if name == "observer" and params else None
+        except (TypeError, HybridkitError) as exc:
+            raise ConfigError(f"bad observer parameters: {exc}") from exc
+        cat = catalog(observer)
+        if not isinstance(name, str) or name not in cat:
+            raise ConfigError(f"unknown system {name!r}: it names no catalog fixture; "
+                              f"try: {', '.join(sorted(cat))}")
+        if params and name != "observer":
+            raise ConfigError(f"system {name!r} takes no parameters, got {params!r}")
+        fixture = cat[name]
+        system, base = fixture.system, fixture.solver_overrides
+    else:
+        fixture, system, base = None, _system_from_inline(block), {}
     try:
-        return SolverConfig(**base)
+        return fixture, system, SolverConfig(**{**base, **spec["solver"]})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver configuration: {exc}") from exc
 
@@ -217,12 +221,9 @@ def _resolve_gamma(fixture: Fixture | None, token: str, dim: int) -> ClosedSet:
         + (f"; fixture offers {sorted(fixture.gammas)}" if fixture else ""))
 
 
-def _resolve_window(args, fixture: Fixture | None, dim: int) -> Window:
-    box = getattr(args, "box", None)
+def _resolve_window(box: str | None, fixture: Fixture | None, dim: int) -> Window:
     if box in (None, "preset"):
-        if fixture is not None:
-            return fixture.window
-        return Window.cube(dim, 2.0)
+        return fixture.window if fixture is not None else Window.cube(dim, 2.0)
     try:
         bounds = [[float(v) for v in part.split(":")] for part in box.split(",")]
         window = Window.from_bounds(bounds)
@@ -280,9 +281,7 @@ def _fig3_panels(arc: HybridArc) -> dict[str, str]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    fixture, system = _resolve_fixture(args, cfg)
-    scfg = _solver_config(args, cfg, fixture)
+    fixture, system, scfg = _resolve(_run_inputs(args))
     x0 = _parse_x0(fixture, args, system.dim)
     if args.tracks is not None:
         if fixture is None or fixture.name != "observer":
@@ -341,95 +340,79 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _save_witness(report: AnalysisReport, out: Path, tag: str,
-                  meta_extra: dict) -> str:
-    """Writes a falsified report's witness arc and its metadata; returns the
-    arc's file name."""
-    arc_name = f"witness_{tag}.csv"
-    arc_path = out / arc_name
-    _write(arc_path, report.witness.to_csv())
-    meta = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "clause": report.witness_clause,
-        "termination": report.witness.termination.value,
-        "solver": report.witness.meta.get("config"),
-        "x0": report.witness.meta.get("x0"),
-        "gamma": report.provenance.get("target"),
-        "gamma2": report.provenance.get("relative_to"),
-        "check_tol": WITNESS_CHECK_TOL,
-        **meta_extra,
-    }
-    _write(out / f"witness_{tag}.json", json.dumps(meta, indent=1))
-    # relative to the report directory so --seed pins files byte-for-byte
-    return arc_name
+#: the checks ``analyze --check`` offers, and those of them ``--gamma2`` feeds
+CHECKS = ("stability", "attractivity", "local-stability-near", "strong-invariance",
+          "weak-invariance", "reduction", "detectability")
+_OUTER = ("local-stability-near", "reduction", "detectability")
 
 
-def cmd_analyze(args) -> int:
+def spec_from_args(args) -> dict:
+    """The run spec of an ``analyze`` command: one JSON-able dict holding all
+    that the run reads, the config file's content included.  Raises the
+    argument errors seen before any system is built."""
     check = args.check or "stability"
     if args.reduce_chain and (args.check, args.gamma) != (None, None):
         raise ConfigError("--check and --gamma do not apply to --reduce-chain, which runs "
                           "the chain report on the sets it names")
-    outer = ("local-stability-near", "reduction", "detectability")  # the checks --gamma2 feeds
-    if args.gamma2 is not None and (args.reduce_chain or check not in outer):
-        raise ConfigError(f"--gamma2 is read only by --check {', '.join(outer)}")
-    cfg = _load_config(args.config)
-    fixture, system = _resolve_fixture(args, cfg)
-    scfg = _solver_config(args, cfg, fixture)
-    window = _resolve_window(args, fixture, system.dim)
-    out = Path(args.out)
-    meta_extra = {"system": fixture.name if fixture else "inline"}
-    if fixture is not None:
-        meta_extra["params"] = fixture.params
-
+    if args.gamma2 is not None and (args.reduce_chain or check not in _OUTER):
+        raise ConfigError(f"--gamma2 is read only by --check {', '.join(_OUTER)}")
     try:
-        query = PropertyQuery(
-            eps_grid=tuple(float(e) for e in args.eps.split(",")) if args.eps
-            else (0.25, 0.5, 1.0),
-            sample_budget=args.budget,
-            conv_tol=args.conv_tol,
-            seed=args.seed,
-            window=window,
-            delta_shrinks=args.delta_shrinks,
-            solver=scfg,
-            near_radius=args.r,
-        )
+        eps = [float(e) for e in args.eps.split(",")] if args.eps else [0.25, 0.5, 1.0]
     except ValueError as exc:
+        raise ConfigError(f"bad --eps {args.eps!r}: {exc}") from exc
+    return {**_run_inputs(args), "box": args.box,
+            "query": {"eps_grid": eps, "sample_budget": args.budget, "conv_tol": args.conv_tol,
+                      "seed": args.seed, "delta_shrinks": args.delta_shrinks,
+                      "near_radius": args.r},
+            "check": {"name": "reduction" if args.reduce_chain else check,
+                      "gamma": args.gamma, "gamma2": args.gamma2, "scope": args.scope,
+                      "chain": args.reduce_chain.split(",") if args.reduce_chain else None}}
+
+
+def run_spec(spec: dict) -> tuple[str, object, dict]:
+    """Builds and runs the analysis a run spec describes, from the spec alone.
+    Returns the report's name, the report, and what its witness metadata
+    records of the system."""
+    check = spec["check"]
+    name, scope = check["name"], check["scope"]
+    if name not in CHECKS:
+        raise ConfigError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
+    fixture, system, scfg = _resolve(spec)
+    window = _resolve_window(spec["box"], fixture, system.dim)
+    about = {"system": fixture.name, "params": fixture.params} if fixture is not None \
+        else {"system": "inline"}
+    try:
+        query = PropertyQuery(**spec["query"], window=window, solver=scfg)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad analysis query: {exc}") from exc
 
-    if args.reduce_chain:
-        names = args.reduce_chain.split(",")
-        chain = [_resolve_gamma(fixture, n, system.dim) for n in names]
-        name, rep = "reduction", recursive_reduction_report(
-            system, chain, query, scope=args.scope or "local")
-    elif check == "reduction":
-        g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
-        g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-        name, rep = "reduction", reduction_report(system, g1, g2, query,
-                                                  scope=args.scope or "local")
-    elif check == "detectability":
-        if fixture is None or fixture.output is None:
-            raise ConfigError("--check detectability needs a fixture with an output map")
-        g1 = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
-        g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-        name, rep = "detectability", detectability_report(
-            with_output(system, fixture.output), g1, g2, query)
+    if check["chain"]:
+        chain = [_resolve_gamma(fixture, n, system.dim) for n in check["chain"]]
+        return name, recursive_reduction_report(system, chain, query,
+                                                scope=scope or "local"), about
+    if name == "detectability" and (fixture is None or fixture.output is None):
+        raise ConfigError("--check detectability needs a fixture with an output map")
+    g1 = _resolve_gamma(fixture, check["gamma"] or "gamma1", system.dim)
+    g2 = lambda: _resolve_gamma(fixture, check["gamma2"] or "gamma2", system.dim)
+    if name == "reduction":
+        rep = reduction_report(system, g1, g2(), query, scope=scope or "local")
+    elif name == "detectability":
+        rep = detectability_report(with_output(system, fixture.output), g1, g2(), query)
+    elif name == "stability":
+        rep = check_stability(system, g1, query)
+    elif name == "attractivity":
+        rep = check_attractivity(system, g1, query, near=g1 if scope == "local" else None)
+    elif name == "local-stability-near":
+        name, rep = "local_stability_near", check_local_stability_near(
+            system, g1, g2(), query.radius, query)
     else:
-        gamma = _resolve_gamma(fixture, args.gamma or "gamma1", system.dim)
-        if check == "stability":
-            name, rep = "stability", check_stability(system, gamma, query)
-        elif check == "attractivity":
-            name, rep = "attractivity", check_attractivity(
-                system, gamma, query, near=gamma if args.scope == "local" else None)
-        elif check == "local-stability-near":
-            g2 = _resolve_gamma(fixture, args.gamma2 or "gamma2", system.dim)
-            name, rep = "local_stability_near", check_local_stability_near(
-                system, gamma, g2, query.radius, query)
-        elif check in ("strong-invariance", "weak-invariance"):
-            mode = "strong" if check.startswith("strong") else "weak"
-            name, rep = "invariance", check_invariance(system, gamma, mode, query)
-        else:
-            raise ConfigError(f"unknown check {check!r}")
+        name, rep = "invariance", check_invariance(system, g1, name.split("-")[0], query)
+    return name, rep, about
 
+
+def write_report(out: Path, name: str, rep, about: dict) -> int:
+    """Writes a report, its summary and each falsified check's witness arc and
+    metadata, which records ``about``, under ``out``; returns the exit code."""
     d = rep.to_json_dict()
     # (check, its JSON node, its witness tag) for every check the report holds
     walk = [(rep, d, name)] if isinstance(rep, AnalysisReport) else [
@@ -437,8 +420,23 @@ def cmd_analyze(args) -> int:
         for section, prefix in (("sub_reports", ""), ("conclusions", "conclusion_"))
         for k, sub in getattr(rep, section).items()]
     for sub, node, tag in walk:
-        if sub.witness is not None:
-            node["witness_path"] = _save_witness(sub, out, tag, meta_extra)
+        if sub.witness is None:
+            continue
+        # relative to the report directory so --seed pins files byte-for-byte
+        node["witness_path"] = f"witness_{tag}.csv"
+        _write(out / node["witness_path"], sub.witness.to_csv())
+        meta = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "clause": sub.witness_clause,
+            "termination": sub.witness.termination.value,
+            "solver": sub.witness.meta.get("config"),
+            "x0": sub.witness.meta.get("x0"),
+            "gamma": sub.provenance.get("target"),
+            "gamma2": sub.provenance.get("relative_to"),
+            "check_tol": WITNESS_CHECK_TOL,
+            **about,
+        }
+        _write(out / f"witness_{tag}.json", json.dumps(meta, indent=1))
     falsified = not all(sub.consistent for sub, _, _ in walk)
 
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "reports": {name: d}}
@@ -447,6 +445,10 @@ def cmd_analyze(args) -> int:
     _write(out / "summary.txt", summary)
     _say(f"{summary}wrote {out}/report.json")
     return EXIT_FALSIFIED if falsified else EXIT_OK
+
+
+def cmd_analyze(args) -> int:
+    return write_report(Path(args.out), *run_spec(spec_from_args(args)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +479,11 @@ def cmd_replay(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    name = meta.get("system")
-    cat = catalog(_observer_params(meta["params"])
-                  if name == "observer" and meta.get("params") else None)
-    if not isinstance(name, str) or name not in cat:
-        print(f"metadata names no catalog fixture (system {name!r});"
-              " nothing to validate the arc against", file=sys.stderr)
-        return EXIT_CONFIG
-    fixture = cat[name]
-
-    system = fixture.system
     # the run's solver settings: its tol_set for the checker, all of them to regenerate
     solver = meta.get("solver")
-    scfg = _solver_config(args, {} if solver is None else {"solver": solver}, None)
+    fixture, system, scfg = _resolve({
+        "system": {"fixture": meta.get("system"), "params": meta.get("params", {})},
+        "solver": {} if solver is None else solver})
     tol = meta.get("check_tol", WITNESS_CHECK_TOL)
     try:
         violations = check_is_solution(system, arc, float(tol), scfg.tol_set)
@@ -576,9 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run property checks or reduction reports")
     common(p)
     p.add_argument("--check", default=None,  # stability when absent
-                   choices=("stability", "attractivity", "local-stability-near",
-                            "strong-invariance", "weak-invariance",
-                            "reduction", "detectability"))
+                   choices=CHECKS)
     p.add_argument("--gamma", default=None, help="target set name")
     p.add_argument("--gamma2", default=None, help="outer set name")
     p.add_argument("--reduce-chain", default=None,

@@ -593,7 +593,6 @@ def catalog(observer_params: ObserverParams | None = None) -> dict[str, Fixture]
         gammas={"origin": point_set([0.0, 0.0], name="origin")},
         window=Window.from_bounds([[0.0, 2.0], [-2.0, 2.0]]),
         presets={"default": np.array([1.0, 0.7])},
-        params={"spec": "cascade-ex1"},
         notes="flow pushes x1 off the singleton flow set: solutions are "
               "single points",
     )

@@ -18,8 +18,10 @@ from conftest import assert_same_text
 
 import hybridkit
 from hybridkit.analysis import clause_margin
-from hybridkit.cli import _build_parser, _resolve_gamma, _system_from_inline, main
+from hybridkit.cli import (_build_parser, _resolve_gamma, _system_from_inline, main, run_spec,
+                           spec_from_args, write_report)
 from hybridkit.core import HybridArc, HybridSystem, Termination, check_is_solution
+from hybridkit.errors import ConfigError
 from hybridkit.geometry import coords_set, empty_set
 from hybridkit.solver import SolverConfig, solve
 from hybridkit.systems import catalog
@@ -167,8 +169,14 @@ def test_non_finite_solver_values_are_configuration_errors(tmp_path, capsys):
      "coords constraints must be a JSON object"),
     ('{"system": {"dim": 1, "flow_set": {"type": "box", "bounds": 5}}}',
      "box bounds must be a list of [lo, hi] pairs"),
+    ('{"system": "circles", "solvr": {"t_max": 1}}', "unknown config key(s) ['solvr']"),
+    ('{"system": {"fixture": "circles", "parms": {}}}',
+     "unknown fixture block key(s) ['parms']"),
+    ('{"system": {"dim": 1, "flw": {"affine": {"A": [[0.0]]}}}}',
+     "unknown inline system key(s) ['flw']"),
+    ('{"system": {"dim": 1, "params": {}}}', "unknown inline system key(s) ['params']"),
 ], ids=["not-an-object", "params", "solver", "flow-set", "priority", "coords-constraints",
-        "box-bounds"])
+        "box-bounds", "top-level-key", "fixture-block-key", "inline-key", "inline-params"])
 def test_malformed_config_files_are_configuration_errors(text, why, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -330,6 +338,26 @@ def test_simulate_without_an_initial_state_takes_the_one_preset(name, tmp_path):
                      (tmp_path / "preset" / "arc.csv").read_text())
 
 
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_every_fixture_run_replays_through_its_run_json(name, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--system", name, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["replay", "--arc", str(out / "arc.csv")]) == 0
+    assert "bitwise match after regeneration: True" in capsys.readouterr().out
+
+
+def test_replay_refuses_parameters_its_fixture_does_not_take(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--system", "circles", "--out", str(out)]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    (out / "run.json").write_text(json.dumps({**meta, "params": {"foo": 1}}))
+    capsys.readouterr()
+    assert run(["replay", "--arc", str(out / "arc.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "takes no parameters" in err
+
+
 def test_replay_checks_the_arc_at_its_run_tol_set(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"tol_set": 1e-6}}))
@@ -419,6 +447,14 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_no_source_line_exceeds_100_characters():
+    src = Path(hybridkit.__file__).resolve().parents[1]
+    long = [f"{p.relative_to(src)}:{i}" for p in sorted(src.rglob("*.py"))
+            for i, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []
 
 
 def test_seed_determines_reports_byte_for_byte(tmp_path):
@@ -733,3 +769,22 @@ def test_seed_pinned_report_bytes(name, tmp_path):
         assert q["near_radius"] == (radii[0] if radii else max(q["eps_grid"]))
     _check_margins(json.loads((out / "report.json").read_text()), out)
     assert _dir_digest(out) == digest
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_a_run_spec_through_json_gives_the_pinned_report(name, tmp_path):
+    args, digest = PINNED_RUNS[name]
+    cfg = _inline_config(tmp_path, DRIFT)
+    spec = spec_from_args(_build_parser().parse_args(
+        ["analyze", *[cfg if a == "DRIFT" else a for a in args]]))
+    os.remove(cfg)  # the spec holds the config file's content, not its path
+    out = tmp_path / "rep"
+    write_report(out, *run_spec(json.loads(json.dumps(spec))))
+    assert _dir_digest(out) == digest
+
+
+def test_a_hand_written_spec_with_an_unknown_check_is_a_configuration_error():
+    spec = spec_from_args(_build_parser().parse_args(["analyze", "--system", "circles"]))
+    spec["check"]["name"] = "bogus"
+    with pytest.raises(ConfigError, match="unknown check 'bogus'"):
+        run_spec(spec)
