@@ -10,10 +10,12 @@ flip Falsified back to consistent, and verdicts are independent of scheduling.
 No verdict rests on zero arcs: a campaign none of whose draws lands in C u D
 raises ConfigError.
 
-The checks of a reduction, chain or detectability report stand alone, so
-they run side by side in one pool of forked workers per report, and inline
-on one CPU or with an ``arc_hook``; the report's bytes are the same either
-way.
+The checks of a reduction, chain or detectability report stand alone, and
+so do the draws of a campaign, so both run side by side in forked workers
+(``_fork_map``): a report's checks one per worker, and a campaign of
+_POOL_BUDGET or more draws in contiguous index ranges.  Both run inline on
+one CPU, inside a worker, so that pools never nest, and with an
+``arc_hook``; the report's bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 import pickle
 import zlib
+from contextlib import closing
 from dataclasses import dataclass, field, replace as _dc_replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -38,6 +41,11 @@ _MAX_DRAW_TRIES = 80
 #: a campaign solves its draws in chunks of indices, doubling from 2 to 16
 _FIRST_CHUNK = 2
 _MAX_CHUNK = 16
+
+#: a campaign of at least _POOL_BUDGET draws is judged in _POOL_RANGES
+#: contiguous index ranges, in forked workers
+_POOL_BUDGET = 64
+_POOL_RANGES = 8
 
 #: points of each nested set checked to lie in the next one of a chain
 _NESTING_SAMPLES = 64
@@ -70,7 +78,8 @@ class PropertyQuery:
     solver: SolverConfig = SolverConfig()
     sampler: Callable | None = None
     # called (system, arc) for every judged solve and every ``alt`` re-solve,
-    # in draw order; solves discarded after a violation are never passed
+    # in draw order; solves discarded after a violation are never passed.  A
+    # hooked query runs all its checks and draws in this process
     arc_hook: Callable | None = None
 
     def __post_init__(self):
@@ -296,6 +305,70 @@ def clause_margin(arc: HybridArc, clause: dict, gamma: ClosedSet | None = None,
 # ---------------------------------------------------------------------------
 
 
+#: True in a forked worker of _fork_map
+_in_worker = False
+
+
+def _pool_size(hooked: bool) -> int:
+    """Forked workers alive at once: one per usable CPU, but 1 (inline) where
+    that is unknown, inside a worker, so that pools never nest, and when
+    ``hooked``, as an ``arc_hook`` must see every arc in this process."""
+    if hooked or _in_worker or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_map(fn: Callable, n: int, workers: int):
+    """Yields ``fn(i)`` for each i < n in index order, each computed in its
+    own forked worker, at most ``workers`` alive at once, a freed slot taking
+    the next i; None where ``fn(i)`` raised, and for every i when
+    ``workers`` < 2, for the caller to run itself.  Forked, because a task
+    holds what cannot be pickled, such as a lambda flow map; a worker pipes
+    its result back pickled and leaves by ``os._exit``, so it never flushes
+    this process's buffers.  Closing the generator kills and reaps the
+    workers still running."""
+    if workers < 2:
+        yield from [None] * n
+        return
+    # here, not with the module, so that a command that forks nothing loads neither
+    import select
+    import signal
+
+    global _in_worker
+    done: dict[int, object] = {}
+    running: dict[int, tuple[int, int]] = {}  # read end of a worker's pipe: (pid, i)
+    started = 0
+    try:
+        for i in range(n):
+            while i not in done:
+                while started < n and len(running) < workers:
+                    r, w = os.pipe()
+                    pid = os.fork()
+                    if not pid:
+                        code = 1
+                        try:
+                            _in_worker = True
+                            with open(w, "wb") as f:
+                                f.write(pickle.dumps(fn(started)))
+                            code = 0
+                        finally:
+                            os._exit(code)
+                    os.close(w)
+                    running[r] = (pid, started)
+                    started += 1
+                for r in select.select(list(running), [], [])[0]:
+                    pid, j = running.pop(r)
+                    with open(r, "rb") as f:  # a worker writes its result as it ends
+                        data = f.read()
+                    done[j] = pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else None
+            yield done.pop(i)
+    finally:
+        for r, (pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+
+
 class _Campaign(NamedTuple):
     """What one campaign found: the initial conditions solved, how many of
     them passed vacuously, the witness arc and its clause (None when no arc
@@ -309,15 +382,15 @@ class _Campaign(NamedTuple):
     margins: dict
 
 
-def _solved_draws(sys: HybridSystem, cfg: SolverConfig, draw: Callable, budget: int):
-    """(x0, arc) of each index < budget whose ``draw(i)`` is not None, in
+def _solved_draws(sys: HybridSystem, cfg: SolverConfig, draw: Callable, indices: range):
+    """(x0, arc) of each of ``indices`` whose ``draw(i)`` is not None, in
     index order.  Chunks of _FIRST_CHUNK indices, doubling up to _MAX_CHUNK,
     are drawn and solved by one ``solve_batch`` each; when it raises, the
     chunk is drawn and solved again lazily, index by index, so that the
     error surfaces at its own draw and only when that draw is reached."""
-    start, size = 0, _FIRST_CHUNK
-    while start < budget:
-        chunk = range(start, min(start + size, budget))
+    start, size = indices.start, _FIRST_CHUNK
+    while start < indices.stop:
+        chunk = range(start, min(start + size, indices.stop))
         start, size = chunk.stop, min(2 * size, _MAX_CHUNK)
         try:
             x0s = [x0 for x0 in map(draw, chunk) if x0 is not None]
@@ -347,35 +420,58 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
     that no verdict rests on zero arcs.  The draws are solved in chunks
     (``_solved_draws``) but judged in index order, one by one, so the
     solves of a chunk after its violation are discarded unjudged.
+
+    From _POOL_BUDGET draws on, _POOL_RANGES contiguous index ranges are
+    judged side by side by ``_fork_map``, each up to its first violation,
+    unless ``_pool_size`` says inline.  They are merged in index order up to
+    the first violation, so the result is the inline loop's; a range that
+    raised runs again inline, so that its error surfaces at its own draw.
     """
-    cfg = query.solver
+    cfg, budget = query.solver, query.sample_budget
     worst = {c["type"]: (kept or {}).get(c["type"]) for c in clauses}
     n_solved = n_vacuous = 0
     draw = lambda i: _draw_initial(sys, _rng(query.seed, tag, *key, i), query,
                                    near, delta, project)
-    for x0, arc in _solved_draws(sys, cfg, draw, query.sample_budget):
-        n_solved += 1
-        for c in (cfg, alt) if alt is not None else (cfg,):
-            arc = arc if c is cfg else solve(sys, x0, c)
-            if query.arc_hook:
-                query.arc_hook(sys, arc)
-            margins, bad = [], None
-            for clause in clauses:
-                m, record = clause_margin(arc, clause, **(on or {}))
-                margins.append((clause["type"], m))
-                if m is not None and m < 0:
-                    bad = record
+
+    def judged(indices: range):
+        # (x0, margins, violation record or None, arc) of each solved draw of
+        # ``indices``, through the first violation
+        for x0, arc in _solved_draws(sys, cfg, draw, indices):
+            for c in (cfg, alt) if alt is not None else (cfg,):
+                arc = arc if c is cfg else solve(sys, x0, c)
+                if query.arc_hook:
+                    query.arc_hook(sys, arc)
+                margins, bad = [], None
+                for clause in clauses:
+                    m, record = clause_margin(arc, clause, **(on or {}))
+                    margins.append((clause["type"], m))
+                    if m is not None and m < 0:
+                        bad = record
+                        break
+                if bad is None:
                     break
-            if bad is None:
-                break
-        for kind, m in margins:
-            # a NaN margin (a non-finite sample) violates nothing and is not kept
-            if m is not None and not np.isnan(m) and (
-                    worst[kind] is None or m < worst[kind]["worst"]):
-                worst[kind] = {"worst": m, "x0": arc.meta["x0"]}
-        if bad is not None:
-            return _Campaign(n_solved, n_vacuous, arc, bad, worst)
-        n_vacuous += any(m is None for _, m in margins)
+            yield arc.meta["x0"], margins, bad, arc
+            if bad is not None:
+                return
+
+    workers = _pool_size(query.arc_hook is not None) if budget >= _POOL_BUDGET else 1
+    parts = _POOL_RANGES if workers >= 2 else 1
+    ranges = [range(budget * k // parts, budget * (k + 1) // parts) for k in range(parts)]
+    # a worker sends back the arc of a violating draw alone
+    task = lambda k: [(x0, margins, bad, arc if bad is not None else None)
+                      for x0, margins, bad, arc in judged(ranges[k])]
+    with closing(_fork_map(task, parts, workers)) as pooled:
+        for indices, got in zip(ranges, pooled):
+            for x0, margins, bad, arc in judged(indices) if got is None else got:
+                n_solved += 1
+                for kind, m in margins:
+                    # a NaN margin (a non-finite sample) violates nothing and is not kept
+                    if m is not None and not np.isnan(m) and (
+                            worst[kind] is None or m < worst[kind]["worst"]):
+                        worst[kind] = {"worst": m, "x0": x0}
+                if bad is not None:
+                    return _Campaign(n_solved, n_vacuous, arc, bad, worst)
+                n_vacuous += any(m is None for _, m in margins)
     if not n_solved:
         where, why = "", ""
         if near is not None:
@@ -383,7 +479,7 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
             why = " (draws farther from it are rejected, a sampler's too)"
         raise ConfigError(
             f"campaign {tag!r}{list(key) if key else ''} on '{sys.name}' drew "
-            f"no initial condition in C u D{where} in {query.sample_budget} "
+            f"no initial condition in C u D{where} in {budget} "
             f"draws{why}; provide a sampler or a wider window")
     return _Campaign(n_solved, n_vacuous, None, None, worst)
 
@@ -568,58 +664,24 @@ def _relative_checks(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
     return stab, attr
 
 
-#: the checks a forked worker of ``_run_checks`` runs, by index; set in the
-#: worker alone, by the pool's initializer
-_adopted: list[Callable] = []
-
-
-def _adopt(checks: list[Callable]) -> None:
-    global _adopted
-    _adopted = checks
-
-
-def _run_adopted(i: int) -> bytes | None:
-    """The pickled report of check ``i``, or None when it raised: the parent
-    runs it again to raise the error, so no exception crosses processes."""
-    try:
-        return pickle.dumps(_adopted[i]())
-    except Exception:  # noqa: BLE001 - re-raised by the parent's own run
-        return None
-
-
 def _run_checks(sub: dict[str, Callable], conclusions: dict[str, Callable],
                 hooked: bool) -> tuple[dict[str, AnalysisReport], dict[str, AnalysisReport]]:
     """The reports of a bundle's hypothesis checks ``sub`` and of its
     conclusion checks, each a zero-argument callable, keyed as declared.
 
     The checks share no state and are seeded by their own keys, so they run
-    side by side, in one pool of forked workers with one per usable CPU, up
-    to one per check; the conclusions are dispatched first, because the one
-    on the unrestricted system is the longest check measured.  The workers
-    are forked because a check holds what cannot be pickled, such as a
-    user's lambda flow map.  The checks run inline instead on fewer than 2
-    CPUs, where fork is missing, and when ``hooked``: an ``arc_hook`` must
-    see every arc in this process.  A check that raised in a worker runs
-    again inline, in the declared order, so the first error surfaces as it
-    does inline.  The pool is joined before the reports return.
+    side by side in forked workers (``_fork_map``), up to one per check; the
+    conclusions are dispatched first, because the one on the unrestricted
+    system is the longest check measured.  They run inline where
+    ``_pool_size`` says so.  A check that raised in a worker runs again
+    inline, in the declared order, so the first error surfaces as it does
+    inline.
     """
     declared = [*sub.values(), *conclusions.values()]
-    done: list[AnalysisReport | None] = [None] * len(declared)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = 0 if hooked else min(cpus, len(declared))
-    if workers >= 2:
-        # imported here, not with the module, so that importing
-        # ``hybridkit.cli``, which every command does, does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            order = [*range(len(sub), len(declared)), *range(len(sub))]
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_adopt, initargs=(declared,)) as pool:
-                for i, report in zip(order, pool.map(_run_adopted, order)):
-                    done[i] = None if report is None else pickle.loads(report)
-    reports = [f() if r is None else r for r, f in zip(done, declared)]
+    order = [*range(len(sub), len(declared)), *range(len(sub))]
+    workers = min(_pool_size(hooked), len(declared))
+    done = dict(zip(order, _fork_map(lambda k: declared[order[k]](), len(order), workers)))
+    reports = [f() if done[i] is None else done[i] for i, f in enumerate(declared)]
     return dict(zip(sub, reports)), dict(zip(conclusions, reports[len(sub):]))
 
 

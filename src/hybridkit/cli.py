@@ -155,6 +155,9 @@ def _run_inputs(args) -> dict:
     ``--system``, ``--param``, ``--tmax`` and ``--jmax`` applied."""
     cfg = _load_config(args.config) if args.config else {}
     block = cfg.get("system")
+    if args.system and block is not None:
+        raise ConfigError(f"--system {args.system!r} and the system block of config "
+                          f"{args.config} both name a system; give one of them")
     name = args.system or (block if isinstance(block, str) else None)
     if name is None and isinstance(block, dict) and "fixture" in block:
         name = block["fixture"]

@@ -10,7 +10,9 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -616,6 +618,26 @@ def test_campaign_reports_match_the_sequential_loop(case, tmp_path, monkeypatch)
         assert verdicts == {1}  # falsified at every seed
 
 
+def _indexed_decay(monkeypatch, x0: dict):
+    """A decaying line whose draw of index i is ``x0[i]``, else 0.5, with a
+    flow map that raises at x >= 4 and a stability clause that x = 2
+    violates; returns a campaign of the pool's budget on it, with ``kw``
+    added to its query."""
+    def flow(x):
+        if x[0] >= 4.0:
+            raise DimensionMismatch("raised at its own draw")
+        return -x
+
+    sys = HybridSystem(1, full_space(1), flow, empty_set(1), lambda x: x, name="decay")
+    monkeypatch.setattr(analysis, "_rng", lambda seed, *ctx: ctx[-1])
+    monkeypatch.setattr(analysis, "_draw_initial",
+                        lambda sys, i, *a: np.array([x0.get(i, 0.5)]))
+    query = PropertyQuery(solver=SolverConfig(t_max=2.0), sample_budget=analysis._POOL_BUDGET)
+    clauses = [{"type": "stability_escape", "eps": 1.0}]
+    return lambda **kw: analysis._campaign(sys, query.replace(**kw), "t", clauses,
+                                           on={"gamma": point_set([0.0])})
+
+
 @pytest.mark.parametrize("bad,raises,falsified", [
     (1, 3, True),   # different chunks
     (3, 4, True),   # one chunk (indices 2-5): the raise after the violation is discarded
@@ -623,23 +645,10 @@ def test_campaign_reports_match_the_sequential_loop(case, tmp_path, monkeypatch)
 ])
 def test_campaign_returns_a_violation_that_precedes_a_raising_draw(
         monkeypatch, bad, raises, falsified):
-    def flow(x):
-        if x[0] >= 4.0:
-            raise DimensionMismatch("raised at its own draw")
-        return -x
-
-    sys = HybridSystem(1, full_space(1), flow, empty_set(1), lambda x: x, name="decay")
-    x0 = {bad: np.array([2.0]), raises: np.array([5.0])}
-    # the draw's key is its index, and the draw of index i is x0[i], else 0.5
-    monkeypatch.setattr(analysis, "_rng", lambda seed, *ctx: ctx[-1])
-    monkeypatch.setattr(analysis, "_draw_initial",
-                        lambda sys, i, *a: x0.get(i, np.array([0.5])))
-    query = PropertyQuery(solver=SolverConfig(t_max=2.0), sample_budget=8)
     hooked: list = []
-    query = query.replace(arc_hook=lambda sys, arc: hooked.append(arc.meta["x0"][0]))
-    clauses = [{"type": "stability_escape", "eps": 1.0}]
-    campaign = lambda: analysis._campaign(
-        sys, query, "t", clauses, on={"gamma": point_set([0.0])})
+    run = _indexed_decay(monkeypatch, {bad: 2.0, raises: 5.0})
+    campaign = lambda: run(sample_budget=8,
+                           arc_hook=lambda sys, arc: hooked.append(arc.meta["x0"][0]))
     if not falsified:
         with pytest.raises(DimensionMismatch, match="its own draw"):
             campaign()
@@ -651,7 +660,9 @@ def test_campaign_returns_a_violation_that_precedes_a_raising_draw(
 
 
 def test_chunked_campaign_makes_an_eighth_of_the_membership_calls(cat, monkeypatch):
-    # the calls the solves make; the draws make the same calls either way
+    # the calls the solves make; the draws make the same calls either way.  On
+    # one CPU, so that the solves are made, and counted, in this process
+    _on_cpus(monkeypatch, 1)
     fx = cat["circles"]
     query = q_for(fx, sample_budget=64, seed=0)
     calls, drawing = [0], [False]
@@ -676,6 +687,7 @@ def test_chunked_campaign_makes_an_eighth_of_the_membership_calls(cat, monkeypat
     sequential = check_attractivity(fx.system, fx.gammas["gamma1"], query)
     assert chunked.to_json_dict() == sequential.to_json_dict()
     assert chunked.measured["n_total"] == 64
+    assert n_chunked > 0
     assert 8 * n_chunked <= calls[0]
 
 
@@ -683,8 +695,17 @@ def test_chunked_campaign_makes_an_eighth_of_the_membership_calls(cat, monkeypat
 
 
 def _on_cpus(monkeypatch, n: int) -> None:
-    """The process may use ``n`` CPUs, as far as a bundle can tell."""
+    """The process may use ``n`` CPUs, as far as a bundle or a campaign can
+    tell."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_children() -> None:
+    """No child process of this one is left, running or unreaped; forked
+    workers are not multiprocessing's, so its own view is not enough."""
+    assert not multiprocessing.active_children()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _small_bundle(cat, name: str, **kw):
@@ -750,7 +771,7 @@ def test_a_bundle_in_a_pool_reports_the_bytes_it_reports_inline(cat, name, monke
         assert_same_text(text, inline[1][key])
     assert inline_pids == {str(os.getpid())}
     assert pooled_pids - inline_pids
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("name", ["chain", "detectability"])
@@ -781,14 +802,161 @@ def test_a_pooled_bundle_raises_the_error_of_its_first_declared_failing_check(mo
         with pytest.raises(ConfigError, match="drew no initial condition") as info:
             reduction_report(sys, point_set([0.0, 0.0]), full_space(2), q, scope="global")
         errors[cpus] = (type(info.value), str(info.value))
-        assert not multiprocessing.active_children()
+        _assert_no_children()
     assert errors[2] == errors[1]
     assert "'unit-box-decay|R^n'" in errors[2][1]
 
 
+# -- campaigns judged in forked workers ------------------------------------------
+
+
+def test_fork_map_yields_each_result_in_index_order_from_a_worker_of_its_own(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+
+    def task(i):
+        if i == 3:
+            raise ValueError("not sent back")
+        return i, os.getpid(), analysis._pool_size(False)
+
+    got = list(analysis._fork_map(task, 6, 2))
+    assert got[3] is None  # the caller runs it again
+    assert [g[0] for g in got if g] == [0, 1, 2, 4, 5]
+    pids = {g[1] for g in got if g}
+    assert len(pids) == 5 and os.getpid() not in pids
+    assert {g[2] for g in got if g} == {1}  # a worker's own pools run inline
+    assert analysis._pool_size(False) == 2
+    assert list(analysis._fork_map(task, 2, 1)) == [None, None]  # nothing forked
+    _assert_no_children()
+
+
+def test_fork_map_kills_the_workers_left_when_its_consumer_stops():
+    start = time.perf_counter()
+    for got in analysis._fork_map(lambda i: time.sleep(60) if i else "first", 4, 2):
+        assert got == "first"
+        break
+    _assert_no_children()
+    assert time.perf_counter() - start < 30
+
+
+def _recording_pids(monkeypatch, path: Path) -> Callable:
+    """Records the process each campaign range is solved in, in ``path``;
+    returns the set of pids recorded since it was last called."""
+    solved = analysis._solved_draws
+
+    def recorded(*args):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return solved(*args)
+
+    monkeypatch.setattr(analysis, "_solved_draws", recorded)
+    path.write_text("")
+
+    def taken() -> set[str]:
+        pids = set(path.read_text().split())
+        path.write_text("")
+        return pids
+
+    return taken
+
+
+@pytest.mark.parametrize("check", ["attractivity", "stability"])
+def test_a_pooled_campaign_reports_the_bytes_of_one_cpu(cat, check, monkeypatch, tmp_path):
+    # at the pool's budget the draws are judged in forked workers, at one CPU
+    # in this process; the report and the witness arc are byte for byte equal
+    fx = cat["circles"]
+    query = q_for(fx, sample_budget=analysis._POOL_BUDGET, seed=0,
+                  solver=SolverConfig(t_max=10.0))
+    run = {"attractivity": check_attractivity, "stability": check_stability}[check]
+    taken = _recording_pids(monkeypatch, tmp_path / "pids")
+    runs = {}
+    for cpus in (2, 1):
+        _on_cpus(monkeypatch, cpus)
+        rep = run(fx.system, fx.gammas["gamma1"], query)
+        runs[cpus] = (json.dumps(rep.to_json_dict()),
+                      rep.witness.to_csv() if rep.witness is not None else None, taken())
+        _assert_no_children()
+    (pooled, pooled_witness, pooled_pids), (inline, inline_witness, inline_pids) = \
+        runs[2], runs[1]
+    assert_same_text(pooled, inline)
+    assert (pooled_witness is None) == (check == "attractivity")
+    if check == "stability":
+        assert_same_text(pooled_witness, inline_witness)
+    assert inline_pids == {str(os.getpid())}
+    assert str(os.getpid()) not in pooled_pids and pooled_pids
+
+
+@pytest.mark.parametrize("x0,first", [
+    ({13: 2.0, 40: 2.0}, 13),  # inside the second range, and in a later one
+    ({8: 2.0, 9: 5.0}, 8),     # at a range's start, a raise after it discarded
+    ({13: 2.0, 60: 5.0}, 13),  # a later range raises, and is cancelled or discarded
+])
+def test_a_pooled_campaign_stops_at_the_first_violation_of_one_cpu(monkeypatch, x0, first):
+    campaign = _indexed_decay(monkeypatch, x0)
+    runs = {}
+    for cpus in (2, 1):
+        _on_cpus(monkeypatch, cpus)
+        run = campaign()
+        runs[cpus] = (run.n_total, run.n_vacuous, run.clause, run.margins,
+                      run.witness.to_csv())
+        _assert_no_children()
+    assert runs[2] == runs[1]
+    assert runs[2][0] == first + 1 and runs[2][2]["x0"] == [2.0]
+
+
+@pytest.mark.parametrize("x0", [
+    {21: 5.0},            # a range raises, none before it violates
+    {21: 5.0, 30: 2.0},   # it raises before a later range's violation
+    {22: 2.0, 21: 5.0},   # it raises before its own violation
+])
+def test_a_pooled_range_that_raises_raises_at_its_own_draw(monkeypatch, x0):
+    campaign = _indexed_decay(monkeypatch, x0)
+    for cpus in (2, 1):
+        _on_cpus(monkeypatch, cpus)
+        with pytest.raises(DimensionMismatch, match="its own draw"):
+            campaign()
+        _assert_no_children()
+    # the error surfaces once the draws before it are judged, and no later
+    hooked: list = []
+    with pytest.raises(DimensionMismatch):
+        campaign(arc_hook=lambda sys, arc: hooked.append(arc.meta["x0"][0]))
+    assert hooked == [0.5] * 21
+
+
+def test_a_hooked_campaign_runs_inline_and_hands_its_hook_every_x0(cat, monkeypatch,
+                                                                   tmp_path):
+    fx = cat["circles"]
+    taken = _recording_pids(monkeypatch, tmp_path / "pids")
+    x0s = {}
+    for cpus in (2, 1):
+        _on_cpus(monkeypatch, cpus)
+        seen: list = []
+        query = q_for(fx, sample_budget=analysis._POOL_BUDGET, seed=0,
+                      solver=SolverConfig(t_max=10.0),
+                      arc_hook=lambda sys, arc: seen.append(arc.meta["x0"]))
+        check_attractivity(fx.system, fx.gammas["gamma1"], query)
+        x0s[cpus] = seen
+        assert taken() == {str(os.getpid())}
+    assert len(x0s[2]) == analysis._POOL_BUDGET and x0s[2] == x0s[1]
+
+
+def test_a_pooled_analyze_leaves_multiprocessing_and_concurrent_futures_unimported(tmp_path):
+    # the workers are forked by hand: the two packages would add about 1 MB
+    # to the process, and ``select`` is loaded when a pool first forks
+    src = str(Path(hybridkit.__file__).resolve().parents[1])
+    argv = ["analyze", *_CIRCLES, "--check", "attractivity", "--budget", "64", "--tmax", "10",
+            "--out", str(tmp_path / "out")]
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from hybridkit import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(code, 'select' in sys.modules, "
+            "'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 True False False"
+
+
 def test_importing_the_cli_and_building_the_catalog_leaves_multiprocessing_unimported():
-    # a bundle imports it when it first runs side by side, so that every
-    # command does not pay for the import
+    # no command imports it: its workers are forked by hand
     src = str(Path(hybridkit.__file__).resolve().parents[1])
     code = ("import sys, hybridkit.cli, hybridkit.systems as s; s.catalog(); "
             "print('multiprocessing' in sys.modules)")

@@ -188,6 +188,28 @@ def test_malformed_config_files_are_configuration_errors(text, why, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("block", ['"circles"', '{"fixture": "circles"}',
+                                   '{"dim": 1, "flow": {"affine": {"A": [[-1.0]]}}}'],
+                         ids=["name", "fixture-block", "inline"])
+def test_system_flag_beside_a_config_system_block_is_a_configuration_error(
+        command, block, tmp_path, capsys):
+    # the two would otherwise compete for the run's system, and one lose silently
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"system": {block}}}')
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--system", "sigma-bump", "--tmax", "1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--system 'sigma-bump'" in err and str(cfg) in err
+    assert not out.exists()
+    # a config file without a system block leaves the system to --system
+    cfg.write_text('{"solver": {"rtol": 1e-8}}')
+    assert run([command, "--config", str(cfg), "--system", "sigma-bump", "--tmax", "1",
+                "--budget" if command == "analyze" else "--x0",
+                "2" if command == "analyze" else "0.5,0.5", "--out", str(out)]) in (0, 1)
+
+
 @pytest.mark.parametrize("power,x0,tmax,why", [
     (-1, "0", "1", "flow map non-finite at segment start"),  # x' = 1/x at 0
     (2, "1", "2", "termination flag NumericalFailure"),  # x' = x^2 blows up at t = 1
@@ -605,6 +627,39 @@ def test_replay_of_inline_witness_exits_config(tmp_path, capsys):
     capsys.readouterr()
     assert run(["replay", "--arc", str(out / "witness_invariance.csv")]) == 2
     assert "names no catalog fixture" in capsys.readouterr().err
+
+
+_POOLED_CIRCLES = ["analyze", "--system", "circles", "--gamma", "gamma1", "--scope", "global",
+                   "--box", "preset", "--budget", "64", "--tmax", "10"]
+
+
+def test_a_pooled_analyze_prints_what_one_cpu_prints(tmp_path, capfd, monkeypatch):
+    # a forked worker leaves without flushing this process's buffers: a line
+    # still buffered when the pool forks is printed once
+    stdout = open(os.dup(1), "w")  # buffered, on the captured descriptor
+    monkeypatch.setattr(sys, "stdout", stdout)
+    outs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        sys.stdout.write("before the run\n")
+        out = tmp_path / f"cpus{cpus}"
+        assert run([*_POOLED_CIRCLES, "--check", "attractivity", "--out", str(out)]) == 0
+        outs[cpus] = capfd.readouterr().out.replace(str(out), "OUT")
+    assert outs[2] == outs[1]
+    lines = outs[2].splitlines()
+    assert lines[0] == "before the run" and len(lines) == len(set(lines))
+    assert lines[-1] == "wrote OUT/report.json"
+    stdout.close()
+
+
+def test_a_witness_of_a_pooled_stability_search_replays(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "rep"
+    assert run([*_POOLED_CIRCLES, "--check", "stability", "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert run(["replay", "--arc", str(out / "witness_stability.csv"),
+                "--meta", str(out / "witness_stability.json")]) == 0
+    assert "violation reproduced: True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
