@@ -15,18 +15,20 @@ so do the draws of a campaign, so both run side by side in forked workers
 (``_fork_map``): a report's checks one per worker, and a campaign of
 _POOL_BUDGET or more draws in contiguous index ranges.  Both run inline on
 one CPU, inside a worker, so that pools never nest, and with an
-``arc_hook``; the report's bytes are the same either way.
+``arc_hook``; either way on one path, as ``_fork_map`` yields every task's
+result itself, and with the same report bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import zlib
 from contextlib import closing
 from dataclasses import dataclass, field, replace as _dc_replace
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .composition import OutputSystem, restrict
 from .core import HybridArc, HybridSystem, Termination, _jsonable, is_complete
 from .errors import ApproximateDistance, ChainNotNested, ConfigError
 from .geometry import ClosedSet, Window
-from .solver import Priority, SolverConfig, solve, solve_batch
+from .solver import Priority, SolverConfig, _integer, solve, solve_batch
 
 _MAX_DRAW_TRIES = 80
 
@@ -87,11 +89,8 @@ class PropertyQuery:
         if not eps or not all(0 < e < np.inf for e in eps) or list(eps) != sorted(eps):
             raise ValueError("eps_grid must be finite, strictly positive and sorted")
         object.__setattr__(self, "eps_grid", eps)
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.sample_budget < 1:
-            raise ValueError("sample_budget must be >= 1")
-        if self.delta_shrinks < 0:
-            raise ValueError("delta_shrinks must be >= 0")
+        for name, least in (("seed", None), ("sample_budget", 1), ("delta_shrinks", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not (np.isfinite(self.conv_tol) and self.conv_tol > 0):
             raise ValueError("conv_tol must be finite and > 0")
         for name in ("near_radius", "bound_radius"):
@@ -318,24 +317,26 @@ def _pool_size(hooked: bool) -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_map(fn: Callable, n: int, workers: int):
-    """Yields ``fn(i)`` for each i < n in index order, each computed in its
-    own forked worker, at most ``workers`` alive at once, a freed slot taking
-    the next i; None where ``fn(i)`` raised, and for every i when
-    ``workers`` < 2, for the caller to run itself.  Forked, because a task
-    holds what cannot be pickled, such as a lambda flow map; a worker pipes
-    its result back pickled and leaves by ``os._exit``, so it never flushes
-    this process's buffers.  Closing the generator kills and reaps the
-    workers still running."""
+def _fork_map(fn: Callable, n: int, workers: int, first: Sequence[int] = ()):
+    """Yields ``fn(i)`` for every i < n in index order, each computed in its
+    own forked worker, at most ``workers`` alive at once, the indices of
+    ``first`` started first, a freed slot taking the next; below 2 workers,
+    and where a worker failed, ``fn(i)`` runs in this process when its turn
+    comes, so that its error surfaces where it does inline.  Forked, because
+    a task holds what cannot be pickled, such as a lambda flow map; a worker
+    pipes its result back pickled and leaves by ``os._exit``, so it never
+    flushes this process's buffers.  Closing the generator kills and reaps
+    the workers still running."""
     if workers < 2:
-        yield from [None] * n
+        yield from map(fn, range(n))
         return
     # here, not with the module, so that a command that forks nothing loads neither
     import select
     import signal
 
     global _in_worker
-    done: dict[int, object] = {}
+    order = [*first, *(i for i in range(n) if i not in first)]
+    done: dict[int, tuple[bool, bytes]] = {}  # i: (whether its worker succeeded, its result)
     running: dict[int, tuple[int, int]] = {}  # read end of a worker's pipe: (pid, i)
     started = 0
     try:
@@ -349,19 +350,20 @@ def _fork_map(fn: Callable, n: int, workers: int):
                         try:
                             _in_worker = True
                             with open(w, "wb") as f:
-                                f.write(pickle.dumps(fn(started)))
+                                f.write(pickle.dumps(fn(order[started])))
                             code = 0
                         finally:
                             os._exit(code)
                     os.close(w)
-                    running[r] = (pid, started)
+                    running[r] = (pid, order[started])
                     started += 1
                 for r in select.select(list(running), [], [])[0]:
                     pid, j = running.pop(r)
                     with open(r, "rb") as f:  # a worker writes its result as it ends
                         data = f.read()
-                    done[j] = pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else None
-            yield done.pop(i)
+                    done[j] = os.waitpid(pid, 0)[1] == 0, data
+            ok, data = done.pop(i)
+            yield pickle.loads(data) if ok else fn(i)
     finally:
         for r, (pid, _) in running.items():
             os.kill(pid, signal.SIGKILL)
@@ -423,9 +425,10 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
 
     From _POOL_BUDGET draws on, _POOL_RANGES contiguous index ranges are
     judged side by side by ``_fork_map``, each up to its first violation,
-    unless ``_pool_size`` says inline.  They are merged in index order up to
-    the first violation, so the result is the inline loop's; a range that
-    raised runs again inline, so that its error surfaces at its own draw.
+    unless ``_pool_size`` says inline (one range).  The lists of the one
+    function that judges a range are merged in index order up to the first
+    violation, so the result is the inline loop's, and a range that raised
+    in a worker raises at its own draw.
     """
     cfg, budget = query.solver, query.sample_budget
     worst = {c["type"]: (kept or {}).get(c["type"]) for c in clauses}
@@ -433,9 +436,10 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
     draw = lambda i: _draw_initial(sys, _rng(query.seed, tag, *key, i), query,
                                    near, delta, project)
 
-    def judged(indices: range):
-        # (x0, margins, violation record or None, arc) of each solved draw of
-        # ``indices``, through the first violation
+    def judged(indices: range) -> list:
+        # (x0, margins, violation record or None, arc of a violation or None)
+        # of each solved draw of ``indices``, through the first violation
+        out = []
         for x0, arc in _solved_draws(sys, cfg, draw, indices):
             for c in (cfg, alt) if alt is not None else (cfg,):
                 arc = arc if c is cfg else solve(sys, x0, c)
@@ -450,28 +454,25 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
                         break
                 if bad is None:
                     break
-            yield arc.meta["x0"], margins, bad, arc
+            out.append((arc.meta["x0"], margins, bad, arc if bad is not None else None))
             if bad is not None:
-                return
+                break
+        return out
 
     workers = _pool_size(query.arc_hook is not None) if budget >= _POOL_BUDGET else 1
     parts = _POOL_RANGES if workers >= 2 else 1
     ranges = [range(budget * k // parts, budget * (k + 1) // parts) for k in range(parts)]
-    # a worker sends back the arc of a violating draw alone
-    task = lambda k: [(x0, margins, bad, arc if bad is not None else None)
-                      for x0, margins, bad, arc in judged(ranges[k])]
-    with closing(_fork_map(task, parts, workers)) as pooled:
-        for indices, got in zip(ranges, pooled):
-            for x0, margins, bad, arc in judged(indices) if got is None else got:
-                n_solved += 1
-                for kind, m in margins:
-                    # a NaN margin (a non-finite sample) violates nothing and is not kept
-                    if m is not None and not np.isnan(m) and (
-                            worst[kind] is None or m < worst[kind]["worst"]):
-                        worst[kind] = {"worst": m, "x0": x0}
-                if bad is not None:
-                    return _Campaign(n_solved, n_vacuous, arc, bad, worst)
-                n_vacuous += any(m is None for _, m in margins)
+    with closing(_fork_map(lambda k: judged(ranges[k]), parts, workers)) as pooled:
+        for x0, margins, bad, arc in itertools.chain.from_iterable(pooled):
+            n_solved += 1
+            for kind, m in margins:
+                # a NaN margin (a non-finite sample) violates nothing and is not kept
+                if m is not None and not np.isnan(m) and (
+                        worst[kind] is None or m < worst[kind]["worst"]):
+                    worst[kind] = {"worst": m, "x0": x0}
+            if bad is not None:
+                return _Campaign(n_solved, n_vacuous, arc, bad, worst)
+            n_vacuous += any(m is None for _, m in margins)
     if not n_solved:
         where, why = "", ""
         if near is not None:
@@ -599,8 +600,7 @@ def check_invariance(sys: HybridSystem, gamma: ClosedSet, mode: str,
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
     _require_distance(gamma)
-    notes = []
-    alt = None
+    notes, alt = [], None
     if mode == "weak":
         notes.append("weak invariance is selection-wise: verified under the "
                      "available solver priorities only")
@@ -662,27 +662,6 @@ def _relative_checks(sys: HybridSystem, g1: ClosedSet, g2: ClosedSet | None,
     else:
         attr = partial(check_attractivity, rsys, g1, sub, project=project, near=g1)
     return stab, attr
-
-
-def _run_checks(sub: dict[str, Callable], conclusions: dict[str, Callable],
-                hooked: bool) -> tuple[dict[str, AnalysisReport], dict[str, AnalysisReport]]:
-    """The reports of a bundle's hypothesis checks ``sub`` and of its
-    conclusion checks, each a zero-argument callable, keyed as declared.
-
-    The checks share no state and are seeded by their own keys, so they run
-    side by side in forked workers (``_fork_map``), up to one per check; the
-    conclusions are dispatched first, because the one on the unrestricted
-    system is the longest check measured.  They run inline where
-    ``_pool_size`` says so.  A check that raised in a worker runs again
-    inline, in the declared order, so the first error surfaces as it does
-    inline.
-    """
-    declared = [*sub.values(), *conclusions.values()]
-    order = [*range(len(sub), len(declared)), *range(len(sub))]
-    workers = min(_pool_size(hooked), len(declared))
-    done = dict(zip(order, _fork_map(lambda k: declared[order[k]](), len(order), workers)))
-    reports = [f() if done[i] is None else done[i] for i, f in enumerate(declared)]
-    return dict(zip(sub, reports)), dict(zip(conclusions, reports[len(sub):]))
 
 
 @dataclass
@@ -754,12 +733,23 @@ class ReductionReport:
 def _bundle(scope: str, sys: HybridSystem, query: PropertyQuery,
             sub: dict[str, Callable], conclusions: dict[str, Callable],
             theorems: list[tuple], **names) -> ReductionReport:
-    """The report of a theorem bundle: the hypothesis checks ``sub``, the
-    conclusion checks, both zero-argument callables run by _run_checks, and
+    """The report of a theorem bundle: the hypothesis checks ``sub`` and the
+    conclusion checks, each a zero-argument callable keyed as declared, and
     each theorem declared as ``(name, hypothesis keys, conclusion keys)``,
     where omitted keys mean all of them.  ``names`` names the sets in the
-    provenance, as in _report."""
-    sub, conclusions = _run_checks(sub, conclusions, query.arc_hook is not None)
+    provenance, as in _report.
+
+    The checks share no state and are seeded by their own keys, so they run
+    side by side in forked workers (``_fork_map``), up to one per check,
+    unless ``_pool_size`` says inline; the conclusions start first, because
+    the one on the unrestricted system is the longest check measured.  The
+    first declared check to raise raises its error, as it does inline.
+    """
+    declared = [*sub.values(), *conclusions.values()]
+    workers = min(_pool_size(query.arc_hook is not None), len(declared))
+    reports = list(_fork_map(lambda i: declared[i](), len(declared), workers,
+                             first=range(len(sub), len(declared))))
+    sub, conclusions = dict(zip(sub, reports)), dict(zip(conclusions, reports[len(sub):]))
 
     def verdicts(reports: dict, keys) -> dict[str, str]:
         return {k: reports[k].verdict for k in (reports if keys is None else keys)}

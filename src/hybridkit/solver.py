@@ -55,6 +55,15 @@ _RESIDUAL_FLOOR = 1e-4  # a tenth of the checker's 1e-3 tolerance
 _PROBES = 16  # an exit bracket narrows _PROBES-fold per membership call
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int: ValueError unless an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
 class Priority(enum.Enum):
     JUMP = "jump"
     FLOW = "flow"
@@ -91,9 +100,9 @@ class SolverConfig:
             value = getattr(self, field_name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{field_name} must be finite and strictly positive")
-        if self.j_max < 1:
-            raise ValueError("j_max must be >= 1")
-        if self.zeno_k < 1 or not 0 <= self.zeno_dt_min < math.inf:
+        for field_name in ("j_max", "zeno_k"):
+            object.__setattr__(self, field_name, _integer(field_name, getattr(self, field_name), 1))
+        if not 0 <= self.zeno_dt_min < math.inf:
             raise ValueError("invalid zeno window")
         if not isinstance(self.priority, Priority):
             object.__setattr__(self, "priority", Priority(self.priority))

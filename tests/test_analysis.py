@@ -396,10 +396,20 @@ def test_witness_margin_is_the_worst_margin(cat):
 @pytest.mark.parametrize("kw", [
     {"eps_grid": (float("nan"),)}, {"eps_grid": (0.25, float("inf"))},
     {"bound_radius": float("nan")}, {"bound_radius": float("inf")},
-    {"bound_radius": 0.0}])
+    {"bound_radius": 0.0},
+    # counts and seeds are integers, never truncated, nor flags
+    {"sample_budget": 2.5}, {"delta_shrinks": 1.5}, {"seed": 1.7}, {"sample_budget": True},
+    {"seed": np.float64(3.0)}])
 def test_query_rejects_non_finite_grids_and_radii(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
         PropertyQuery(**kw)
+
+
+def test_query_takes_numpy_integers_and_bounds_at_1e3_without_a_radius_or_window():
+    q = PropertyQuery(sample_budget=np.int64(3), seed=np.int32(7), delta_shrinks=np.uint8(1))
+    assert (q.sample_budget, q.seed, q.delta_shrinks) == (3, 7, 1)
+    assert all(type(v) is int for v in (q.sample_budget, q.seed, q.delta_shrinks))
+    assert PropertyQuery().effective_bound_radius() == 1e3
 
 
 def test_restriction_agreement_with_interior_outer_set(cat):
@@ -807,6 +817,31 @@ def test_a_pooled_bundle_raises_the_error_of_its_first_declared_failing_check(mo
     assert "'unit-box-decay|R^n'" in errors[2][1]
 
 
+def test_a_pooled_reduction_bundle_starts_its_conclusion_checks_first(cat, monkeypatch,
+                                                                      tmp_path):
+    # conclusion stability is the longest check of the chain report measured;
+    # each campaign records its query's seed as it starts
+    seeds = tmp_path / "seeds"
+    campaign = analysis._campaign
+
+    def recorded(sys, query, *args, **kw):
+        with open(seeds, "a") as f:
+            f.write(f"{query.seed}\n")
+        return campaign(sys, query, *args, **kw)
+
+    monkeypatch.setattr(analysis, "_campaign", recorded)
+    _on_cpus(monkeypatch, 2)
+    fx = cat["sigma-bump"]
+    q = q_for(fx, sample_budget=4, eps_grid=(0.25, 0.5), delta_shrinks=2,
+              solver=SolverConfig(t_max=10.0))
+    reduction_report(fx.system, fx.gammas["gamma1"], fx.gammas["gamma2"], q, scope="global")
+    # each check's seed where its first campaign starts; a check may run several
+    started = list(dict.fromkeys(seeds.read_text().split()))
+    assert set(started[:2]) == {str(q.child("conc-s").seed), str(q.child("conc-a").seed)}
+    assert len(started) > 2
+    _assert_no_children()
+
+
 # -- campaigns judged in forked workers ------------------------------------------
 
 
@@ -814,18 +849,49 @@ def test_fork_map_yields_each_result_in_index_order_from_a_worker_of_its_own(mon
     _on_cpus(monkeypatch, 2)
 
     def task(i):
-        if i == 3:
-            raise ValueError("not sent back")
+        if i == 3 and analysis._in_worker:
+            raise ValueError("raised in a worker only")
         return i, os.getpid(), analysis._pool_size(False)
 
     got = list(analysis._fork_map(task, 6, 2))
-    assert got[3] is None  # the caller runs it again
-    assert [g[0] for g in got if g] == [0, 1, 2, 4, 5]
-    pids = {g[1] for g in got if g}
+    assert [g[0] for g in got] == list(range(6))
+    assert got[3][1:] == (os.getpid(), 2)  # its worker failed: computed in this process
+    forked = got[:3] + got[4:]
+    pids = {g[1] for g in forked}
     assert len(pids) == 5 and os.getpid() not in pids
-    assert {g[2] for g in got if g} == {1}  # a worker's own pools run inline
+    assert {g[2] for g in forked} == {1}  # a worker's own pools run inline
     assert analysis._pool_size(False) == 2
-    assert list(analysis._fork_map(task, 2, 1)) == [None, None]  # nothing forked
+    # nothing forked: each result is computed in this process
+    assert list(analysis._fork_map(task, 2, 1)) == [(0, os.getpid(), 2), (1, os.getpid(), 2)]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("workers", [2, 1])
+def test_fork_map_raises_a_task_error_after_the_results_before_it(workers):
+    def task(i):
+        if i == 2:
+            raise ValueError("task 2 raised")
+        return i
+
+    got = []
+    with pytest.raises(ValueError, match="task 2 raised"):
+        for result in analysis._fork_map(task, 5, workers):
+            got.append(result)
+    assert got == [0, 1]
+    _assert_no_children()
+
+
+def test_fork_map_starts_the_first_indices_before_the_rest(tmp_path):
+    started = tmp_path / "started"
+
+    def task(i):
+        with open(started, "a") as f:
+            f.write(f"{i}\n")
+        return i
+
+    assert list(analysis._fork_map(task, 5, 2, first=range(3, 5))) == list(range(5))
+    lines = started.read_text().split()
+    assert sorted(lines) == ["0", "1", "2", "3", "4"] and set(lines[:2]) == {"3", "4"}
     _assert_no_children()
 
 

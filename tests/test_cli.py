@@ -175,8 +175,11 @@ def test_non_finite_solver_values_are_configuration_errors(tmp_path, capsys):
     ('{"system": {"dim": 1, "flw": {"affine": {"A": [[0.0]]}}}}',
      "unknown inline system key(s) ['flw']"),
     ('{"system": {"dim": 1, "params": {}}}', "unknown inline system key(s) ['params']"),
+    ('{"system": "circles", "solver": {"j_max": 2.5}}', "j_max must be an integer, got 2.5"),
+    ('{"system": "circles", "solver": {"zeno_k": 1.5}}', "zeno_k must be an integer, got 1.5"),
 ], ids=["not-an-object", "params", "solver", "flow-set", "priority", "coords-constraints",
-        "box-bounds", "top-level-key", "fixture-block-key", "inline-key", "inline-params"])
+        "box-bounds", "top-level-key", "fixture-block-key", "inline-key", "inline-params",
+        "j_max", "zeno_k"])
 def test_malformed_config_files_are_configuration_errors(text, why, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -581,6 +584,39 @@ def test_analyze_observer_chain_exit_zero(tmp_path):
         assert t["sound"]
 
 
+def test_a_fixture_block_of_a_config_file_runs_as_the_system_flag_does(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"system": {"fixture": "observer", "params": {"omega": 2.0}}}')
+    outs = {}
+    for how, args in (("config", ["--config", str(cfg)]),
+                      ("flags", ["--system", "observer", "--param", "omega=2.0"])):
+        out = tmp_path / how
+        assert run(["simulate", *args, "--preset", "fig3", "--tmax", "5", "--out", str(out)]) == 0
+        outs[how] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert outs["config"] == outs["flags"]
+    assert json.loads(outs["config"]["run.json"])["params"]["omega"] == 2.0
+
+
+def test_simulate_without_a_usable_initial_state_is_a_configuration_error(tmp_path, capsys):
+    for args, why in ((["--system", "circles", "--preset", "bogus"], "unknown preset 'bogus'"),
+                      (["--config", _inline_config(tmp_path, DRIFT)], "no initial condition")):
+        assert run(["simulate", *args, "--tmax", "1", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and why in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_an_explicit_box_equal_to_the_preset_window_gives_its_report(tmp_path):
+    args = ["analyze", "--system", "circles", "--check", "stability", "--gamma", "gamma1",
+            "--budget", "4", "--eps", "0.5", "--delta-shrinks", "1", "--tmax", "5"]
+    digests = []
+    for box in ("preset", "-1.5:1.5,-1.5:1.5,-1.5:1.5,-1:1", "-1:1,-1:1,-1:1,-1:1"):
+        out = tmp_path / f"box{len(digests)}"
+        assert run([*args, f"--box={box}", "--out", str(out)]) in (0, 1)  # a draw landed
+        digests.append(_dir_digest(out))
+    assert digests[0] == digests[1] != digests[2]
+
+
 def test_observer_param_override(tmp_path, capsys):
     out = tmp_path / "run"
     code = run(["simulate", "--system", "observer", "--preset", "fig3",
@@ -836,6 +872,15 @@ def test_a_run_spec_through_json_gives_the_pinned_report(name, tmp_path):
     out = tmp_path / "rep"
     write_report(out, *run_spec(json.loads(json.dumps(spec))))
     assert _dir_digest(out) == digest
+
+
+@pytest.mark.parametrize("key,value", [("sample_budget", 2.5), ("delta_shrinks", 1.5),
+                                       ("seed", 1.7), ("sample_budget", True)])
+def test_a_spec_with_a_non_integral_count_is_a_configuration_error(key, value):
+    spec = spec_from_args(_build_parser().parse_args(["analyze", "--system", "circles"]))
+    spec["query"][key] = value
+    with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value}"):
+        run_spec(spec)
 
 
 def test_a_hand_written_spec_with_an_unknown_check_is_a_configuration_error():

@@ -218,6 +218,12 @@ def test_config_validation():
         SolverConfig(j_max=0)
     with pytest.raises(ValueError):
         SolverConfig(rtol=0.0)
+    # counts are integers, never truncated, nor flags
+    for kw in ({"j_max": 2.5}, {"zeno_k": 1.5}, {"j_max": True}, {"zeno_k": np.float64(50.0)}):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
+            SolverConfig(**kw)
+    cfg = SolverConfig(j_max=np.int64(7), zeno_k=np.int32(9))
+    assert (cfg.j_max, cfg.zeno_k) == (7, 9) and type(cfg.j_max) is int
 
 
 def test_flow_exit_before_the_first_stored_sample():
