@@ -12,11 +12,12 @@ raises ConfigError.
 
 The checks of a reduction, chain or detectability report stand alone, and
 so do the draws of a campaign, so both run side by side in forked workers
-(``_fork_map``): a report's checks one per worker, and a campaign of
-_POOL_BUDGET or more draws in contiguous index ranges.  Both run inline on
-one CPU, inside a worker, so that pools never nest, and with an
-``arc_hook``; either way on one path, as ``_fork_map`` yields every task's
-result itself, and with the same report bytes.
+(``_fork_map``): a report's checks one per worker, and a campaign's draws
+in one contiguous index range per usable CPU, each of at least two full
+solve chunks.  Both run inline on one CPU, inside a worker, so that pools
+never nest, and with an ``arc_hook``; either way on one path, as
+``_fork_map`` yields every task's result itself, and with the same report
+bytes.
 """
 
 from __future__ import annotations
@@ -36,18 +37,13 @@ from .composition import OutputSystem, restrict
 from .core import HybridArc, HybridSystem, Termination, _jsonable, is_complete
 from .errors import ApproximateDistance, ChainNotNested, ConfigError
 from .geometry import ClosedSet, Window
-from .solver import Priority, SolverConfig, _integer, solve, solve_batch
+from .solver import Priority, SolverConfig, _integer, _real, solve, solve_batch
 
 _MAX_DRAW_TRIES = 80
 
 #: a campaign solves its draws in chunks of indices, doubling from 2 to 16
 _FIRST_CHUNK = 2
 _MAX_CHUNK = 16
-
-#: a campaign of at least _POOL_BUDGET draws is judged in _POOL_RANGES
-#: contiguous index ranges, in forked workers
-_POOL_BUDGET = 64
-_POOL_RANGES = 8
 
 #: points of each nested set checked to lie in the next one of a chain
 _NESTING_SAMPLES = 64
@@ -85,18 +81,16 @@ class PropertyQuery:
     arc_hook: Callable | None = None
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_grid)
-        if not eps or not all(0 < e < np.inf for e in eps) or list(eps) != sorted(eps):
-            raise ValueError("eps_grid must be finite, strictly positive and sorted")
+        eps = tuple(float(_real("eps_grid", e, 0)) for e in self.eps_grid)
+        if not eps or list(eps) != sorted(eps):
+            raise ValueError("eps_grid must be non-empty and sorted")
         object.__setattr__(self, "eps_grid", eps)
         for name, least in (("seed", None), ("sample_budget", 1), ("delta_shrinks", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        if not (np.isfinite(self.conv_tol) and self.conv_tol > 0):
-            raise ValueError("conv_tol must be finite and > 0")
+        _real("conv_tol", self.conv_tol, 0)
         for name in ("near_radius", "bound_radius"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+            if getattr(self, name) is not None:
+                _real(name, getattr(self, name), 0)
 
     def replace(self, **kw) -> "PropertyQuery":
         return _dc_replace(self, **kw)
@@ -423,12 +417,13 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
     (``_solved_draws``) but judged in index order, one by one, so the
     solves of a chunk after its violation are discarded unjudged.
 
-    From _POOL_BUDGET draws on, _POOL_RANGES contiguous index ranges are
-    judged side by side by ``_fork_map``, each up to its first violation,
-    unless ``_pool_size`` says inline (one range).  The lists of the one
-    function that judges a range are merged in index order up to the first
-    violation, so the result is the inline loop's, and a range that raised
-    in a worker raises at its own draw.
+    The budget is split into one contiguous index range per CPU that
+    ``_pool_size`` gives, but no more ranges than hold two full chunks
+    (2 * _MAX_CHUNK draws) each; two or more ranges are judged side by side
+    by ``_fork_map``, each up to its first violation, and one range inline.
+    The lists of the one function that judges a range are merged in index
+    order up to the first violation, so the result is the inline loop's,
+    and a range that raised in a worker raises at its own draw.
     """
     cfg, budget = query.solver, query.sample_budget
     worst = {c["type"]: (kept or {}).get(c["type"]) for c in clauses}
@@ -459,10 +454,9 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
                 break
         return out
 
-    workers = _pool_size(query.arc_hook is not None) if budget >= _POOL_BUDGET else 1
-    parts = _POOL_RANGES if workers >= 2 else 1
+    parts = max(1, min(_pool_size(query.arc_hook is not None), budget // (2 * _MAX_CHUNK)))
     ranges = [range(budget * k // parts, budget * (k + 1) // parts) for k in range(parts)]
-    with closing(_fork_map(lambda k: judged(ranges[k]), parts, workers)) as pooled:
+    with closing(_fork_map(lambda k: judged(ranges[k]), parts, parts)) as pooled:
         for x0, margins, bad, arc in itertools.chain.from_iterable(pooled):
             n_solved += 1
             for kind, m in margins:
@@ -740,14 +734,15 @@ def _bundle(scope: str, sys: HybridSystem, query: PropertyQuery,
     provenance, as in _report.
 
     The checks share no state and are seeded by their own keys, so they run
-    side by side in forked workers (``_fork_map``), up to one per check,
-    unless ``_pool_size`` says inline; the conclusions start first, because
-    the one on the unrestricted system is the longest check measured.  The
-    first declared check to raise raises its error, as it does inline.
+    side by side in forked workers (``_fork_map``), one per usable CPU and
+    never more than one per check, unless ``_pool_size`` says inline; the
+    conclusions start first, because the one on the unrestricted system is
+    the longest check measured.  The first declared check to raise raises
+    its error, as it does inline.
     """
     declared = [*sub.values(), *conclusions.values()]
-    workers = min(_pool_size(query.arc_hook is not None), len(declared))
-    reports = list(_fork_map(lambda i: declared[i](), len(declared), workers,
+    reports = list(_fork_map(lambda i: declared[i](), len(declared),
+                             _pool_size(query.arc_hook is not None),
                              first=range(len(sub), len(declared))))
     sub, conclusions = dict(zip(sub, reports)), dict(zip(conclusions, reports[len(sub):]))
 

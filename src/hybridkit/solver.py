@@ -64,6 +64,20 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def _real(name: str, value, above: float | None = None):
+    """``value`` itself: ValueError unless a real number, not a bool, finite and above ``above``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite or (above is not None and not value > above):
+        bound = "" if above is None else f" and > {above:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return value
+
+
 class Priority(enum.Enum):
     JUMP = "jump"
     FLOW = "flow"
@@ -94,15 +108,13 @@ class SolverConfig:
     store_max_dt: float = 0.05
 
     def __post_init__(self):
-        # the comparisons are False for NaN, and the upper bound rejects inf
         for field_name in ("t_max", "rtol", "atol", "event_tol", "tol_set",
                            "store_max_dt", "max_step"):
-            value = getattr(self, field_name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{field_name} must be finite and strictly positive")
+            if getattr(self, field_name) is not None:
+                _real(field_name, getattr(self, field_name), 0)
         for field_name in ("j_max", "zeno_k"):
             object.__setattr__(self, field_name, _integer(field_name, getattr(self, field_name), 1))
-        if not 0 <= self.zeno_dt_min < math.inf:
+        if _real("zeno_dt_min", self.zeno_dt_min) < 0:
             raise ValueError("invalid zeno window")
         if not isinstance(self.priority, Priority):
             object.__setattr__(self, "priority", Priority(self.priority))

@@ -33,6 +33,7 @@ from .geometry import (
     shell_set,
     union,
 )
+from .solver import _real
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,8 +64,10 @@ class ObserverParams:
 
     def __post_init__(self):
         for k, v in self.to_config().items():
-            if not math.isfinite(v):
-                raise InvalidParams(f"observer parameter {k} must be finite, got {v}")
+            try:
+                _real(f"observer parameter {k}", v)
+            except ValueError as exc:
+                raise InvalidParams(str(exc)) from None
         if not (0 < self.omega_m < self.omega < self.omega_M):
             raise InvalidParams("need 0 < omega_m < omega < omega_M")
         if not (0 < self.sigma < self.chi_m <= self.chi_M):
@@ -442,7 +445,13 @@ def _circles_system() -> HybridSystem:
                    name="toggle-plane")
 
     def flow(x):
-        return np.array([x[3] * x[1], -x[3] * x[0], x[0] ** 2 - x[2], 0.0])
+        # one read of the state; Python floats round as numpy's scalars do
+        x1, x2, x3, q = x.tolist()
+        try:
+            square = x1 ** 2  # libm's pow, as numpy's scalar power calls it
+        except OverflowError:  # where numpy's scalar power overflows to inf
+            square = math.inf
+        return np.array([q * x2, -q * x1, square - x3, 0.0])
 
     # a second map for rows: over x.T the one-state call is slower, and toggle makes many
     def flow_batch(x):
@@ -450,7 +459,8 @@ def _circles_system() -> HybridSystem:
         return np.stack([q * x2, -q * x1, x1 ** 2 - x3, np.zeros_like(q)], axis=1)
 
     def jump(x):
-        return np.array([x[0], x[1], 0.5 * x[2], -x[3]])
+        x1, x2, x3, q = x.tolist()
+        return np.array([x1, x2, 0.5 * x3, -q])
 
     def state_sampler(rng, n):
         pts = _CIRCLES_WINDOW.uniform(rng, n)

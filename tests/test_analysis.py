@@ -399,7 +399,10 @@ def test_witness_margin_is_the_worst_margin(cat):
     {"bound_radius": 0.0},
     # counts and seeds are integers, never truncated, nor flags
     {"sample_budget": 2.5}, {"delta_shrinks": 1.5}, {"seed": 1.7}, {"sample_budget": True},
-    {"seed": np.float64(3.0)}])
+    {"seed": np.float64(3.0)},
+    # real-valued settings are numbers, never flags
+    {"conv_tol": True}, {"near_radius": True}, {"bound_radius": True}, {"eps_grid": (True,)},
+    {"eps_grid": (0.25, np.True_)}, {"conv_tol": "1e-3"}])
 def test_query_rejects_non_finite_grids_and_radii(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
         PropertyQuery(**kw)
@@ -628,11 +631,15 @@ def test_campaign_reports_match_the_sequential_loop(case, tmp_path, monkeypatch)
         assert verdicts == {1}  # falsified at every seed
 
 
+#: the fewest draws a campaign splits: two ranges of two full solve chunks
+_SMALLEST_POOLED_BUDGET = 2 * 2 * analysis._MAX_CHUNK
+
+
 def _indexed_decay(monkeypatch, x0: dict):
     """A decaying line whose draw of index i is ``x0[i]``, else 0.5, with a
     flow map that raises at x >= 4 and a stability clause that x = 2
-    violates; returns a campaign of the pool's budget on it, with ``kw``
-    added to its query."""
+    violates; returns a campaign of the smallest pooled budget on it, with
+    ``kw`` added to its query."""
     def flow(x):
         if x[0] >= 4.0:
             raise DimensionMismatch("raised at its own draw")
@@ -642,7 +649,7 @@ def _indexed_decay(monkeypatch, x0: dict):
     monkeypatch.setattr(analysis, "_rng", lambda seed, *ctx: ctx[-1])
     monkeypatch.setattr(analysis, "_draw_initial",
                         lambda sys, i, *a: np.array([x0.get(i, 0.5)]))
-    query = PropertyQuery(solver=SolverConfig(t_max=2.0), sample_budget=analysis._POOL_BUDGET)
+    query = PropertyQuery(solver=SolverConfig(t_max=2.0), sample_budget=_SMALLEST_POOLED_BUDGET)
     clauses = [{"type": "stability_escape", "eps": 1.0}]
     return lambda **kw: analysis._campaign(sys, query.replace(**kw), "t", clauses,
                                            on={"gamma": point_set([0.0])})
@@ -927,10 +934,10 @@ def _recording_pids(monkeypatch, path: Path) -> Callable:
 
 @pytest.mark.parametrize("check", ["attractivity", "stability"])
 def test_a_pooled_campaign_reports_the_bytes_of_one_cpu(cat, check, monkeypatch, tmp_path):
-    # at the pool's budget the draws are judged in forked workers, at one CPU
-    # in this process; the report and the witness arc are byte for byte equal
+    # at the smallest pooled budget the draws are judged in forked workers, at
+    # one CPU in this process; the report and the witness arc are byte for byte equal
     fx = cat["circles"]
-    query = q_for(fx, sample_budget=analysis._POOL_BUDGET, seed=0,
+    query = q_for(fx, sample_budget=_SMALLEST_POOLED_BUDGET, seed=0,
                   solver=SolverConfig(t_max=10.0))
     run = {"attractivity": check_attractivity, "stability": check_stability}[check]
     taken = _recording_pids(monkeypatch, tmp_path / "pids")
@@ -952,8 +959,8 @@ def test_a_pooled_campaign_reports_the_bytes_of_one_cpu(cat, check, monkeypatch,
 
 
 @pytest.mark.parametrize("x0,first", [
-    ({13: 2.0, 40: 2.0}, 13),  # inside the second range, and in a later one
-    ({8: 2.0, 9: 5.0}, 8),     # at a range's start, a raise after it discarded
+    ({13: 2.0, 40: 2.0}, 13),  # inside the first range, and in the second
+    ({8: 2.0, 9: 5.0}, 8),     # a raise right after it, in its chunk, discarded
     ({13: 2.0, 60: 5.0}, 13),  # a later range raises, and is cancelled or discarded
 ])
 def test_a_pooled_campaign_stops_at_the_first_violation_of_one_cpu(monkeypatch, x0, first):
@@ -971,7 +978,7 @@ def test_a_pooled_campaign_stops_at_the_first_violation_of_one_cpu(monkeypatch, 
 
 @pytest.mark.parametrize("x0", [
     {21: 5.0},            # a range raises, none before it violates
-    {21: 5.0, 30: 2.0},   # it raises before a later range's violation
+    {21: 5.0, 40: 2.0},   # it raises before a later range's violation
     {22: 2.0, 21: 5.0},   # it raises before its own violation
 ])
 def test_a_pooled_range_that_raises_raises_at_its_own_draw(monkeypatch, x0):
@@ -988,6 +995,39 @@ def test_a_pooled_range_that_raises_raises_at_its_own_draw(monkeypatch, x0):
     assert hooked == [0.5] * 21
 
 
+@pytest.mark.parametrize("budget,ranges", [
+    (63, (1, 1, 1, 1)),    # fewer than two ranges of two full chunks: inline
+    (64, (1, 2, 2, 2)),
+    (100, (1, 2, 3, 3)),
+    (130, (1, 2, 3, 4)),
+])
+@pytest.mark.parametrize("violated", [False, True])
+def test_a_campaign_takes_one_range_per_cpu_of_two_full_chunks_at_least(
+        monkeypatch, tmp_path, budget, ranges, violated):
+    # ``ranges`` at 1, 2, 3 and 4 CPUs, counted by the processes the ranges
+    # are judged in; a draw of index i starts at 0.5, bar one inside the last
+    # range at every CPU count, which leaves the bound radius
+    sys = HybridSystem(1, full_space(1), lambda x: -x, empty_set(1), lambda x: x, name="decay")
+    monkeypatch.setattr(analysis, "_rng", lambda seed, *ctx: ctx[-1])
+    monkeypatch.setattr(analysis, "_draw_initial", lambda sys, i, *a: np.array(
+        [2.0 if violated and i == budget - 2 else 0.5]))
+    query = PropertyQuery(solver=SolverConfig(t_max=2.0, max_step=1.0), sample_budget=budget,
+                          bound_radius=1.0)
+    taken = _recording_pids(monkeypatch, tmp_path / "pids")
+    runs = []
+    for cpus, n in zip((1, 2, 3, 4), ranges):
+        _on_cpus(monkeypatch, cpus)
+        rep = check_boundedness(sys, query)
+        runs.append((json.dumps(rep.to_json_dict()),
+                     rep.witness.to_csv() if rep.witness is not None else None))
+        pids = taken()
+        _assert_no_children()
+        assert len(pids) == n and (str(os.getpid()) in pids) == (n == 1), cpus
+    assert all(run == runs[0] for run in runs)
+    assert (runs[0][1] is not None) == violated
+    assert json.loads(runs[0][0])["measured"]["n_total"] == (budget - 1 if violated else budget)
+
+
 def test_a_hooked_campaign_runs_inline_and_hands_its_hook_every_x0(cat, monkeypatch,
                                                                    tmp_path):
     fx = cat["circles"]
@@ -996,13 +1036,13 @@ def test_a_hooked_campaign_runs_inline_and_hands_its_hook_every_x0(cat, monkeypa
     for cpus in (2, 1):
         _on_cpus(monkeypatch, cpus)
         seen: list = []
-        query = q_for(fx, sample_budget=analysis._POOL_BUDGET, seed=0,
+        query = q_for(fx, sample_budget=_SMALLEST_POOLED_BUDGET, seed=0,
                       solver=SolverConfig(t_max=10.0),
                       arc_hook=lambda sys, arc: seen.append(arc.meta["x0"]))
         check_attractivity(fx.system, fx.gammas["gamma1"], query)
         x0s[cpus] = seen
         assert taken() == {str(os.getpid())}
-    assert len(x0s[2]) == analysis._POOL_BUDGET and x0s[2] == x0s[1]
+    assert len(x0s[2]) == _SMALLEST_POOLED_BUDGET and x0s[2] == x0s[1]
 
 
 def test_a_pooled_analyze_leaves_multiprocessing_and_concurrent_futures_unimported(tmp_path):

@@ -177,9 +177,16 @@ def test_non_finite_solver_values_are_configuration_errors(tmp_path, capsys):
     ('{"system": {"dim": 1, "params": {}}}', "unknown inline system key(s) ['params']"),
     ('{"system": "circles", "solver": {"j_max": 2.5}}', "j_max must be an integer, got 2.5"),
     ('{"system": "circles", "solver": {"zeno_k": 1.5}}', "zeno_k must be an integer, got 1.5"),
+    ('{"system": "circles", "solver": {"rtol": true}}', "rtol must be a real number, got True"),
+    ('{"system": "circles", "solver": {"max_step": true}}',
+     "max_step must be a real number, got True"),
+    ('{"system": "circles", "solver": {"zeno_dt_min": false}}',
+     "zeno_dt_min must be a real number, got False"),
+    ('{"system": {"fixture": "observer", "params": {"chi_M": true}}}',
+     "observer parameter chi_M must be a real number, got True"),
 ], ids=["not-an-object", "params", "solver", "flow-set", "priority", "coords-constraints",
         "box-bounds", "top-level-key", "fixture-block-key", "inline-key", "inline-params",
-        "j_max", "zeno_k"])
+        "j_max", "zeno_k", "rtol-bool", "max_step-bool", "zeno_dt_min-bool", "observer-bool"])
 def test_malformed_config_files_are_configuration_errors(text, why, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

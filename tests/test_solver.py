@@ -224,6 +224,14 @@ def test_config_validation():
             SolverConfig(**kw)
     cfg = SolverConfig(j_max=np.int64(7), zeno_k=np.int32(9))
     assert (cfg.j_max, cfg.zeno_k) == (7, 9) and type(cfg.j_max) is int
+    # real-valued settings are numbers, never flags, and are kept as given
+    for name in ("t_max", "rtol", "atol", "max_step", "event_tol", "zeno_dt_min", "tol_set",
+                 "store_max_dt"):
+        for bad in (True, np.True_, "1", math.nan, math.inf, 10 ** 400):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
+    cfg = SolverConfig(t_max=np.float32(2.5), rtol=np.int64(1), zeno_dt_min=0)
+    assert (type(cfg.t_max), type(cfg.rtol), type(cfg.zeno_dt_min)) == (np.float32, np.int64, int)
 
 
 def test_flow_exit_before_the_first_stored_sample():

@@ -4,6 +4,7 @@ and residual functions, bump function, per-fixture smoke runs."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +42,9 @@ def test_observer_params_validation():
         ObserverParams(lam=1.0)
     for bad in ({"chi_M": math.inf}, {"omega_M": math.inf}, {"lam": math.nan}):
         with pytest.raises(InvalidParams, match="must be finite"):
+            ObserverParams(**bad)
+    for bad in ({"chi_M": True}, {"lam": False}, {"omega": "1.5"}):
+        with pytest.raises(InvalidParams, match=f"{next(iter(bad))} must be a real number"):
             ObserverParams(**bad)
     p = ObserverParams()
     assert p.t_min < PERIOD < p.t_max_period
@@ -294,9 +298,9 @@ def test_every_catalog_fixture_declares_a_batched_flow_map_equal_to_its_flow_map
 
 
 def test_only_the_named_fixtures_keep_a_separate_batched_flow_map(cat):
-    # observer: its tolist() read is the fast one-state path; circles and
-    # polar: written over x.T, their one-state calls are slower; cascade-ex1:
-    # its spec's blocks take one state
+    # observer and circles: their tolist() read is the fast one-state path;
+    # polar: written over x.T, its one-state call is slower; cascade-ex1: its
+    # spec's blocks take one state
     separate = {name for name, fx in cat.items()
                 if fx.system.flow_map_batch is not fx.system.flow_map}
     assert separate == {"observer", "circles", "polar", "cascade-ex1"}
@@ -319,6 +323,30 @@ def test_observer_flow_map_keeps_the_bits_of_numpy_scalar_arithmetic(obs_params)
         ref = np.array([reference(row) for row in x])
     got = np.array([flow(row) for row in x])
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_circles_one_state_maps_keep_the_bits_of_numpy_scalar_arithmetic(cat):
+    # the maps before they read their state once, as a reference
+    def reference_flow(x):
+        return np.array([x[3] * x[1], -x[3] * x[0], x[0] ** 2 - x[2], 0.0])
+
+    def reference_jump(x):
+        return np.array([x[0], x[1], 0.5 * x[2], -x[3]])
+
+    sys = cat["circles"].system
+    gen = np.random.default_rng(11)
+    x = gen.uniform(-1.0, 1.0, (20000, 4)) * 10.0 ** gen.uniform(-5.0, 5.0, (20000, 4))
+    x[::2, 3] = np.sign(x[::2, 3])  # the flag's own values, and any other
+    # every coordinate at zeros, subnormals, infinities, NaNs and a square that overflows
+    special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -1.5, 1e200]
+    x = np.concatenate([x, np.array(list(itertools.product(special, repeat=4)))])
+    for new, reference in ((sys.flow_map, reference_flow), (sys.jump_map, reference_jump)):
+        with np.errstate(all="ignore"):
+            ref = np.array([reference(row) for row in x])
+        got = np.array([new(row) for row in x])
+        # bit for bit, every NaN read as one: a product of two NaNs may carry either's sign
+        ref[np.isnan(ref)] = got[np.isnan(got)] = np.nan
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), new.__name__
 
 
 def test_observer_targets_project_a_zero_plant_state_onto_the_inner_circle(obs_params):
