@@ -800,7 +800,7 @@ def recursive_reduction_report(sys: HybridSystem, chain: list[ClosedSet],
     """Chain reduction: pairwise relative (G)AS along nested targets, plus
     boundedness at global scope, against the conclusion on the innermost set."""
     if not chain:
-        raise ValueError("empty chain")
+        raise ConfigError("empty chain: a chain names one target set or more")
     # sampled nesting check, before any other
     rng = _rng(query.seed, "nest")
     for i in range(len(chain) - 1):

@@ -62,10 +62,20 @@ def _say(line: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: the keys a run configuration file may hold: at its top level, in a catalog
-#: fixture's system block, and in an inline system block
-_CONFIG_KEYS = {"config": ("system", "solver"), "fixture block": ("fixture", "params"),
-                "inline system": ("name", "dim", "flow", "jump", "flow_set", "jump_set")}
+#: the keys of a config file and of a run record (``run.json``, a witness's
+#: metadata) at the top level, and of a fixture's and an inline system block
+_KEYS = {"config": ("system", "solver"),
+         "record": ("schema_version", "system", "solver", "x0", "termination", "n_jumps",
+                    "t_end", "clause", "gamma", "gamma2", "check_tol"),
+         "fixture block": ("fixture", "params"),
+         "inline system": ("name", "dim", "flow", "jump", "flow_set", "jump_set")}
+
+
+def _refuse_unknown_keys(node: dict, where: str, source: str = "") -> None:
+    unknown = sorted(set(node) - set(_KEYS[where]))
+    if unknown:
+        raise ConfigError(f"{source}unknown {where} key(s) {unknown}; "
+                          f"allowed: {', '.join(_KEYS[where])}")
 
 
 def _load_config(path: str) -> dict:
@@ -75,16 +85,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} is not a JSON object")
-    block = cfg.get("system")
-    kind = "fixture block" if isinstance(block, dict) and "fixture" in block else "inline system"
-    for where, node in (("config", cfg), (kind, block)):
-        unknown = sorted(set(node) - set(_CONFIG_KEYS[where])) if isinstance(node, dict) else []
-        if unknown:
-            raise ConfigError(f"config {path}: unknown {where} key(s) {unknown}; "
-                              f"allowed: {', '.join(_CONFIG_KEYS[where])}")
-    params = block.get("params", {}) if kind == "fixture block" else {}
-    if not isinstance(params, dict):
-        raise ConfigError(f"system params must be a JSON object, got {params!r}")
+    _refuse_unknown_keys(cfg, "config", f"config {path}: ")
     if not isinstance(cfg.get("solver", {}), dict):
         raise ConfigError(f"solver configuration must be a JSON object, got {cfg['solver']!r}")
     return cfg
@@ -153,41 +154,46 @@ def _system_from_inline(spec: dict):
 def _run_inputs(args) -> dict:
     """A run's system block and solver block: the config file's, with
     ``--system``, ``--param``, ``--tmax`` and ``--jmax`` applied."""
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = {} if args.config is None else _load_config(args.config)
     block = cfg.get("system")
-    if args.system and block is not None:
+    if args.system is not None and block is not None:
         raise ConfigError(f"--system {args.system!r} and the system block of config "
                           f"{args.config} both name a system; give one of them")
-    name = args.system or (block if isinstance(block, str) else None)
-    if name is None and isinstance(block, dict) and "fixture" in block:
-        name = block["fixture"]
-    if name is not None:
-        params = dict(block.get("params", {})) if isinstance(block, dict) else {}
-        for kv in args.param or ():
+    if args.system is not None or isinstance(block, str):
+        block = {"fixture": block if args.system is None else args.system}
+    if block is None:
+        raise ConfigError("no system given: use --system NAME or a config file")
+    if args.param:
+        if not (isinstance(block, dict) and "fixture" in block):
+            raise ConfigError("--param sets catalog fixture parameters; "
+                              "an inline system takes none")
+        params = block.get("params", {})
+        for kv in args.param if isinstance(params, dict) else ():  # else _resolve refuses it
             k, eq, v = kv.partition("=")
             if not eq:
                 raise ConfigError(f"--param needs key=value, got {kv!r}")
             try:
-                params[k] = float(v)
+                params = {**params, k: float(v)}
             except ValueError:
                 raise ConfigError(f"--param {kv!r}: value is not a number") from None
-        block = {"fixture": name, "params": params}
-    elif not isinstance(block, dict):
-        raise ConfigError("no system given: use --system NAME or a config file")
-    elif args.param:
-        raise ConfigError("--param sets catalog fixture parameters; "
-                          "an inline system takes none")
+        block = {**block, "params": params}
     horizon = {"t_max": args.tmax, "j_max": args.jmax}
     solver = {**cfg.get("solver", {}), **{k: v for k, v in horizon.items() if v is not None}}
     return {"system": block, "solver": solver}
 
 
 def _resolve(spec: dict) -> tuple[Fixture | None, object, SolverConfig]:
-    """(fixture | None, system, solver configuration) of a run: the one place
-    a system block becomes a system and a fixture's ``solver_overrides`` apply."""
-    block = spec["system"]
+    """(fixture | None, system, solver configuration) of a run: the one place a
+    system block (a catalog name, a fixture block or an inline system) is
+    checked and becomes a system, and a fixture's ``solver_overrides`` apply."""
+    block = {"fixture": spec["system"]} if isinstance(spec["system"], str) else spec["system"]
+    if not isinstance(block, dict):
+        raise ConfigError(f"a system block is a catalog name or a JSON object, got {block!r}")
     if "fixture" in block:
+        _refuse_unknown_keys(block, "fixture block")
         name, params = block["fixture"], block.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"system params must be a JSON object, got {params!r}")
         try:
             observer = ObserverParams(**params) if name == "observer" and params else None
         except (TypeError, HybridkitError) as exc:
@@ -201,11 +207,24 @@ def _resolve(spec: dict) -> tuple[Fixture | None, object, SolverConfig]:
         fixture = cat[name]
         system, base = fixture.system, fixture.solver_overrides
     else:
+        _refuse_unknown_keys(block, "inline system")
         fixture, system, base = None, _system_from_inline(block), {}
     try:
         return fixture, system, SolverConfig(**{**base, **spec["solver"]})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver configuration: {exc}") from exc
+
+
+def _record(fixture: Fixture | None, spec: dict) -> dict:
+    """The system block a run record keeps for ``_resolve``: a fixture's with
+    every parameter, an inline system's as given."""
+    return {"fixture": fixture.name, "params": fixture.params} if fixture else spec["system"]
+
+
+def _write_record(path: Path, system: dict, **fields) -> None:
+    """Writes a run record: the run's system block and ``fields``."""
+    _write(path, json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "system": system,
+                             **fields}, indent=1))
 
 
 def _resolve_gamma(fixture: Fixture | None, token: str, dim: int) -> ClosedSet:
@@ -284,7 +303,8 @@ def _fig3_panels(arc: HybridArc) -> dict[str, str]:
 
 
 def cmd_simulate(args) -> int:
-    fixture, system, scfg = _resolve(_run_inputs(args))
+    spec = _run_inputs(args)
+    fixture, system, scfg = _resolve(spec)
     x0 = _parse_x0(fixture, args, system.dim)
     if args.tracks is not None:
         if fixture is None or fixture.name != "observer":
@@ -311,19 +331,9 @@ def cmd_simulate(args) -> int:
         _write(out / "arc.json", arc.to_json())
     if args.format in ("csv", "both"):
         _write(out / "arc.csv", arc.to_csv())
-    meta = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "system": system.name,
-        "x0": x0.tolist(),
-        "termination": arc.termination.value,
-        "n_jumps": arc.n_jumps,
-        "t_end": arc.final_time()[0],
-        "solver": scfg.to_config(),
-    }
-    if fixture is not None:
-        meta["fixture"] = fixture.name
-        meta["params"] = fixture.params
-    _write(out / "run.json", json.dumps(meta, indent=1))
+    _write_record(out / "run.json", _record(fixture, spec), x0=x0.tolist(),
+                  termination=arc.termination.value, n_jumps=arc.n_jumps,
+                  t_end=arc.final_time()[0], solver=scfg.to_config())
 
     if args.tracks is not None:
         for name, text in _fig3_panels(arc).items():
@@ -354,49 +364,47 @@ def spec_from_args(args) -> dict:
     that the run reads, the config file's content included.  Raises the
     argument errors seen before any system is built."""
     check = args.check or "stability"
-    if args.reduce_chain and (args.check, args.gamma) != (None, None):
+    chained = args.reduce_chain is not None
+    if chained and (args.check, args.gamma) != (None, None):
         raise ConfigError("--check and --gamma do not apply to --reduce-chain, which runs "
                           "the chain report on the sets it names")
-    if args.gamma2 is not None and (args.reduce_chain or check not in _OUTER):
+    if args.gamma2 is not None and (chained or check not in _OUTER):
         raise ConfigError(f"--gamma2 is read only by --check {', '.join(_OUTER)}")
     try:
-        eps = [float(e) for e in args.eps.split(",")] if args.eps else [0.25, 0.5, 1.0]
+        eps = [0.25, 0.5, 1.0] if args.eps is None else [float(e) for e in args.eps.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --eps {args.eps!r}: {exc}") from exc
     return {**_run_inputs(args), "box": args.box,
             "query": {"eps_grid": eps, "sample_budget": args.budget, "conv_tol": args.conv_tol,
                       "seed": args.seed, "delta_shrinks": args.delta_shrinks,
                       "near_radius": args.r},
-            "check": {"name": "reduction" if args.reduce_chain else check,
+            "check": {"name": "reduction" if chained else check,
                       "gamma": args.gamma, "gamma2": args.gamma2, "scope": args.scope,
-                      "chain": args.reduce_chain.split(",") if args.reduce_chain else None}}
+                      "chain": args.reduce_chain.split(",") if chained else None}}
 
 
 def run_spec(spec: dict) -> tuple[str, object, dict]:
     """Builds and runs the analysis a run spec describes, from the spec alone.
-    Returns the report's name, the report, and what its witness metadata
-    records of the system."""
+    Returns the report's name, the report, and its records' system block."""
     check = spec["check"]
     name, scope = check["name"], check["scope"]
     if name not in CHECKS:
         raise ConfigError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
     fixture, system, scfg = _resolve(spec)
     window = _resolve_window(spec["box"], fixture, system.dim)
-    about = {"system": fixture.name, "params": fixture.params} if fixture is not None \
-        else {"system": "inline"}
     try:
         query = PropertyQuery(**spec["query"], window=window, solver=scfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad analysis query: {exc}") from exc
 
-    if check["chain"]:
+    if check["chain"] is not None:
         chain = [_resolve_gamma(fixture, n, system.dim) for n in check["chain"]]
         return name, recursive_reduction_report(system, chain, query,
-                                                scope=scope or "local"), about
+                                                scope=scope or "local"), _record(fixture, spec)
     if name == "detectability" and (fixture is None or fixture.output is None):
         raise ConfigError("--check detectability needs a fixture with an output map")
-    g1 = _resolve_gamma(fixture, check["gamma"] or "gamma1", system.dim)
-    g2 = lambda: _resolve_gamma(fixture, check["gamma2"] or "gamma2", system.dim)
+    g = lambda name, default: _resolve_gamma(fixture, default if name is None else name, system.dim)
+    g1, g2 = g(check["gamma"], "gamma1"), lambda: g(check["gamma2"], "gamma2")
     if name == "reduction":
         rep = reduction_report(system, g1, g2(), query, scope=scope or "local")
     elif name == "detectability":
@@ -410,12 +418,12 @@ def run_spec(spec: dict) -> tuple[str, object, dict]:
             system, g1, g2(), query.radius, query)
     else:
         name, rep = "invariance", check_invariance(system, g1, name.split("-")[0], query)
-    return name, rep, about
+    return name, rep, _record(fixture, spec)
 
 
-def write_report(out: Path, name: str, rep, about: dict) -> int:
+def write_report(out: Path, name: str, rep, system: dict) -> int:
     """Writes a report, its summary and each falsified check's witness arc and
-    metadata, which records ``about``, under ``out``; returns the exit code."""
+    metadata (a run record of ``system``) under ``out``; returns the exit code."""
     d = rep.to_json_dict()
     # (check, its JSON node, its witness tag) for every check the report holds
     walk = [(rep, d, name)] if isinstance(rep, AnalysisReport) else [
@@ -428,18 +436,10 @@ def write_report(out: Path, name: str, rep, about: dict) -> int:
         # relative to the report directory so --seed pins files byte-for-byte
         node["witness_path"] = f"witness_{tag}.csv"
         _write(out / node["witness_path"], sub.witness.to_csv())
-        meta = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "clause": sub.witness_clause,
-            "termination": sub.witness.termination.value,
-            "solver": sub.witness.meta.get("config"),
-            "x0": sub.witness.meta.get("x0"),
-            "gamma": sub.provenance.get("target"),
-            "gamma2": sub.provenance.get("relative_to"),
-            "check_tol": WITNESS_CHECK_TOL,
-            **about,
-        }
-        _write(out / f"witness_{tag}.json", json.dumps(meta, indent=1))
+        _write_record(out / f"witness_{tag}.json", system, clause=sub.witness_clause,
+                      termination=sub.witness.termination.value, x0=sub.witness.meta.get("x0"),
+                      solver=sub.witness.meta.get("config"), gamma=sub.provenance.get("target"),
+                      gamma2=sub.provenance.get("relative_to"), check_tol=WITNESS_CHECK_TOL)
     falsified = not all(sub.consistent for sub, _, _ in walk)
 
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "reports": {name: d}}
@@ -461,7 +461,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_replay(args) -> int:
     arc_path = Path(args.arc)
-    meta_path = Path(args.meta) if args.meta else arc_path.with_suffix(".json")
+    meta_path = arc_path.with_suffix(".json") if args.meta is None else Path(args.meta)
     read = lambda path: json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     try:
         arc_text = arc_path.read_text(encoding="utf-8")
@@ -476,6 +476,7 @@ def cmd_replay(args) -> int:
         return EXIT_CONFIG
     if not isinstance(meta, dict):
         raise ConfigError(f"metadata {meta_path} is not a JSON object")
+    _refuse_unknown_keys(meta, "record", f"metadata {meta_path}: ")
     try:
         arc = HybridArc.from_csv(arc_text, termination=meta.get("termination"))
     except HybridkitError as exc:
@@ -484,9 +485,8 @@ def cmd_replay(args) -> int:
 
     # the run's solver settings: its tol_set for the checker, all of them to regenerate
     solver = meta.get("solver")
-    fixture, system, scfg = _resolve({
-        "system": {"fixture": meta.get("system"), "params": meta.get("params", {})},
-        "solver": {} if solver is None else solver})
+    fixture, system, scfg = _resolve({"system": meta.get("system"),
+                                      "solver": {} if solver is None else solver})
     tol = meta.get("check_tol", WITNESS_CHECK_TOL)
     try:
         violations = check_is_solution(system, arc, float(tol), scfg.tol_set)
@@ -502,7 +502,7 @@ def cmd_replay(args) -> int:
         gamma = _resolve_gamma(fixture, gname, system.dim) if gname else None
         g2 = _resolve_gamma(fixture, g2name, system.dim) if g2name else None
         try:
-            reproduced = replay_clause(arc, clause, gamma, g2, output=fixture.output)
+            reproduced = replay_clause(arc, clause, gamma, g2, output=fixture and fixture.output)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot replay witness clause {clause!r}: {exc}") from exc
         _say(f"violation reproduced: {reproduced}")

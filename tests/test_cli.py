@@ -18,8 +18,8 @@ from conftest import assert_same_text
 
 import hybridkit
 from hybridkit.analysis import clause_margin
-from hybridkit.cli import (_build_parser, _resolve_gamma, _system_from_inline, main, run_spec,
-                           spec_from_args, write_report)
+from hybridkit.cli import (_build_parser, _resolve, _resolve_gamma, _system_from_inline, main,
+                           run_spec, spec_from_args, write_report)
 from hybridkit.core import HybridArc, HybridSystem, Termination, check_is_solution
 from hybridkit.errors import ConfigError
 from hybridkit.geometry import coords_set, empty_set
@@ -120,6 +120,13 @@ def test_simulate_rejects_bad_input(tmp_path):
     ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2", "--gamma", "gamma1"],
     ["simulate", "--system", "observer", "--preset", "fig3", "--param", "chi_M=inf"],
     ["simulate", "--system", "observer", "--preset", "fig3", "--param", "omega_M=inf"],
+    # an empty value is refused, not read as the flag's absence
+    ["analyze", "--system", "sigma-bump", "--eps="],
+    ["analyze", "--system", "sigma-bump", "--gamma="],
+    ["analyze", "--system", "sigma-bump", "--reduce-chain="],
+    ["analyze", "--system", "sigma-bump", "--check", "local-stability-near", "--gamma2="],
+    ["simulate", "--config", "DRIFT", "--x0", "1", "--system", ""],
+    ["simulate", "--system", "circles", "--config", ""],
 ])
 def test_bad_arguments_are_configuration_errors(args, tmp_path, capsys):
     cfg = _inline_config(tmp_path, DRIFT)
@@ -286,9 +293,11 @@ def test_replay_witness_reproduces(tmp_path):
     code = run(["replay", "--arc", str(out / "witness_attractivity.csv"),
                 "--meta", str(out / "witness_attractivity.json")])
     assert code == 0
+    # an empty --meta names no file; it does not fall back to the default
+    assert run(["replay", "--arc", str(out / "witness_attractivity.csv"), "--meta="]) == 2
 
 
-def test_replay_corrupted_csv_fails_cleanly(tmp_path):
+def test_replay_corrupted_csv_fails_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,j,x_1,event\n0,0,1,flow\n0,7,2,jump\n")
     assert run(["replay", "--arc", str(bad)]) == 2
@@ -302,7 +311,7 @@ def test_replay_corrupted_csv_fails_cleanly(tmp_path):
     meta = tmp_path / "meta.json"
     for bad_meta in ({"system": "circles", "termination": "bogus"},
                      {"system": "circles", "x0": x0, "solver": {"t_max": -1}},
-                     {"system": "observer", "params": {"foo": 1}},
+                     {"system": {"fixture": "observer", "params": {"foo": 1}}},
                      {"system": "observer"},  # a 4-column arc, dim 7
                      {"system": "circles", "x0": [1, 2], "solver": {}},
                      {"system": "circles", "check_tol": math.nan},
@@ -310,10 +319,15 @@ def test_replay_corrupted_csv_fails_cleanly(tmp_path):
                      {"system": "circles", "check_tol": "abc"},
                      {"system": "circles", "clause": {"type": "bogus"}},
                      {"system": ["circles"]},
+                     {"system": 5},
+                     {"termination": "CompleteByHorizonT"},  # no system at all
                      {"system": "circles", "x0": ["a"], "solver": {}},
                      ["circles"]):
         meta.write_text(json.dumps(bad_meta))
         assert run(["replay", "--arc", str(good), "--meta", str(meta)]) == 2
+        err = capsys.readouterr().err
+        if isinstance(bad_meta, dict) and not isinstance(bad_meta.get("system"), (str, dict)):
+            assert "a system block is a catalog name or a JSON object" in err
     meta.write_text('{"system": "circles"')  # not JSON
     assert run(["replay", "--arc", str(good), "--meta", str(meta)]) == 2
 
@@ -383,7 +397,8 @@ def test_replay_refuses_parameters_its_fixture_does_not_take(tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["simulate", "--system", "circles", "--out", str(out)]) == 0
     meta = json.loads((out / "run.json").read_text())
-    (out / "run.json").write_text(json.dumps({**meta, "params": {"foo": 1}}))
+    (out / "run.json").write_text(json.dumps({**meta, "system": {**meta["system"],
+                                                                 "params": {"foo": 1}}}))
     capsys.readouterr()
     assert run(["replay", "--arc", str(out / "arc.csv")]) == 2
     err = capsys.readouterr().err
@@ -601,7 +616,7 @@ def test_a_fixture_block_of_a_config_file_runs_as_the_system_flag_does(tmp_path)
         assert run(["simulate", *args, "--preset", "fig3", "--tmax", "5", "--out", str(out)]) == 0
         outs[how] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
     assert outs["config"] == outs["flags"]
-    assert json.loads(outs["config"]["run.json"])["params"]["omega"] == 2.0
+    assert json.loads(outs["config"]["run.json"])["system"]["params"]["omega"] == 2.0
 
 
 def test_simulate_without_a_usable_initial_state_is_a_configuration_error(tmp_path, capsys):
@@ -662,14 +677,60 @@ def test_analyze_with_no_draw_in_cd_exits_config(tmp_path):
     assert not (out / "report.json").exists()
 
 
-def test_replay_of_inline_witness_exits_config(tmp_path, capsys):
+def test_replay_of_an_inline_witness_reproduces(tmp_path, capsys):
     out = tmp_path / "rep"
     assert run(["analyze", "--config", _inline_config(tmp_path, DRIFT),
                 "--check", "strong-invariance", "--gamma", "origin",
                 "--budget", "2", "--tmax", "1", "--out", str(out)]) == 1
+    assert json.loads((out / "witness_invariance.json").read_text())["system"] == DRIFT
     capsys.readouterr()
-    assert run(["replay", "--arc", str(out / "witness_invariance.csv")]) == 2
-    assert "names no catalog fixture" in capsys.readouterr().err
+    assert run(["replay", "--arc", str(out / "witness_invariance.csv")]) == 0
+    assert "violation reproduced: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["decay", "contraction"])  # the catalog's contraction has A = -1
+def test_an_inline_run_replays_against_its_own_system(name, tmp_path, capsys):
+    system = {"name": name, "dim": 1, "flow": {"affine": {"A": [[-2.0]]}}}
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", _inline_config(tmp_path, system), "--x0", "1",
+                "--tmax", "2", "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["system"] == system
+    capsys.readouterr()
+    assert run(["replay", "--arc", str(out / "arc.csv")]) == 0
+    text = capsys.readouterr().out
+    assert "check_is_solution: clean" in text
+    assert "bitwise match after regeneration: True" in text
+
+
+@pytest.mark.parametrize("args", [
+    ["--system", "observer", "--param", "omega=2.0", "--preset", "fig3", "--tmax", "3"],
+    ["--config", "DRIFT", "--x0", "0.5", "--tmax", "2"],
+], ids=["observer-fig3", "inline"])
+def test_a_run_records_blocks_form_a_config_file_that_reruns_it(args, tmp_path):
+    cfg = _inline_config(tmp_path, DRIFT)
+    first = tmp_path / "first"
+    assert run(["simulate", *[cfg if a == "DRIFT" else a for a in args],
+                "--out", str(first)]) == 0
+    record = json.loads((first / "run.json").read_text())
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps({k: record[k] for k in ("system", "solver")}))
+    second = tmp_path / "second"
+    assert run(["simulate", "--config", str(again), "--x0", ",".join(map(repr, record["x0"])),
+                "--out", str(second)]) == 0
+    for name in ("arc.csv", "run.json"):
+        assert_same_text((first / name).read_bytes(), (second / name).read_bytes())
+
+
+@pytest.mark.parametrize("old", [{"params": {}}, {"fixture": "circles"}])
+def test_replay_refuses_a_record_of_the_old_layout(old, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--system", "circles", "--out", str(out)]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    (out / "run.json").write_text(json.dumps({**meta, "system": "circles", **old}))
+    capsys.readouterr()
+    assert run(["replay", "--arc", str(out / "arc.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown record key(s) {sorted(old)}" in err
 
 
 _POOLED_CIRCLES = ["analyze", "--system", "circles", "--gamma", "gamma1", "--scope", "global",
@@ -741,11 +802,11 @@ PINNED_RUNS = {
     "stability": (
         ["--system", "circles", "--check", "stability", "--gamma", "gamma1",
          "--budget", "6", "--tmax", "20", "--seed", "9"],
-        "9e826d15ee721415518b2a3796a16c5783f7ae0cf2b82296734f7ca2bd2b08aa"),
+        "2a722af39f9bb3026a127436614795f91e63ffdca1e94a86166f3705b2285e51"),
     "attractivity": (
         ["--system", "limit-circles", "--check", "attractivity",
          "--gamma", "x2x3-axis", "--budget", "4", "--tmax", "30", "--seed", "3"],
-        "36dedb1c45747bdc70be31a2705f5605d1f7fc9fd22b0c71e7354458e8680cbd"),
+        "0714164ef8724303ff3415aeb442f04f6e5e0ddf8a05e8d7c0af10667771733e"),
     "local-stability-near": (
         ["--system", "sigma-bump", "--check", "local-stability-near",
          "--gamma", "gamma1", "--gamma2", "gamma2", "--budget", "4",
@@ -758,36 +819,36 @@ PINNED_RUNS = {
     "weak-invariance": (  # falsified under both priorities
         ["--config", "DRIFT", "--check", "weak-invariance", "--gamma", "origin",
          "--budget", "4", "--tmax", "2", "--seed", "11"],
-        "f135463245dc151e47f7a67177cf7c15b0c06aebccec318def7f756347771229"),
+        "d8c404f9b7115c83d2d7ca67f3abaa54dea1a96413390722b9945574928d9a45"),
     "reduction": (
         ["--system", "settle-line", "--check", "reduction", "--gamma", "origin",
          "--gamma2", "gamma2", "--budget", "3", "--tmax", "10", "--eps", "0.5",
          "--delta-shrinks", "2", "--seed", "13"],
-        "3fe948774e6a7c507de50ad0ceba318ecf9784c188010a43762f8631d9c3cf41"),
+        "1e5d9ce78d0d1b6de23bb24f046767ea50fb82cf50fa1898aed796df3ac45453"),
     "reduction-global": (
         ["--system", "sigma-bump", "--check", "reduction", "--scope", "global",
          "--budget", "4", "--tmax", "10", "--eps", "0.25,0.5",
          "--delta-shrinks", "2", "--seed", "13"],
-        "4d8dfd5b4f532f4df3607cf1d74c85cb7a6ffd85b30b706423390e78c880740f"),
+        "3aefac3bc69bede530923cfc745ec59f0efbfa3a776dbdf96f3d5e347ff325ac"),
     "attractivity-local": (
         ["--system", "sigma-bump", "--check", "attractivity", "--gamma", "origin",
          "--scope", "local", "--eps", "0.1", "--budget", "4", "--tmax", "2",
          "--seed", "3"],
-        "ed19c2abfa1d7de67c91011a8ae4cdedd6094de893c42887e109c96fd53af845"),
+        "100c84842c2e8857a7022076315ea43fce4ec81be5ddce53deff2759521c19ef"),
     "detectability": (
         ["--system", "limit-circles", "--check", "detectability", "--budget", "4",
          "--tmax", "20", "--eps", "0.5", "--delta-shrinks", "2", "--seed", "17"],
-        "9da35548de035aa6418f12374e102450fbd5596c4f2c37ec50ffbc0d4cb54ec0"),
+        "85a33369ac147a5659ef1b2e766d04a8086ecfec82e5077bab5080ee033f8682"),
     "chain-local": (
         ["--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2", "--scope", "local",
          "--budget", "3", "--tmax", "10", "--eps", "0.5", "--delta-shrinks", "2",
          "--seed", "19"],
-        "9f11c85fc6254ef685988279976ffa5cd7aa435a2d9728be7ef23c2d6bdc7498"),
+        "0d340d718d993634203830ad0c79361f2b89f298c838324ff303dede0e10889f"),
     "chain-global": (
         ["--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2", "--scope", "global",
          "--budget", "3", "--tmax", "10", "--eps", "0.5", "--delta-shrinks", "2",
          "--seed", "19"],
-        "eaa754c7e8bf50843beb0a470aa20fa5a6d40d7be849635a0dbab384461208fe"),
+        "411f94dcffa74a84ba18f18f5a22f66194a4cb23c37555f5735060a150e73295"),
 }
 
 
@@ -797,10 +858,10 @@ PINNED_SIMULATE = {
     "observer-fig3": (
         ["--system", "observer", "--preset", "fig3", "--tmax", "3",
          "--tracks", "y,q,T,chihat"],
-        "f76627a897051fe221c90e7f4cb2c7961529c45d8bac0d43ab5127dec28062a2"),
+        "19c1b49ffa3731e5d55cf712eed6feee89b1f54a3fa7c157e04223d339cc26c3"),
     "circles": (
         ["--system", "circles"],
-        "72ef47bc56f4e64b2af54acaced32cc233aecdcb867ea87bf5dbf95062f5d4a8"),
+        "b040a4ecc8f643d442c626d525fea469dc414c51b0da49756ec8290b360db91f"),
 }
 
 
@@ -840,7 +901,7 @@ def _check_margins(node, out: Path):
             meta = json.loads(arc_path.with_suffix(".json").read_text())
             arc = HybridArc.from_csv(arc_path.read_text(),
                                      termination=meta["termination"])
-            fixture = catalog().get(meta["system"])
+            fixture, _, _ = _resolve({"system": meta["system"], "solver": meta["solver"]})
             sets = {k: _resolve_gamma(fixture, meta[g], arc.dim)
                     for k, g in (("gamma", "gamma"), ("g2", "gamma2")) if meta[g]}
             output = fixture.output if fixture is not None else None
@@ -852,11 +913,11 @@ def _check_margins(node, out: Path):
 
 
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
-def test_seed_pinned_report_bytes(name, tmp_path):
+def test_seed_pinned_report_bytes(name, tmp_path, capsys):
     args, digest = PINNED_RUNS[name]
     cfg = _inline_config(tmp_path, DRIFT)
     out = tmp_path / "rep"
-    run(["analyze", *[cfg if a == "DRIFT" else a for a in args], "--out", str(out)])
+    code = run(["analyze", *[cfg if a == "DRIFT" else a for a in args], "--out", str(out)])
     # a query block holds the campaign's settings, not the property checked,
     # and the near radius it records is the one the checks used
     queries, radii = [], []
@@ -867,6 +928,13 @@ def test_seed_pinned_report_bytes(name, tmp_path):
         assert q["near_radius"] == (radii[0] if radii else max(q["eps_grid"]))
     _check_margins(json.loads((out / "report.json").read_text()), out)
     assert _dir_digest(out) == digest
+    # every witness replays through the command line, from its own files
+    witnesses = sorted(out.glob("witness_*.csv"))
+    assert code == (1 if witnesses else 0)
+    for arc in witnesses:
+        capsys.readouterr()
+        assert run(["replay", "--arc", str(arc)]) == 0, arc.name
+        assert "violation reproduced: True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
@@ -879,6 +947,19 @@ def test_a_run_spec_through_json_gives_the_pinned_report(name, tmp_path):
     out = tmp_path / "rep"
     write_report(out, *run_spec(json.loads(json.dumps(spec))))
     assert _dir_digest(out) == digest
+
+
+@pytest.mark.parametrize("block,why", [
+    ({**DRIFT, "flwo": {"affine": {"A": [[-1.0]]}}}, "unknown inline system key(s) ['flwo']"),
+    ({"fixture": "observer", "parms": {"omega": 2.0}}, "unknown fixture block key(s) ['parms']"),
+], ids=["inline", "fixture"])
+def test_a_spec_whose_system_block_has_an_unknown_key_is_a_configuration_error(block, why):
+    # a config file's block is refused in the same place, by the same words
+    spec = spec_from_args(_build_parser().parse_args(["analyze", "--system", "observer"]))
+    spec["system"] = block
+    with pytest.raises(ConfigError) as exc:
+        run_spec(spec)
+    assert why in str(exc.value)
 
 
 @pytest.mark.parametrize("key,value", [("sample_budget", 2.5), ("delta_shrinks", 1.5),
@@ -894,4 +975,13 @@ def test_a_hand_written_spec_with_an_unknown_check_is_a_configuration_error():
     spec = spec_from_args(_build_parser().parse_args(["analyze", "--system", "circles"]))
     spec["check"]["name"] = "bogus"
     with pytest.raises(ConfigError, match="unknown check 'bogus'"):
+        run_spec(spec)
+
+
+def test_a_hand_written_spec_with_an_empty_chain_is_a_configuration_error():
+    # not a plain reduction on the default targets
+    spec = spec_from_args(_build_parser().parse_args(
+        ["analyze", "--system", "sigma-bump", "--reduce-chain", "gamma1,gamma2"]))
+    spec["check"]["chain"] = []
+    with pytest.raises(ConfigError, match="empty chain"):
         run_spec(spec)
