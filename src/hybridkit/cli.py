@@ -462,7 +462,9 @@ def cmd_analyze(args) -> int:
 def cmd_replay(args) -> int:
     arc_path = Path(args.arc)
     meta_path = arc_path.with_suffix(".json") if args.meta is None else Path(args.meta)
-    read = lambda path: json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    # a missing default <stem>.json falls back to run.json; a named --meta must exist
+    read = lambda path: json.loads(path.read_text(encoding="utf-8")) \
+        if args.meta is not None or path.exists() else {}
     try:
         arc_text = arc_path.read_text(encoding="utf-8")
         meta = read(meta_path)

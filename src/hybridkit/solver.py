@@ -16,7 +16,7 @@ narrowed by the same rule on the dense output (``_probe_step``); this
 subsumes sign bisection of a scalar guard and also copes with band sets and
 boundary starts.  At x0 and after each jump, a hybrid state is tested against
 its deciding set first and against the other set only when it is not in the
-deciding one (``_next_move``): D under jump priority, C under flow priority.
+deciding one (``_solve``): D under jump priority, C under flow priority.
 A flow-set exit state is tested against D alone: it lies in C, and its flow
 leaves C, so it jumps if it is in D and ends the arc ``NotExtendable`` if
 not.
@@ -309,13 +309,13 @@ def _dop853(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
             h = t_new - t
             h_abs = abs(h)
             for s, K_s, a in stages:
-                K[s] = flow(y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K_lower, _B)
+                K[s] = flow(y + K_s.dot(a) * h)
+            y_new = y + h * K_lower.dot(_B)
             K[12] = flow(y_new)
             # the 5th-order error, damped where the 3rd-order one is small
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = _norm(np.dot(K_all, _E5) / scale) ** 2
-            err3 = _norm(np.dot(K_all, _E3) / scale) ** 2
+            err5 = _norm(K_all.dot(_E5) / scale) ** 2
+            err3 = _norm(K_all.dot(_E3) / scale) ** 2
             error = h_abs * err5 / np.sqrt((err5 + 0.01 * err3) * y.size) \
                 if err5 or err3 else 0.0
             if error < 1:
@@ -330,12 +330,12 @@ def _dop853(flow, t: float, y: np.ndarray, f: np.ndarray, t_bound: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
         for s, K_s, a in extra:
-            K[s] = flow(y + np.dot(K_s, a) * h)
+            K[s] = flow(y + K_s.dot(a) * h)
         F = np.empty((7, y.size))
         F[0] = y_new - y
         F[1] = h * K[0] - F[0]
         F[2] = 2 * F[0] - h * (K[12] + K[0])
-        F[3:] = h * np.dot(_D, K)
+        F[3:] = h * _D.dot(K)
         yield _Step(t, t_new, y, y_new, F)
         if t_new >= t_bound:
             return
@@ -385,7 +385,7 @@ def _sample_times(step, b: float, store_max_dt: float) -> np.ndarray:
     dense output ``F`` at five points."""
     h, span = step.t - step.t_old, b - step.t_old
     d3 = _D3 @ step.F  # h^3 x''' at the five points
-    d3_max = math.sqrt(np.max(np.einsum("ij,ij->i", d3, d3)))
+    d3_max = math.sqrt(np.einsum("ij,ij->i", d3, d3).max())
     floor = span / h * math.sqrt(d3_max / (12 * h * _RESIDUAL_FLOOR))
     m = max(_MIN_SUBDIV, math.ceil(span / store_max_dt), math.ceil(min(_MAX_SUBDIV, floor)))
     return _grid(step.t_old, b, m)
@@ -400,17 +400,18 @@ def _probe_step(step, flow_set, cfg: SolverConfig):
     t, y_old and F of a DOP853 dense output."""
     ts = _sample_times(step, step.t, cfg.store_max_dt)
     xs, inside = yield flow_set, step, ts
-    if inside.all():
+    inside = inside.tolist()
+    if all(inside):
         return ts, xs, None
     lo, probes = step.t_old, ts
     while True:
-        k = int(np.argmin(inside))  # the first probe outside C
+        k = inside.index(False)  # the first probe outside C
         lo, hi = (lo if k == 0 else float(probes[k - 1])), float(probes[k])
         if hi - lo <= cfg.event_tol / 8 or math.nextafter(lo, hi) == hi:
             break
         probes = _grid(lo, hi, _PROBES)  # ends at hi, which is outside C
         _, inside = yield flow_set, step, probes[:-1]
-        inside = np.append(inside, False)
+        inside = [*inside.tolist(), False]
     ts = _sample_times(step, lo, cfg.store_max_dt) if lo > step.t_old else ts[:0]
     return ts, _dense(step, ts), hi - lo
 
@@ -429,13 +430,13 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
         raise DimensionMismatch(
             f"flow map returned shape {fx0.shape} for state of shape {x0.shape}"
         )
-    if not np.isfinite(fx0).all():
+    if not all(map(math.isfinite, fx0.tolist())):
         raise FlowMapEvaluationFailure(
             f"flow map non-finite at segment start (t={t0:.6g})"
         )
     for step in _dop853(sys.flow_map, t0, x0, fx0, cfg.t_max, cfg.rtol, cfg.atol,
                         cfg.effective_max_step):
-        if step is None or not np.isfinite(step.y).all():
+        if step is None or not all(map(math.isfinite, step.y.tolist())):
             return Termination.NUMERICAL_FAILURE, None
         ts, xs, gap = yield from _probe_step(step, sys.flow_set, cfg)
         if len(ts):
@@ -445,48 +446,41 @@ def _flow_segment(sys: HybridSystem, t0: float, x0: np.ndarray, cfg: SolverConfi
     return Termination.COMPLETE_T, None
 
 
-def _next_move(sys: HybridSystem, x: np.ndarray, priority: Priority):
-    """Whether the hybrid state x, at x0 or after a jump, jumps or flows next
-    under ``priority``: "jump", "flow", or None when x lies outside C u D
-    (within tol_set).
-
-    The priority's own set decides (D under JUMP, C under FLOW); the other
-    set is tested only when x is not in it.  A flow-set exit state is not
-    asked here: ``_solve`` tests it against D alone.
-    """
-    if priority is Priority.JUMP:
-        moves = (sys.jump_set, "jump"), (sys.flow_set, "flow")
-    else:
-        moves = (sys.flow_set, "flow"), (sys.jump_set, "jump")
-    for s, move in moves:
-        if (yield s, x):
-            return move
-    return None
-
-
 def _solve(sys: HybridSystem, x0, cfg: SolverConfig):
-    """The body of ``solve``, yielding its membership tests and probes."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    """The body of ``solve``, yielding its membership tests and probes.
+
+    At x0 and after each jump, the hybrid state x is asked of the deciding
+    set of ``cfg.priority`` first (D under JUMP, C under FLOW) and of the
+    other only when it is not in it: x jumps from D, flows in C, and lies
+    outside C u D (within tol_set) when in neither.  A flow-set exit state
+    is asked of D alone.  The solver stores a copy of each post-jump state,
+    as a jump map may return one buffer that it writes again.
+    """
+    x = np.array(x0, dtype=float, ndmin=1)
     if x.shape != (sys.dim,):
         raise DimensionMismatch(f"x0 has shape {x.shape}, system dim is {sys.dim}")
-    move = yield from _next_move(sys, x, cfg.priority)
-    if move is None:
-        raise InitialConditionOutsideCD(
-            f"x0 = {x.tolist()} is outside C u D "
-            f"(distances {float(sys.flow_set.distance(x)):.3e} / "
-            f"{float(sys.jump_set.distance(x)):.3e})"
-        )
+    moves = (sys.jump_set, "jump"), (sys.flow_set, "flow")
+    if cfg.priority is Priority.FLOW:
+        moves = moves[::-1]
 
     # (times, states, jump counter) of each sample block, concatenated once;
-    # the last block always ends at the current hybrid state
-    blocks: list[tuple[np.ndarray, np.ndarray, int]] = [(np.zeros(1), np.array([x]), 0)]
+    # the last block always ends at the current hybrid state (t, x)
+    blocks: list[tuple[np.ndarray, np.ndarray, int]] = [(np.zeros(1), x[None], 0)]
     events: list[dict] = []
-    t_start = 0.0  # the time of the current flow interval's start
+    t = t_start = 0.0  # t_start: the time of the current flow interval's start
     j = zeno_run = 0
 
     while True:
-        t, x = float(blocks[-1][0][-1]), blocks[-1][1][-1]
-        if move is None:  # the state escaped C u D
+        for s, move in moves:
+            if (yield s, x):
+                break
+        else:
+            if not j:
+                raise InitialConditionOutsideCD(
+                    f"x0 = {x.tolist()} is outside C u D "
+                    f"(distances {float(sys.flow_set.distance(x)):.3e} / "
+                    f"{float(sys.jump_set.distance(x)):.3e})"
+                )
             termination = Termination.ESCAPED
             break
 
@@ -503,30 +497,27 @@ def _solve(sys: HybridSystem, x0, cfg: SolverConfig):
             if not (yield sys.jump_set, x):
                 termination = Termination.NOT_EXTENDABLE
                 break
-            move = "jump"
-            continue
 
         # close the current flow interval, applying the Zeno accounting
         zeno_run = zeno_run + 1 if t - t_start < cfg.zeno_dt_min else 0
         if zeno_run >= cfg.zeno_k:
             termination = Termination.ZENO
             break
-        x_new = np.atleast_1d(np.asarray(sys.jump_map(x), dtype=float))
+        x_new = np.array(sys.jump_map(x), dtype=float, ndmin=1)
         if x_new.shape != x.shape:
             raise DimensionMismatch(
                 f"jump map returned shape {x_new.shape} for state {x.shape}"
             )
         events.append({"kind": "jump", "t": t, "j": j})
         j += 1
-        blocks.append((np.array([t]), np.array([x_new]), j))
-        t_start = t
-        if not np.isfinite(x_new).all():
+        blocks.append((blocks[-1][0][-1:], x_new[None], j))  # a jump keeps the time t
+        t_start, x = t, x_new
+        if not all(map(math.isfinite, x.tolist())):
             termination = Termination.NUMERICAL_FAILURE
             break
         if j >= cfg.j_max:
             termination = Termination.COMPLETE_J
             break
-        move = yield from _next_move(sys, x_new, cfg.priority)
 
     ts, xs, js = zip(*blocks)
     return HybridArc._from_table(
@@ -546,27 +537,31 @@ def _answer(requests: list, tol: float) -> list:
     """The replies to requests on one set, in order: a membership test's
     boolean, and a probe's dense states and their booleans.  A group of one
     is answered directly; a larger one by one dense pass over its probes'
-    steps, stacked one row per time, and one membership call."""
+    steps, stacked one row per time, and one membership call on the tests'
+    states followed by the probes' rows."""
     s = requests[0][0]
     if len(requests) == 1:
         if len(requests[0]) == 2:
             return [s.member(requests[0][1], tol)]
         xs = _dense(*requests[0][1:])
         return [(xs, s.member(xs, tol))]
+    tests = [r[1] for r in requests if len(r) == 2]
     probes = [r[1:] for r in requests if len(r) == 3]
+    points = [np.array(tests)] if tests else []
     if probes:
         steps, ts = zip(*probes)
         counts = [len(t) for t in ts]
         rows = lambda f, axis=0: np.array(
             [getattr(st, f) for st in steps]).swapaxes(0, axis).repeat(counts, axis)
         stacked = _Step(rows("t_old"), rows("t"), rows("y_old"), None, rows("F", 1))
-        xs = _dense(stacked, np.concatenate(ts))
-        dense = (xs[e - c:e] for c, e in zip(counts, itertools.accumulate(counts)))
-    points = [next(dense) if len(r) == 3 else r[1][None] for r in requests]
-    inside = s.member(np.concatenate(points), tol)
-    ends = itertools.accumulate(len(p) for p in points)
-    return [(p, inside[e - len(p):e]) if len(r) == 3 else inside[e - 1]
-            for r, p, e in zip(requests, points, ends)]
+        points.append(_dense(stacked, np.concatenate(ts)))
+    inside = s.member(np.concatenate(points) if len(points) > 1 else points[0], tol)
+    if not probes:
+        return inside.tolist()
+    flags, n = iter(inside[:len(tests)].tolist()), len(tests)
+    dense = ((points[-1][e - c:e], inside[n + e - c:n + e])
+             for c, e in zip(counts, itertools.accumulate(counts)))
+    return [next(flags) if len(r) == 2 else next(dense) for r in requests]
 
 
 def _drive(solves: list, tol: float) -> list:
@@ -578,6 +573,7 @@ def _drive(solves: list, tol: float) -> list:
     live = range(len(solves))
     while live:
         groups: dict[int, list] = {}
+        asked = []  # the solves that made a request this round, in order
         for i in live:
             try:
                 request = solves[i].send(replies[i])
@@ -587,11 +583,12 @@ def _drive(solves: list, tol: float) -> list:
                 error = exc
                 break
             else:
+                asked.append(i)
                 groups.setdefault(id(request[0]), []).append((i, request))
         for group in groups.values():
             for (i, _), reply in zip(group, _answer([r for _, r in group], tol)):
                 replies[i] = reply
-        live = sorted(i for group in groups.values() for i, _ in group)
+        live = asked
     if error is not None:
         raise error
     return arcs

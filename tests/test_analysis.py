@@ -589,6 +589,9 @@ _CIRCLES = ["--system", "circles", "--gamma", "gamma1", "--scope", "global", "--
 _SEQUENTIAL_CASES = {
     "circles-attractivity": [*_CIRCLES, "--check", "attractivity", "--budget", "20",
                              "--tmax", "10"],
+    # 64 draws split into one range per CPU (up to 2), judged in forked children
+    "circles-attractivity-pooled": [*_CIRCLES, "--check", "attractivity", "--budget", "64",
+                                    "--tmax", "10"],
     "circles-stability": [*_CIRCLES, "--check", "stability", "--budget", "12", "--tmax", "10"],
     "sigma-bump-stability": ["--system", "sigma-bump", "--check", "stability", "--gamma",
                              "gamma1", "--budget", "5", "--tmax", "10", "--eps", "0.25,0.5",
@@ -605,8 +608,9 @@ def test_campaign_reports_match_the_sequential_loop(case, tmp_path, monkeypatch)
     # are those of solving one draw at a time
     x0s: list = []
     hook = lambda sys, arc: x0s.append(arc.meta["x0"])
-    monkeypatch.setattr(cli, "PropertyQuery",
-                        lambda **kw: PropertyQuery(arc_hook=hook, **kw))
+    if not case.endswith("-pooled"):  # a hooked campaign forks nothing
+        monkeypatch.setattr(cli, "PropertyQuery",
+                            lambda **kw: PropertyQuery(arc_hook=hook, **kw))
 
     def run(out, seed):
         x0s.clear()

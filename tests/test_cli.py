@@ -455,6 +455,7 @@ _REPLAY_VERDICTS = {
     "witness-not-a-solution": (2, "check_is_solution: [Violation("),
     "run-arc-not-a-solution": (1, "check_is_solution: [Violation("),
     "run-x0-edited": (1, "bitwise match after regeneration: False"),
+    "meta-missing": (2, "nope.json"),  # a named --meta that does not exist is named
 }
 
 
@@ -478,8 +479,10 @@ def test_replay_verdict_exit_codes(case, tmp_path, capsys):
         text = _corrupt(text, 10)
     (tmp_path / "a.csv").write_text(text)
     (tmp_path / "a.json").write_text(json.dumps(meta))
-    assert run(["replay", "--arc", str(tmp_path / "a.csv")]) == code
-    assert line in capsys.readouterr().out
+    named = ["--meta", str(tmp_path / "nope.json")] if case == "meta-missing" else []
+    assert run(["replay", "--arc", str(tmp_path / "a.csv"), *named]) == code
+    out, err = capsys.readouterr()
+    assert line in (err if named else out)
 
 
 def test_readme_commands_parse():
@@ -849,6 +852,15 @@ PINNED_RUNS = {
          "--budget", "3", "--tmax", "10", "--eps", "0.5", "--delta-shrinks", "2",
          "--seed", "19"],
         "411f94dcffa74a84ba18f18f5a22f66194a4cb23c37555f5735060a150e73295"),
+    # the benchmark's event-heavy toggle workload: 25,000 jumps, Zeno-tripped arcs
+    "toggle-attractivity": (
+        ["--system", "circles", "--gamma", "gamma1", "--scope", "global", "--box", "preset",
+         "--seed", "31", "--check", "attractivity", "--budget", "500"],
+        "6c62cb6183bf909e16f9e0c1ea97064b2ca19fcbeb7a0fa0638fb7749ab288c3"),
+    "toggle-stability": (
+        ["--system", "circles", "--gamma", "gamma1", "--scope", "global", "--box", "preset",
+         "--seed", "31", "--check", "stability", "--budget", "25"],
+        "25ecb8e20e5d40b38aca28bac70d91cca07ddae5b4f7ff5a4a3a395254f110d4"),
 }
 
 

@@ -566,3 +566,19 @@ def test_a_non_finite_jump_image_ends_in_numerical_failure_with_the_row_stored()
     assert arc.n_jumps == 1 and j[-1] == 1 and t[-1] == t[-2]
     assert np.isnan(x[-1, 0]) and np.isfinite(x[:-1]).all()
     assert [e["kind"] for e in arc.meta["events"]] == ["flow_exit", "jump"]
+
+
+def test_each_post_jump_state_is_stored_as_a_copy():
+    # the jump map returns one buffer that it writes again on its next call
+    buf = np.zeros(1)
+
+    def jump(x):
+        buf[0] = x[0] + 1.0
+        return buf
+
+    sys = HybridSystem(1, full_space(1), lambda x: np.zeros(1), box_set([[0.0, 3.0]]), jump,
+                       name="one-buffer")
+    cfg = SolverConfig(t_max=1.0)
+    for arc in (solve(sys, [0.0], cfg), *solve_batch(sys, [[0.0], [0.0]], cfg)):
+        assert [post[0] for _, _, _, post in arc.jump_transitions()] == [1.0, 2.0, 3.0, 4.0]
+        assert arc.termination is Termination.COMPLETE_T
