@@ -479,10 +479,13 @@ def test_replay_verdict_exit_codes(case, tmp_path, capsys):
         text = _corrupt(text, 10)
     (tmp_path / "a.csv").write_text(text)
     (tmp_path / "a.json").write_text(json.dumps(meta))
-    named = ["--meta", str(tmp_path / "nope.json")] if case == "meta-missing" else []
-    assert run(["replay", "--arc", str(tmp_path / "a.csv"), *named]) == code
-    out, err = capsys.readouterr()
-    assert line in (err if named else out)
+    if case == "meta-missing":  # a.json is there, but the named file is read
+        assert run(["replay", "--arc", str(tmp_path / "a.csv"),
+                    "--meta", str(tmp_path / "nope.json")]) == code
+        assert line in capsys.readouterr().err
+        return
+    assert run(["replay", "--arc", str(tmp_path / "a.csv")]) == code
+    assert line in capsys.readouterr().out
 
 
 def test_readme_commands_parse():
