@@ -52,6 +52,9 @@ _NESTING_SAMPLES = 64
 #: staying (forward invariance)
 _INV_TOL = 1e-6
 
+#: a margin (a state distance) under which a draw is solved again: over 100x the 7.1e-6 measured
+_GUARD = 8e-4
+
 FALSIFIED = "Falsified"
 CONSISTENT = "ConsistentAtBudget"
 
@@ -75,8 +78,8 @@ class PropertyQuery:
     delta_shrinks: int = 5
     solver: SolverConfig = SolverConfig()
     sampler: Callable | None = None
-    # called (system, arc) for every judged solve and every ``alt`` re-solve,
-    # in draw order; solves discarded after a violation are never passed.  A
+    # called (system, arc) for every judged solve, re-solves included, in
+    # draw order; solves discarded after a violation are never passed.  A
     # hooked query runs all its checks and draws in this process
     arc_hook: Callable | None = None
 
@@ -105,6 +108,13 @@ class PropertyQuery:
         largest epsilon of the grid."""
         return self.near_radius or max(self.eps_grid)
 
+    @property
+    def campaign_solver(self) -> SolverConfig:
+        """``solver``, its rtol, atol and step cap no tighter than ``SolverConfig()``'s."""
+        s, d = self.solver, SolverConfig(t_max=self.solver.t_max)
+        return s.replace(rtol=max(s.rtol, d.rtol), atol=max(s.atol, d.atol), max_step=None
+                         if s.effective_max_step < d.effective_max_step else s.max_step)
+
     def effective_bound_radius(self) -> float:
         if self.bound_radius is not None:
             return self.bound_radius
@@ -114,6 +124,7 @@ class PropertyQuery:
         return 1e3
 
     def provenance(self) -> dict:
+        c = self.campaign_solver
         return {
             "eps_grid": list(self.eps_grid),
             "sample_budget": self.sample_budget,
@@ -123,6 +134,8 @@ class PropertyQuery:
             "delta_shrinks": self.delta_shrinks,
             "near_radius": self.radius,
             "window": self.window.to_config() if self.window is not None else None,
+            **({"campaign_precision": {"rtol": c.rtol, "atol": c.atol, "max_step": c.max_step}}
+               if c != self.solver else {}),
         }
 
 
@@ -407,8 +420,13 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
     B_delta(near) when ``near`` is given, with the generator keyed ``(seed,
     tag, *key, i)``, solves, hands the arc to ``query.arc_hook`` and takes
     the clause_margin of each of ``clauses`` on the arc, in order, with the
-    sets ``on``; the first negative margin is the violation.  An arc with a
-    violation is solved again under ``alt`` when given, and judged again.
+    sets ``on``; the first negative margin is the violation.  A draw is
+    solved at ``query.campaign_solver``, and again at ``query.solver`` where
+    a margin is under _GUARD, None or NaN, as a margin larger than the error
+    keeps its sign; longer steps probe C no more sparsely, as
+    ``_sample_times`` spaces a step's probes at most ``store_max_dt`` and a
+    sixth of the step apart.  An arc at ``query.solver`` with a violation is
+    solved again under ``alt`` when given, and judged again.
     The arc each draw's verdict rests on counts: the worst margin of each
     clause type is kept with its x0, starting from ``kept``, and a draw
     passes vacuously when a clause did not apply to its arc.  Stops at the
@@ -425,7 +443,10 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
     order up to the first violation, so the result is the inline loop's,
     and a range that raised in a worker raises at its own draw.
     """
-    cfg, budget = query.solver, query.sample_budget
+    cfg, fast, budget = query.solver, query.campaign_solver, query.sample_budget
+    # (solver, guard) of each solve in turn; at guard 0 an arc stands unless it violates
+    configs = [*([(fast, _GUARD)] if fast != cfg else []), (cfg, 0.0),
+               *([(alt, 0.0)] if alt is not None else [])]
     worst = {c["type"]: (kept or {}).get(c["type"]) for c in clauses}
     n_solved = n_vacuous = 0
     draw = lambda i: _draw_initial(sys, _rng(query.seed, tag, *key, i), query,
@@ -435,9 +456,9 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
         # (x0, margins, violation record or None, arc of a violation or None)
         # of each solved draw of ``indices``, through the first violation
         out = []
-        for x0, arc in _solved_draws(sys, cfg, draw, indices):
-            for c in (cfg, alt) if alt is not None else (cfg,):
-                arc = arc if c is cfg else solve(sys, x0, c)
+        for x0, arc in _solved_draws(sys, configs[0][0], draw, indices):
+            for k, (c, guard) in enumerate(configs):
+                arc = solve(sys, x0, c) if k else arc
                 if query.arc_hook:
                     query.arc_hook(sys, arc)
                 margins, bad = [], None
@@ -447,7 +468,7 @@ def _campaign(sys: HybridSystem, query: PropertyQuery, tag: str,
                     if m is not None and m < 0:
                         bad = record
                         break
-                if bad is None:
+                if all(m is not None and m >= guard for _, m in margins) if guard else bad is None:
                     break
             out.append((arc.meta["x0"], margins, bad, arc if bad is not None else None))
             if bad is not None:

@@ -136,14 +136,14 @@ class HybridArc:
                                f"x {x.shape} is not (N,), (N,), (N, n >= 1)")
         if not len(j):
             raise MalformedArc("arc has no samples")
-        step = np.diff(j, prepend=-1)
+        step = np.diff(j)
         ok = (step == 0) | (step == 1)
-        ok[0] = step[0] == 1
-        if not ok.all():
-            raise MalformedArc(f"jump counter out of order at j={j[np.argmin(ok)]}")
-        if not (np.diff(t)[step[1:] == 0] > 0).all():
+        if j[0] != 0 or not ok.all():
+            bad = j[0] if j[0] != 0 else j[np.argmin(ok) + 1]
+            raise MalformedArc(f"jump counter out of order at j={bad}")
+        if not (np.diff(t)[step == 0] > 0).all():
             raise MalformedArc("sample times not strictly increasing")
-        cuts = np.flatnonzero(step[1:]) + 1  # the first row after each jump
+        cuts = np.flatnonzero(step) + 1  # the first row after each jump
         moved = t[cuts] != t[cuts - 1]
         if moved.any():
             k = cuts[np.argmax(moved)]

@@ -376,16 +376,19 @@ def _grid(a: float, b: float, m: int) -> np.ndarray:
     return ts
 
 
-def _sample_times(step, b: float, store_max_dt: float) -> np.ndarray:
+def _d3_max(step) -> float:
+    d3 = _D3 @ step.F  # h^3 x''' at the five points
+    return math.sqrt(np.einsum("ij,ij->i", d3, d3).max())
+
+
+def _sample_times(step, b: float, store_max_dt: float, d3_max: float) -> np.ndarray:
     """The times of a step's stored samples, which are also its exit probes,
     on (t_old, b]: at most ``store_max_dt`` and a sixth of the step apart, and
     close enough, up to _MAX_SUBDIV samples, that the checker's midpoint
     residual, about d^2 |x'''| / 12 at spacing d (exactly so for a linear
-    flow), stays under _RESIDUAL_FLOOR for the largest |x'''| of the step's
-    dense output ``F`` at five points."""
+    flow), stays under _RESIDUAL_FLOOR for ``d3_max``, the step's ``_d3_max``:
+    the largest h^3 |x'''| of its dense output ``F`` at five points."""
     h, span = step.t - step.t_old, b - step.t_old
-    d3 = _D3 @ step.F  # h^3 x''' at the five points
-    d3_max = math.sqrt(np.einsum("ij,ij->i", d3, d3).max())
     floor = span / h * math.sqrt(d3_max / (12 * h * _RESIDUAL_FLOOR))
     m = max(_MIN_SUBDIV, math.ceil(span / store_max_dt), math.ceil(min(_MAX_SUBDIV, floor)))
     return _grid(step.t_old, b, m)
@@ -398,7 +401,8 @@ def _probe_step(step, flow_set, cfg: SolverConfig):
     narrowed by grids of _PROBES probes to event_tol / 8, which leaves slack
     in the 2 * event_tol budgets downstream.  ``step`` needs only the t_old,
     t, y_old and F of a DOP853 dense output."""
-    ts = _sample_times(step, step.t, cfg.store_max_dt)
+    d3_max = _d3_max(step)
+    ts = _sample_times(step, step.t, cfg.store_max_dt, d3_max)
     xs, inside = yield flow_set, step, ts
     inside = inside.tolist()
     if all(inside):
@@ -412,7 +416,7 @@ def _probe_step(step, flow_set, cfg: SolverConfig):
         probes = _grid(lo, hi, _PROBES)  # ends at hi, which is outside C
         _, inside = yield flow_set, step, probes[:-1]
         inside = [*inside.tolist(), False]
-    ts = _sample_times(step, lo, cfg.store_max_dt) if lo > step.t_old else ts[:0]
+    ts = _sample_times(step, lo, cfg.store_max_dt, d3_max) if lo > step.t_old else ts[:0]
     return ts, _dense(step, ts), hi - lo
 
 

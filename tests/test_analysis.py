@@ -635,6 +635,79 @@ def test_campaign_reports_match_the_sequential_loop(case, tmp_path, monkeypatch)
         assert verdicts == {1}  # falsified at every seed
 
 
+# -- the campaign precision ----------------------------------------------------
+
+
+def _at_reference_precision(monkeypatch):
+    """Campaigns solve every draw at the query's own precision."""
+    monkeypatch.setattr(PropertyQuery, "campaign_solver", property(lambda self: self.solver))
+
+
+def test_a_margin_inside_the_guard_band_is_judged_at_the_query_precision(cat, monkeypatch):
+    # conv_tol between one observer draw's terminal distances at the two
+    # precisions: the campaign precision's arc alone would pass the draw
+    fx = cat["observer"]
+    gamma = fx.gammas["gamma1"]
+    query = PropertyQuery(window=fx.window, sample_budget=1, seed=5,
+                          solver=SolverConfig(**{**fx.solver_overrides, "t_max": 10.0}))
+    assert query.campaign_solver != query.solver
+    arcs: list = []
+    check_attractivity(fx.system, gamma, query.replace(arc_hook=lambda sys, arc: arcs.append(arc)))
+    fast = arcs[0]  # the first arc of a draw is solved at the campaign precision
+    assert fast.meta["config"] == query.campaign_solver.to_config()
+    reference = solver.solve(fx.system, fast.meta["x0"], query.solver)
+    far, near = fast.terminal_distance(gamma), reference.terminal_distance(gamma)
+    assert far < near and near - far < analysis._GUARD
+    query = query.replace(conv_tol=(far + near) / 2)
+
+    arcs.clear()
+    guarded = check_attractivity(fx.system, gamma,
+                                 query.replace(arc_hook=lambda sys, arc: arcs.append(arc)))
+    assert [a.meta["config"] for a in arcs] == [query.campaign_solver.to_config(),
+                                                query.solver.to_config()]
+    with monkeypatch.context() as m:
+        _at_reference_precision(m)
+        alone = check_attractivity(fx.system, gamma, query)
+    assert guarded.verdict == alone.verdict == FALSIFIED
+    assert guarded.witness_clause == alone.witness_clause
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(t_max=10.0, store_max_dt=0.01),
+                                 SolverConfig(t_max=10.0, rtol=1e-6, atol=1e-8, max_step=0.5)])
+def test_a_query_no_tighter_than_the_defaults_solves_each_draw_once(cat, cfg):
+    fx = cat["circles"]
+    arcs: list = []
+    rep = check_attractivity(fx.system, fx.gammas["gamma1"],
+                             q_for(fx, solver=cfg, arc_hook=lambda sys, arc: arcs.append(arc)))
+    assert len(arcs) == rep.measured["n_total"]
+    assert all(a.meta["config"] == cfg.to_config() for a in arcs)
+    assert "campaign_precision" not in rep.provenance
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_the_campaign_precision_keeps_the_observer_chain_report(seed, tmp_path, monkeypatch):
+    # every verdict, delta_for_eps, witness clause and witness file byte is
+    # that of solving every draw at the fixture's precision
+    def run(out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["analyze", *_SEQUENTIAL_CASES["observer-chain"],
+                             "--seed", str(seed), "--out", str(out)])
+        rep = json.loads((out / "report.json").read_text())["reports"]["reduction"]
+        checks = {k: (r["verdict"], r["measured"].get("delta_for_eps"), r["witness_clause"])
+                  for part in ("sub_reports", "conclusions") for k, r in rep[part].items()}
+        witnesses = {f.name: f.read_bytes() for f in sorted(out.glob("witness_*"))}
+        return ("campaign_precision" in rep["query"], code, rep["sound"],
+                rep["all_consistent"], checks, witnesses)
+
+    fast = run(tmp_path / "fast")
+    with monkeypatch.context() as m:
+        _at_reference_precision(m)
+        reference = run(tmp_path / "reference")
+    assert fast[0] and not reference[0]
+    assert fast[1:] == reference[1:]
+    assert fast[-1]  # a check is falsified, so there are witness files to compare
+
+
 #: the fewest draws a campaign splits: two ranges of two full solve chunks
 _SMALLEST_POOLED_BUDGET = 2 * 2 * analysis._MAX_CHUNK
 

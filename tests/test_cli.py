@@ -612,6 +612,25 @@ def test_analyze_observer_chain_exit_zero(tmp_path):
         assert t["sound"]
 
 
+def test_analyze_observer_chain_off_the_reference_frequency_is_unsound(tmp_path, capsys):
+    # the benchmark's chain command at omega = 1.05: the conclusion's
+    # attractivity is falsified, and its witness replays
+    out = tmp_path / "chain"
+    code = run(["analyze", "--system", "observer", "--param", "omega=1.05",
+                "--reduce-chain", "gamma1,gamma2,gamma3", "--scope", "global",
+                "--box", "preset", "--budget", "2", "--eps", "0.25,1.0",
+                "--delta-shrinks", "3", "--tmax", "35", "--seed", "0", "--out", str(out)])
+    payload = json.loads((out / "report.json").read_text())
+    rep = payload["reports"]["reduction"]
+    assert code == 1 and rep["sound"] is False
+    attractivity = rep["conclusions"]["attractivity"]
+    assert attractivity["verdict"] == "Falsified"
+    _check_margins(payload, out)
+    capsys.readouterr()
+    assert run(["replay", "--arc", str(out / attractivity["witness_path"])]) == 0
+    assert "violation reproduced: True" in capsys.readouterr().out
+
+
 def test_a_fixture_block_of_a_config_file_runs_as_the_system_flag_does(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"system": {"fixture": "observer", "params": {"omega": 2.0}}}')

@@ -80,8 +80,9 @@ def _assert_steps_match(flow_map, t0, x0, t_end, cfg) -> int:
         assert step.t_old == rk.t_old and step.t == rk.t
         assert _same_bits(step.y, rk.y)
         dense = rk.dense_output()
-        ts = solver._sample_times(step, step.t, cfg.store_max_dt)
-        assert _same_bits(ts, solver._sample_times(dense, rk.t, cfg.store_max_dt))
+        ts = solver._sample_times(step, step.t, cfg.store_max_dt, solver._d3_max(step))
+        assert _same_bits(ts, solver._sample_times(dense, rk.t, cfg.store_max_dt,
+                                                   solver._d3_max(dense)))
         assert _same_bits(solver._dense(step, ts), dense(ts).T)
         m = max(solver._MIN_SUBDIV, math.ceil((rk.t - rk.t_old) / cfg.store_max_dt))
         if rk.t - rk.t_old >= 4 * m * math.ulp(rk.t):
